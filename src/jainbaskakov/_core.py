@@ -11,6 +11,12 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import gammaln
 
+# log v! for v below the cap, shared by every block fill; series that run
+# past it (heavy tails near beta = 1) take gammaln directly.  The cap bounds
+# the table at 512 KiB.
+_LOG_FACT_CAP = 1 << 16
+_LOG_FACT = gammaln(np.arange(_LOG_FACT_CAP, dtype=np.float64) + 1.0)
+
 
 def jain_log_weights(nx: float, beta: float, v0: int, count: int) -> np.ndarray:
     """Log generalized-Poisson weights log w(v) for v = v0 .. v0+count-1.
@@ -19,7 +25,11 @@ def jain_log_weights(nx: float, beta: float, v0: int, count: int) -> np.ndarray:
     """
     v = np.arange(v0, v0 + count, dtype=np.float64)
     m = nx + v * beta
-    out = np.log(nx) + (v - 1.0) * np.log(m) - m - gammaln(v + 1.0)
+    if v0 + count <= _LOG_FACT_CAP:
+        log_fact = _LOG_FACT[v0 : v0 + count]
+    else:
+        log_fact = gammaln(v + 1.0)
+    out = np.log(nx) + (v - 1.0) * np.log(m) - m - log_fact
     if v0 == 0:
         out[0] = -nx
     return out

@@ -31,14 +31,41 @@ from scipy.special import betaln, gammaln
 
 from . import _core
 from .errors import ConvergenceError, DomainError, IntegrabilityError, ThresholdError
-from .params import BasisWeight, EvalConfig, OperatorParams
+from .params import BasisWeight, EvalConfig, OperatorParams, check_point
 
 # Hard cap on the adaptive v-series; beyond this we fail loudly rather than
 # silently truncate a heavy-tail case (beta near 1).
 V_MAX = 10**6
 
+# Every v-series (operator values and the basis mass) sums the same blocks:
+# 256 terms, doubling up to 8192.
 _BLOCK_START = 256
 _BLOCK_MAX = 8192
+
+
+def block_schedule(v_max: int):
+    """(v0, count) of the summation blocks, while v0 < v_max."""
+    v0, block = 0, _BLOCK_START
+    while v0 < v_max:
+        yield v0, block
+        v0 += block
+        block = min(block * 2, _BLOCK_MAX)
+
+
+def mass_saturated(mass: float, last: float, tail_eps: float) -> bool:
+    """Whether the basis mass collected so far lets a series stop.
+
+    ``mass`` is the summed mass, ``last`` the last block's share.  The
+    computed mass saturates at 1 - O(nx log(nx) eps) because the log-space
+    weights round; once block contributions sit at rounding level (and the
+    bulk of the mass has been collected, so this is the right tail and not
+    the pre-mode left tail) the mass is taken as complete.
+
+    The rule only grows truer as ``mass`` grows and as ``last`` shrinks (each
+    float operation in it is monotone), which lets a caller decide it from
+    bounds on the two inputs.
+    """
+    return (1.0 - mass) <= tail_eps or (mass >= 0.5 and last <= 2e-16 * (1.0 + mass))
 
 
 def jain_basis_log(params: OperatorParams, x: float, v: int) -> float:
@@ -46,8 +73,7 @@ def jain_basis_log(params: OperatorParams, x: float, v: int) -> float:
 
     At x = 0 only v = 0 carries weight (weight 1, by continuity).
     """
-    if x < 0:
-        raise DomainError(f"x must be nonnegative, got {x}")
+    check_point(x)
     if v < 0:
         raise DomainError(f"v must be a nonnegative integer, got {v}")
     if x == 0:
@@ -75,8 +101,7 @@ def basis_mass(
     weights carry log-space rounding of order nx*eps, so the raw sum can
     overshoot 1 by a few ulps; the result is clamped to [0, 1].
     """
-    if x < 0:
-        raise DomainError(f"x must be nonnegative, got {x}")
+    check_point(x)
     cfg = cfg or EvalConfig()
     if x == 0:
         return 1.0  # only v = 0 survives
@@ -89,25 +114,16 @@ def basis_mass(
         v0, remaining = 0, v_max + 1
         while remaining > 0:
             count = min(remaining, _BLOCK_MAX)
-            parts.append(math.fsum(_core.jain_weights(nx, params.beta, v0, count)))
+            parts.append(math.fsum(_core.jain_weights(nx, params.beta, v0, count).tolist()))
             v0 += count
             remaining -= count
         return min(math.fsum(parts), 1.0)
 
     parts = []
-    v0, block = 0, _BLOCK_START
-    while v0 <= V_MAX:
-        w = _core.jain_weights(nx, params.beta, v0, block)
-        parts.append(math.fsum(w))
+    for v0, count in block_schedule(V_MAX):
+        parts.append(math.fsum(_core.jain_weights(nx, params.beta, v0, count).tolist()))
         total = math.fsum(parts)
-        v0 += block
-        block = min(block * 2, _BLOCK_MAX)
-        # Second disjunct: the sum has saturated at float resolution.  The
-        # mass-majority guard keeps it from firing in the left tail, where
-        # blocks are tiny because the mode has not been reached yet.
-        if 1.0 - total <= cfg.tail_eps or (
-            total >= 0.5 and parts[-1] <= 2e-16 * (1.0 + total)
-        ):
+        if mass_saturated(total, parts[-1], cfg.tail_eps):
             return min(total, 1.0)
     raise ConvergenceError(
         f"basis mass did not reach 1 - {cfg.tail_eps} within v <= {V_MAX}"

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DomainError, ThresholdError
-from .params import OperatorKind, OperatorParams
+from .params import OperatorKind, OperatorParams, check_point
 
 # v(v+1)...(v+m-1) = sum_k RISING_COEF[m][k] * v^k  (k = 1..m)
 RISING_COEF = {
@@ -53,15 +53,10 @@ def _check_order(m: int, top: int = 4) -> None:
         raise DomainError(f"moment order must be in 0..{top}, got {m}")
 
 
-def _check_x(x: float) -> None:
-    if x < 0:
-        raise DomainError(f"x must be nonnegative, got {x}")
-
-
 def jain_moment(params: OperatorParams, m: int, x: float) -> float:
     """Exact raw moment P(t^m, x) of the Jain operator, m = 0..4."""
     _check_order(m)
-    _check_x(x)
+    check_point(x)
     n, b = params.n, params.beta
     a = 1.0 / (1.0 - b)
     if m == 0:
@@ -88,7 +83,7 @@ def jain_moment_display(params: OperatorParams, m: int, x: float) -> float:
     """
     if m not in (3, 4):
         raise DomainError(f"display formulas exist for m in {{3, 4}}, got {m}")
-    _check_x(x)
+    check_point(x)
     n, b = params.n, params.beta
     a = 1.0 / (1.0 - b)
     if m == 3:
@@ -119,7 +114,7 @@ def d_moment_exact(params: OperatorParams, m: int, x: float) -> float:
     n > (m+1)c.
     """
     _check_order(m)
-    _check_x(x)
+    check_point(x)
     if m == 0:
         return 1.0
     params.require_order(m)
@@ -140,7 +135,7 @@ def d_moment_display(params: OperatorParams, m: int, x: float) -> float:
     """
     if m not in (3, 4):
         raise DomainError(f"display formulas exist for m in {{3, 4}}, got {m}")
-    _check_x(x)
+    check_point(x)
     params.require_order(m)
     n, c, b = params.n, params.c, params.beta
     q = b * b - 2 * b + 2
@@ -171,7 +166,7 @@ def d_central_moment(params: OperatorParams, k: int, x: float) -> float:
     binomial expansion over exact raw moments, fsum-compensated against the
     near-cancellation of the (t-x)^4 terms.
     """
-    _check_x(x)
+    check_point(x)
     n, c, b = params.n, params.c, params.beta
     if k == 1:
         params.require_order(1)
@@ -210,7 +205,7 @@ def d_central_moments(params: OperatorParams, x: float) -> CentralMoments:
 
 def d_central_moment4_display(params: OperatorParams, x: float) -> float:
     """The printed asymptotic mu4 main term, verbatim (reference only)."""
-    _check_x(x)
+    check_point(x)
     params.require_order(4)
     n, c, b = params.n, params.c, params.beta
     num = (1 - b) * n**3 * b**2 * x**4 * (2 * c * (3 + 4 * b - 7 * b**2) + b**2 * n) + (
@@ -224,7 +219,7 @@ def d_central_moment4_display(params: OperatorParams, x: float) -> float:
 def king_transform(params: OperatorParams, x: float) -> float:
     """r_n(x) = (n-2c)(1-beta) x / n: the point transform that makes the
     King-type operator reproduce constants and the identity exactly."""
-    _check_x(x)
+    check_point(x)
     if not (params.n > 2 * params.c):
         raise ThresholdError(
             f"king transform needs n > 2c (n={params.n}, c={params.c})"
@@ -244,7 +239,7 @@ def king_moment(params: OperatorParams, m: int, x: float) -> float:
     exact hybrid recombination with the point transform.
     """
     _check_order(m)
-    _check_x(x)
+    check_point(x)
     _king_require(params, m)
     if m == 0:
         return 1.0
@@ -262,7 +257,7 @@ def king_moment_display(params: OperatorParams, m: int, x: float) -> float:
     """The printed asymptotic King t^3/t^4 main terms, verbatim (reference only)."""
     if m not in (3, 4):
         raise DomainError(f"display formulas exist for m in {{3, 4}}, got {m}")
-    _check_x(x)
+    check_point(x)
     _king_require(params, m)
     n, c, b = params.n, params.c, params.beta
     q = b * b - 2 * b + 2
@@ -275,7 +270,7 @@ def king_moment_display(params: OperatorParams, m: int, x: float) -> float:
 
 def king_central_moment(params: OperatorParams, k: int, x: float) -> float:
     """Exact King central moments: mu*1 = 0, mu*2 closed form, mu*4 binomial."""
-    _check_x(x)
+    check_point(x)
     if k == 1:
         _king_require(params, 1)
         return 0.0

@@ -11,18 +11,28 @@ basis in v:
   r_n(x) = (n-2c)(1-beta)x/n (kernel integrals unchanged), which restores
   exact reproduction of constants and of the identity.
 
-The v-series is truncated adaptively: summation stops only once the
-accumulated basis mass is within ``tail_eps`` of 1 *and* a geometric
-majorant of the remaining terms (growth-corrected for unbounded f) drops
-below ``tail_eps * (1 + |value|) * gcf``.  Kernel integrals are cached per
-(n, c, f) since they depend on neither beta nor x; grid and
-parameter sweeps reuse them heavily.
+The v-series is summed in blocks of v (:func:`kernels.block_schedule`), each
+block as numpy arrays with one exactly rounded ``math.fsum``.  Summation
+stops only once a geometric majorant of the remaining terms
+(growth-corrected for unbounded f) drops below
+``tail_eps * (1 + |value|) * gcf`` *and* the accumulated basis mass passes
+:func:`kernels.mass_saturated`.  The mass is only needed for that decision,
+so it is kept as plain ``np.sum`` block sums with their rounding bound
+(Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 4.2);
+only when that bracket straddles a threshold are the exact block sums
+recomputed, so the decision is the exact-sum one.
+
+Kernel integrals are cached per (n, c, f) since they depend on neither beta
+nor x; grid and parameter sweeps reuse them heavily.  A table holds E_v[f],
+its error estimate and the a-priori bound on |E_v[f]| in arrays indexed by
+v and answers a whole block of v in one lookup.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -36,12 +46,15 @@ from .errors import (
     ThresholdError,
 )
 from .functions import TestFunction
-from .kernels import V_MAX, _kernel_expectation, expectation_moments
+from .kernels import (
+    V_MAX,
+    _kernel_expectation,
+    block_schedule,
+    expectation_moments,
+    mass_saturated,
+)
 from .moments import d_moment_exact, jain_moment, king_transform
-from .params import EvalConfig, OperatorKind, OperatorParams
-
-_BLOCK_START = 256
-_BLOCK_MAX = 8192
+from .params import EvalConfig, OperatorKind, OperatorParams, check_point
 
 # Per-term skip threshold factor: a term whose a-priori bound is below
 # tail_eps * 2^-26 * (scale) is dropped without computing its integral; the
@@ -61,43 +74,71 @@ class EvalResult:
 
 
 class _IntegralTable:
-    """Cached Beta-expectations E_v[f] for one (params, f, quad-config)."""
+    """Cached Beta-expectations E_v[f] for one (params, f, quad-config).
+
+    Arrays indexed by v hold E_v[f], its quadrature error estimate, the
+    a-priori bound ``mag`` on |E_v[f]| and a mask of the entries computed so
+    far; they grow on demand.  v = 0 is the point-mass atom at t = 0, preset
+    to f(0) with no error.
+    """
 
     def __init__(self, params: OperatorParams, f: TestFunction, cfg: EvalConfig):
         self.params = params
         self.f = f
         self.cfg = cfg
-        self._values: dict[int, tuple[float, float]] = {}
-        self._f0 = float(f.fn(0.0))
+        self._values = np.array([float(f.fn(0.0))])
+        self._errors = np.zeros(1)
+        self._filled = np.ones(1, dtype=bool)
+        self._mag = self._mag_range(0, 1)
 
-    def _scale(self, v: int) -> float:
+    def _mag_range(self, lo: int, hi: int) -> np.ndarray:
         f = self.f
         if f.bounded:
-            return f.sup_bound
-        em = float(expectation_moments(self.params, v, f.growth_degree))
+            return np.full(hi - lo, f.sup_bound)
+        em = expectation_moments(self.params, np.arange(lo, hi), f.growth_degree)
         return f.m_bound * (1.0 + em)
 
-    def get(self, v: int) -> tuple[float, float]:
-        """(E_v[f], error estimate); v = 0 is the point-mass atom at t = 0."""
-        if v == 0:
-            return self._f0, 0.0
-        got = self._values.get(v)
-        if got is None:
-            got = _kernel_expectation(
-                self.params, v, self.f.fn, self.cfg, self._scale(v)
-            )
-            self._values[v] = got
-        return got
+    def _reserve(self, size: int) -> None:
+        old = len(self._filled)
+        if size <= old:
+            return
+        size = max(size, 2 * old)
+        grow = size - old
+        self._values = np.concatenate((self._values, np.zeros(grow)))
+        self._errors = np.concatenate((self._errors, np.zeros(grow)))
+        self._filled = np.concatenate((self._filled, np.zeros(grow, dtype=bool)))
+        self._mag = np.concatenate((self._mag, self._mag_range(old, size)))
+
+    def mag(self, v0: int, count: int) -> np.ndarray:
+        """Bounds on |E_v[f]| for v = v0 .. v0+count-1 (a view; do not write)."""
+        self._reserve(v0 + count)
+        return self._mag[v0 : v0 + count]
+
+    def get(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(E_v[f], error estimates) for the integer array ``v``.
+
+        Entries not yet in the table are computed first, in ascending v.
+        """
+        self._reserve(int(v.max(initial=0)) + 1)
+        missing = v[~self._filled[v]]
+        if missing.size:
+            for vi in np.unique(missing).tolist():
+                self._values[vi], self._errors[vi] = _kernel_expectation(
+                    self.params, vi, self.f.fn, self.cfg, float(self._mag[vi])
+                )
+                self._filled[vi] = True
+        return self._values[v], self._errors[v]
 
     def __len__(self):
-        return len(self._values)
+        """Kernel integrals held (the preset atom at v = 0 not counted)."""
+        return int(np.count_nonzero(self._filled)) - 1
 
 
 class KernelIntegralCache:
     """Process-wide table cache.
 
-    Population is idempotent, so concurrent readers may at worst duplicate a
-    quadrature; no torn values are possible (dict assignment is atomic).
+    Tables grow in place and are not safe to fill from several threads at
+    once; give each thread its own cache.
     """
 
     def __init__(self):
@@ -122,6 +163,51 @@ def clear_cache():
     DEFAULT_CACHE.clear()
 
 
+# Machine epsilon, twice the unit roundoff u.  For nonnegative w, np.sum(w)
+# lies within gamma_{len-1} * sum(w), about (len-1) u sum(w), of the exact sum
+# whatever the order of the additions (Higham, 4.2), and fsum(w) within u of
+# it, so len(w) * _EPS * np.sum(w) bounds their distance with a factor two to
+# spare; the spare covers the rounding of that bound and of the running
+# totals in _BlockMass.
+_EPS = float(np.finfo(np.float64).eps)
+
+
+class _BlockMass:
+    """Basis mass of a series so far, for :func:`kernels.mass_saturated`.
+
+    Keeps ``np.sum`` block sums and a rigorous bound on how far their total
+    and the last block's sum may lie from the exact (fsum-of-fsums) values
+    the rule is defined on.  The rule is monotone in both inputs, so it is
+    decided at the ends of those brackets; only when they disagree are the
+    exact block sums computed, by ``exact_parts()``.
+    """
+
+    def __init__(self):
+        self.total = 0.0
+        self.radius = 0.0
+        self.blocks = 0
+        self.last = 0.0
+        self.last_radius = 0.0
+
+    def add(self, w: np.ndarray) -> None:
+        self.last = float(np.sum(w))
+        self.last_radius = len(w) * _EPS * self.last
+        self.total += self.last
+        self.radius += self.last_radius
+        self.blocks += 1
+
+    def saturated(self, tail_eps: float, exact_parts) -> bool:
+        # the running total rounds once per block, the fsum of the exact
+        # block sums and each end of the bracket once more
+        r = self.radius + (self.blocks + 2) * _EPS * self.total
+        if mass_saturated(self.total - r, self.last + self.last_radius, tail_eps):
+            return True
+        if not mass_saturated(self.total + r, self.last - self.last_radius, tail_eps):
+            return False
+        parts = exact_parts()
+        return mass_saturated(math.fsum(parts), parts[-1], tail_eps)
+
+
 def _series_eval(params, basis_x, provider, gcf, cfg, x_report):
     """Adaptive blockwise summation over the basis index v.
 
@@ -131,16 +217,20 @@ def _series_eval(params, basis_x, provider, gcf, cfg, x_report):
     nx = params.n * basis_x
     beta = params.beta
     val_run = 0.0
-    mass_parts: list[float] = []
     val_parts: list[float] = []
     qerr_parts: list[float] = []
     skipped = 0.0
-    v0, block = 0, _BLOCK_START
-    while v0 < V_MAX:
+    mass = _BlockMass()
+
+    def exact_parts(k):
+        return [math.fsum(_core.jain_weights(nx, beta, v0, count).tolist())
+                for v0, count in islice(block_schedule(V_MAX), k)]
+
+    for k, (v0, block) in enumerate(block_schedule(V_MAX), 1):
         w = _core.jain_weights(nx, beta, v0, block)
         vals, mbound, sk_inc, qerr_inc = provider(v0, w, val_run)
-        mass_parts.append(math.fsum(w))
-        val_parts.append(math.fsum(w * vals))
+        mass.add(w)
+        val_parts.append(math.fsum((w * vals).tolist()))
         val_run += val_parts[-1]
         qerr_parts.append(qerr_inc)
         skipped += sk_inc
@@ -156,16 +246,9 @@ def _series_eval(params, basis_x, provider, gcf, cfg, x_report):
             tail_geo = math.inf
         tail_est = tail_geo + skipped
 
-        # The computed mass saturates at 1 - O(nx log(nx) eps) because the
-        # log-space weights round; once block contributions sit at rounding
-        # level (and the bulk of the mass has been collected, so this is the
-        # right tail and not the pre-mode left tail) the geometric term bound
-        # alone certifies the remainder.
-        mass = math.fsum(mass_parts)
-        mass_ok = (1.0 - mass) <= cfg.tail_eps or (
-            mass >= 0.5 and mass_parts[-1] <= 2e-16 * (1.0 + mass)
-        )
-        if mass_ok and tail_est <= cfg.tail_eps * (1.0 + abs(val_run)) * gcf:
+        if tail_est <= cfg.tail_eps * (1.0 + abs(val_run)) * gcf and mass.saturated(
+            cfg.tail_eps, lambda: exact_parts(k)
+        ):
             return EvalResult(
                 x=x_report,
                 value=math.fsum(val_parts),
@@ -173,8 +256,6 @@ def _series_eval(params, basis_x, provider, gcf, cfg, x_report):
                 est_tail_bound=tail_est,
                 quad_error_est=math.fsum(qerr_parts),
             )
-        v0 += block
-        block = min(block * 2, _BLOCK_MAX)
     raise ConvergenceError(
         f"v-series did not satisfy the tail criterion within v <= {V_MAX} "
         f"(beta={beta}, n*x={nx})"
@@ -205,27 +286,18 @@ def eval_jain(
 ) -> EvalResult:
     """Jain operator value sum_v w(v, nx) f(v/n); exactly f(0) at x = 0."""
     cfg = cfg or EvalConfig()
-    if x < 0:
-        raise DomainError(f"x must be nonnegative, got {x}")
+    check_point(x)
     if x == 0:
         return _atom_result(x, f)
 
     n = params.n
     d = f.growth_degree
-    if f.bounded:
-        sup = f.sup_bound
 
-        def provider(v0, w, _val_run):
-            t = np.arange(v0, v0 + len(w), dtype=np.float64) / n
-            vals = np.asarray(f.fn(t), dtype=np.float64)
-            return vals, np.full_like(w, sup), 0.0, 0.0
-
-    else:
-
-        def provider(v0, w, _val_run):
-            t = np.arange(v0, v0 + len(w), dtype=np.float64) / n
-            vals = np.asarray(f.fn(t), dtype=np.float64)
-            return vals, f.m_bound * (1.0 + t**d), 0.0, 0.0
+    def provider(v0, w, _val_run):
+        t = np.arange(v0, v0 + len(w), dtype=np.float64) / n
+        vals = np.asarray(f.fn(t), dtype=np.float64)
+        mbound = np.full_like(w, f.sup_bound) if f.bounded else f.m_bound * (1.0 + t**d)
+        return vals, mbound, 0.0, 0.0
 
     gcf = _growth_correction(params, f, x, hybrid=False)
     return _series_eval(params, x, provider, gcf, cfg, x_report=x)
@@ -245,32 +317,17 @@ def _eval_hybrid(params, f, x, basis_x, cfg, cache):
     gcf = _growth_correction(params, f, basis_x, hybrid=True)
     skip_eps = cfg.tail_eps * _SKIP_FACTOR * gcf
 
-    if f.bounded:
-        sup = f.sup_bound
-
-        def mag(v_arr):
-            return np.full(len(v_arr), sup)
-
-    else:
-
-        def mag(v_arr):
-            return f.m_bound * (1.0 + expectation_moments(params, v_arr, d))
-
     def provider(v0, w, val_run):
         v_arr = np.arange(v0, v0 + len(w))
-        mbound = mag(v_arr)
+        mbound = table.mag(v0, len(w))
         cutoff = skip_eps * (1.0 + abs(val_run))
         contrib_bound = w * mbound
         keep = (contrib_bound > cutoff) | (v_arr == 0)
         sk = float(np.sum(contrib_bound[~keep]))
         vals = np.zeros_like(w)
-        qerr_terms = []
-        for i in np.nonzero(keep)[0]:
-            e, err = table.get(int(v_arr[i]))
-            vals[i] = e
-            if err:
-                qerr_terms.append(w[i] * err)
-        return vals, mbound, sk, math.fsum(qerr_terms)
+        values, errors = table.get(v_arr[keep])
+        vals[keep] = values
+        return vals, mbound, sk, math.fsum((w[keep] * errors).tolist())
 
     return _series_eval(params, basis_x, provider, gcf, cfg, x_report=x)
 
@@ -284,8 +341,7 @@ def eval_jain_baskakov(
 ) -> EvalResult:
     """Jain-Baskakov operator value; exactly f(0) at x = 0."""
     cfg = cfg or EvalConfig()
-    if x < 0:
-        raise DomainError(f"x must be nonnegative, got {x}")
+    check_point(x)
     return _eval_hybrid(params, f, x, x, cfg, cache)
 
 
@@ -298,8 +354,7 @@ def eval_king(
 ) -> EvalResult:
     """King-type operator value: the hybrid sum with basis point r_n(x)."""
     cfg = cfg or EvalConfig()
-    if x < 0:
-        raise DomainError(f"x must be nonnegative, got {x}")
+    check_point(x)
     if not (params.n > 3 * params.c):
         raise ThresholdError(
             f"king operator needs n > 3c (n={params.n}, c={params.c})"
@@ -338,7 +393,7 @@ def eval_grid(
     for i, x in enumerate(xs):
         try:
             results.append(eval_operator(kind, params, f, float(x), cfg, cache))
-        except Exception as exc:  # collected and re-raised with indices
+        except (DomainError, ConvergenceError) as exc:  # re-raised with indices
             failures.append((i, exc))
     if failures:
         raise GridEvalError(failures)

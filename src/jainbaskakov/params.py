@@ -15,6 +15,7 @@ checks its own threshold via :func:`require_order`.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 from .errors import DomainError, ThresholdError
@@ -33,6 +34,12 @@ class OperatorKind(str, enum.Enum):
 DEFAULT_BETA_GUARD = 0.95
 
 
+def check_point(x: float) -> None:
+    """Reject an evaluation point outside [0, inf): negative, infinite or NaN."""
+    if not (0.0 <= x < math.inf):
+        raise DomainError(f"x must be finite and nonnegative, got {x}")
+
+
 @dataclass(frozen=True)
 class OperatorParams:
     """The (n, c, beta) triple with validation."""
@@ -43,10 +50,10 @@ class OperatorParams:
     beta_guard: float = field(default=DEFAULT_BETA_GUARD, compare=False)
 
     def __post_init__(self):
-        if not (self.n > 0):
-            raise DomainError(f"n must be positive, got {self.n}")
-        if not (self.c > 0):
-            raise DomainError(f"c must be positive, got {self.c}")
+        if not (0 < self.n < math.inf):
+            raise DomainError(f"n must be positive and finite, got {self.n}")
+        if not (0 < self.c < math.inf):
+            raise DomainError(f"c must be positive and finite, got {self.c}")
         if not (0.0 <= self.beta < 1.0):
             raise DomainError(f"beta must lie in [0, 1), got {self.beta}")
         if self.beta > self.beta_guard:

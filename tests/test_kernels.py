@@ -71,6 +71,20 @@ class TestJainBasis:
         # guard is configurable
         OperatorParams(10, 1, 0.97, beta_guard=0.99)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_x_rejected(self, x):
+        p = OperatorParams(10, 1, 0.25)
+        with pytest.raises(DomainError):
+            jain_basis_log(p, x, 3)
+        with pytest.raises(DomainError):
+            basis_mass(p, x)
+
+    @pytest.mark.parametrize("n, c", [(math.inf, 1.0), (10.0, math.inf), (math.nan, 1.0),
+                                      (10.0, math.nan)])
+    def test_non_finite_params_rejected(self, n, c):
+        with pytest.raises(DomainError):
+            OperatorParams(n, c, 0.2)
+
     @given(
         beta=st.floats(0.0, 0.6),
         n=st.floats(1.0, 200.0),
@@ -230,3 +244,29 @@ class TestWeightBlocks:
             [jain_weights(37.5, 0.2, v0, 128) for v0 in range(0, 512, 128)]
         )
         np.testing.assert_array_equal(whole, pieces)
+
+    def test_log_factorial_table_matches_gammaln(self):
+        # blocks below, across and above the table's cap give the direct values
+        from scipy.special import gammaln
+
+        from jainbaskakov._core import _LOG_FACT_CAP, jain_log_weights
+
+        nx, beta = 5000.0, 0.95
+        for v0 in (0, _LOG_FACT_CAP - 100, _LOG_FACT_CAP + 7):
+            v = np.arange(v0, v0 + 256, dtype=np.float64)
+            m = nx + v * beta
+            direct = np.log(nx) + (v - 1.0) * np.log(m) - m - gammaln(v + 1.0)
+            if v0 == 0:
+                direct[0] = -nx
+            np.testing.assert_array_equal(jain_log_weights(nx, beta, v0, 256), direct)
+
+
+class TestBlockSchedule:
+    def test_schedule_doubles_then_holds(self):
+        from jainbaskakov.kernels import block_schedule
+
+        blocks = list(block_schedule(40_000))
+        assert [c for _, c in blocks[:6]] == [256, 512, 1024, 2048, 4096, 8192]
+        assert all(c == 8192 for _, c in blocks[5:])
+        assert all(a + c == b for (a, c), (b, _) in zip(blocks, blocks[1:]))
+        assert blocks[0][0] == 0 and blocks[-1][0] < 40_000 <= sum(blocks[-1])

@@ -1,10 +1,13 @@
 """Operator evaluation tests: examples, reductions, and structural properties
 (positivity, linearity, monotonicity, boundedness, caching, failure modes)."""
 
+import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import poisson
 
 import jainbaskakov.operators as ops
@@ -153,6 +156,16 @@ class TestEvalGrid:
             eval_grid(OperatorKind.JAIN, p, get_function("e1"), [1.0, -2.0, -3.0], cfg)
         assert [i for i, _ in exc.value.failures] == [1, 2]
 
+    def test_program_errors_propagate_unwrapped(self, cfg):
+        # only the package's domain and convergence errors are collected
+        def fn(t):
+            raise TypeError("bad test function")
+
+        f = TestFunction("raises", fn=fn, growth_degree=0, m_bound=1.0,
+                         bounded=True, sup_bound=1.0)
+        with pytest.raises(TypeError, match="bad test function"):
+            eval_grid(OperatorKind.JAIN, OperatorParams(10, 1, 0.1), f, [1.0], cfg)
+
 
 class TestOperatorProperties:
     def test_positivity(self, cfg):
@@ -253,3 +266,120 @@ class TestCacheAndLimits:
         for fn in (eval_jain, eval_jain_baskakov, eval_king):
             with pytest.raises(DomainError):
                 fn(p, get_function("e0"), -0.5, cfg)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("fn", [eval_jain, eval_jain_baskakov, eval_king])
+    def test_non_finite_x_rejected(self, cfg, fn, x):
+        with pytest.raises(DomainError):
+            fn(OperatorParams(10, 1, 0.0), get_function("e1"), x, cfg)
+
+
+class TestIntegralTable:
+    def test_batched_get_matches_per_v_quadrature(self, cfg, monkeypatch):
+        p = OperatorParams(20, 1, 0.1)
+        f = get_function("e2")
+        calls = []
+        real = ops._kernel_expectation
+
+        def counted(params, v, fn, cfg_, scale):
+            calls.append(v)
+            return real(params, v, fn, cfg_, scale)
+
+        monkeypatch.setattr(ops, "_kernel_expectation", counted)
+        tab = ops._IntegralTable(p, f, cfg)
+        assert len(tab) == 0
+        vs = np.array([9, 0, 3, 9, 1, 3])
+        values, errors = tab.get(vs)
+        assert calls == [1, 3, 9]  # ascending, each v once, none for the atom
+        assert len(tab) == 3
+        for v, val, err in zip(vs.tolist(), values.tolist(), errors.tolist()):
+            if v == 0:
+                assert (val, err) == (f.fn(0.0), 0.0)
+                continue
+            scale = f.m_bound * (1.0 + float(ops.expectation_moments(p, v, 2)))
+            assert (val, err) == real(p, v, f.fn, cfg, scale)
+        # a later block reuses what is filled and grows the arrays
+        values2, _ = tab.get(np.arange(0, 40))
+        assert calls == [1, 3, 9] + [v for v in range(2, 40) if v not in (3, 9)]
+        assert len(tab) == 39
+        np.testing.assert_array_equal(values2[vs], values)
+        assert tab.get(np.array([], dtype=np.int64))[0].shape == (0,)
+
+    def test_magnitude_bounds(self, cfg):
+        p = OperatorParams(20, 1, 0.1)
+        e2 = ops._IntegralTable(p, get_function("e2"), cfg)
+        v = np.arange(5, 300)
+        np.testing.assert_array_equal(
+            e2.mag(5, 295), get_function("e2").m_bound * (1.0 + ops.expectation_moments(p, v, 2))
+        )
+        sin = get_function("sin")
+        assert set(ops._IntegralTable(p, sin, cfg).mag(0, 50).tolist()) == {sin.sup_bound}
+
+
+def _blocks_near_threshold(mass, last, lengths, rng):
+    """Nonnegative blocks whose sums are about ``mass - last`` in total and
+    ``last`` for the final block (which has a power-of-two length, so its sum
+    is exact)."""
+    head = rng.dirichlet(np.ones(sum(lengths[:-1]))) * (mass - last)
+    blocks = np.split(head, np.cumsum(lengths[:-2]))
+    blocks.append(np.full(lengths[-1], last / lengths[-1]))
+    return [b for b in blocks if len(b)]
+
+
+def _decide(blocks, tail_eps):
+    """(certified decision, exact decision, whether the fallback ran)."""
+    mass = ops._BlockMass()
+    for b in blocks:
+        mass.add(b)
+    exact = [math.fsum(b.tolist()) for b in blocks]
+    ran = []
+
+    def exact_parts():
+        ran.append(True)
+        return exact
+
+    got = mass.saturated(tail_eps, exact_parts)
+    return got, ops.mass_saturated(math.fsum(exact), exact[-1], tail_eps), bool(ran)
+
+
+class TestMassDecision:
+    @given(
+        tail_eps=st.sampled_from([1e-14, 1e-12, 1e-10]),
+        deficit=st.floats(0.0, 2.0),
+        last_ulps=st.integers(-64, 64),
+        near_last=st.booleans(),
+        lengths=st.lists(st.sampled_from([1, 3, 256, 1000, 8192]), min_size=1, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_certified_equals_exact(self, tail_eps, deficit, last_ulps, near_last,
+                                    lengths, seed):
+        # 1 - mass is about deficit * tail_eps; the last block sits within a
+        # few ulps of the saturation level 2e-16 (1 + mass), or well above it
+        mass = 1.0 - deficit * tail_eps
+        if near_last:
+            last = 2e-16 * (1.0 + mass) * (1.0 + last_ulps * 2.0**-52)
+        else:
+            last = min(1e-3, mass / 2)
+        lengths = lengths + [64]
+        blocks = _blocks_near_threshold(mass, last, lengths, np.random.default_rng(seed))
+        got, want, _ = _decide(blocks, tail_eps)
+        assert got == want
+
+    def test_fallback_runs_on_a_straddle(self):
+        rng = np.random.default_rng(7)
+        # mass deficit at the threshold, bracket of ~8192 ulps
+        blocks = _blocks_near_threshold(1.0 - 1e-12, 1e-3, [8192, 8192, 64], rng)
+        got, want, ran = _decide(blocks, 1e-12)
+        assert ran and got == want
+        # last block on the saturation level
+        last = 2e-16 * (1.0 + 0.75)
+        blocks = _blocks_near_threshold(0.75, last, [1000, 64], rng)
+        got, want, ran = _decide(blocks, 1e-12)
+        assert ran and got == want
+
+    def test_clear_cases_skip_the_fallback(self):
+        rng = np.random.default_rng(3)
+        for mass, last, want in ((1.0, 1e-20, True), (0.9, 1e-3, False)):
+            got, exact, ran = _decide(_blocks_near_threshold(mass, last, [4096, 64], rng), 1e-12)
+            assert (got, exact, ran) == (want, want, False)
