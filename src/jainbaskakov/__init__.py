@@ -8,7 +8,6 @@ convergence and Voronovskaja-type asymptotics.
 
 from .analysis import (
     BoundCheck,
-    ModulusEstimate,
     VoronovskajaRecord,
     WeightedNormEstimate,
     check_direct_bound,
@@ -28,7 +27,6 @@ from .errors import (
 )
 from .functions import REGISTRY, TestFunction, get_function
 from .kernels import (
-    basis_mass,
     baskakov_kernel_log,
     jain_basis_log,
     jain_basis_weight,
@@ -53,7 +51,7 @@ from .moments import (
 from .operators import (
     EvalResult,
     KernelIntegralCache,
-    clear_cache,
+    basis_mass,
     eval_grid,
     eval_jain,
     eval_jain_baskakov,
@@ -75,7 +73,6 @@ __all__ = [
     "GridEvalError",
     "IntegrabilityError",
     "KernelIntegralCache",
-    "ModulusEstimate",
     "MomentReport",
     "OperatorKind",
     "OperatorParams",
@@ -89,7 +86,6 @@ __all__ = [
     "baskakov_kernel_log",
     "check_direct_bound",
     "check_rate_bound",
-    "clear_cache",
     "d_central_moment",
     "d_central_moments",
     "d_moment_display",

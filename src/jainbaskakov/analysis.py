@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -28,15 +28,6 @@ MODULUS_SUBSTEPS = 16
 
 
 @dataclass(frozen=True)
-class ModulusEstimate:
-    delta: float
-    omega1: float
-    omega2: float
-    a: float
-    grid_points: int
-
-
-@dataclass(frozen=True)
 class BoundCheck:
     """One theorem-bound comparison; slack = rhs - lhs must be >= -tolerance."""
 
@@ -47,15 +38,6 @@ class BoundCheck:
     x: Optional[float] = None
     interval: Optional[tuple] = None
     m_required: Optional[float] = None
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    """One row of a convergence sweep: sup error over the point set at (n, beta)."""
-
-    n: float
-    beta: float
-    sup_error: float
 
 
 @dataclass(frozen=True)
@@ -146,18 +128,6 @@ def modulus2(
         )
         best = max(best, float(d2.max()))
     return best
-
-
-def modulus_estimate(
-    f: TestFunction, a: float, delta: float, cfg: Optional[EvalConfig] = None
-) -> ModulusEstimate:
-    """Both moduli in one record (omega2 is NaN for unbounded functions)."""
-    cfg = cfg or EvalConfig()
-    w1 = modulus1(f, a, delta, cfg)
-    w2 = modulus2(f, math.sqrt(delta), cfg) if f.bounded else math.nan
-    return ModulusEstimate(
-        delta=delta, omega1=w1, omega2=w2, a=a, grid_points=2 * cfg.grid_points - 1
-    )
 
 
 def check_direct_bound(
@@ -320,12 +290,10 @@ def weighted_norm_error(
 def _tightened(cfg: EvalConfig, n: float) -> EvalConfig:
     # Sweeps multiply absolute evaluation error by n, so truncation and
     # quadrature tolerances shrink with n (floored at float64 resolution).
-    return EvalConfig(
+    return replace(
+        cfg,
         tail_eps=max(cfg.tail_eps / (n * n), 5e-16),
         quad_rel_tol=max(cfg.quad_rel_tol / n, 1e-13),
-        quad_max_nodes=cfg.quad_max_nodes,
-        grid_points=cfg.grid_points,
-        domain_cap=cfg.domain_cap,
     )
 
 

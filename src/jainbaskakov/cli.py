@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -40,13 +41,9 @@ EXIT_DOMAIN = 3
 EXIT_ASSERT = 4
 
 _ENV_PREFIX = "JAINBASKAKOV_"
-_TOLERANCE_KEYS = (
-    "tail_eps",
-    "quad_rel_tol",
-    "quad_max_nodes",
-    "grid_points",
-    "domain_cap",
-)
+# The EvalConfig fields: each is a flag, a config key and an environment
+# variable, cast to the type of its default.
+_TOLERANCES = {f.name: f.default for f in dataclasses.fields(EvalConfig)}
 
 
 class ConfigError(ValueError):
@@ -186,11 +183,7 @@ _DEFAULTS = {
     "seed": None,
     "points": None,
     "interval": None,
-    "tail_eps": EvalConfig.tail_eps,
-    "quad_rel_tol": EvalConfig.quad_rel_tol,
-    "quad_max_nodes": EvalConfig.quad_max_nodes,
-    "grid_points": EvalConfig.grid_points,
-    "domain_cap": EvalConfig.domain_cap,
+    **_TOLERANCES,
 }
 
 
@@ -217,22 +210,18 @@ def _resolve(args, command):
         val = getattr(args, key, None)
         if val is None:
             val = file_cfg.get(key)
-        if val is None and key in _TOLERANCE_KEYS:
-            env = os.environ.get(_ENV_PREFIX + key.upper())
-            if env is not None:
-                val = env
+        if val is None and key in _TOLERANCES:
+            val = os.environ.get(_ENV_PREFIX + key.upper())
         if val is None:
             val = builtin
+        # numeric options may arrive as strings from config/env
+        cast = int if key == "seed" else type(builtin)
+        if val is not None and cast in (int, float):
+            try:
+                val = cast(val)
+            except (TypeError, ValueError, OverflowError):
+                raise ConfigError(f"bad value for {key!r}: {val!r}") from None
         out[key] = val
-    # normalize types that may arrive as strings from config/env
-    for key in ("n", "c", "beta", "l", "x", "a", "lam", "m_const",
-                "tail_eps", "quad_rel_tol", "domain_cap"):
-        if out[key] is not None:
-            out[key] = float(out[key])
-    for key in ("quad_max_nodes", "grid_points"):
-        out[key] = int(out[key])
-    if out["seed"] is not None:
-        out["seed"] = int(out["seed"])
     out["output"] = args.output or file_cfg.get("output") or command
     if out["format"] not in ("csv", "json"):
         raise ConfigError(f"unknown output format {out['format']!r}")
@@ -240,13 +229,7 @@ def _resolve(args, command):
 
 
 def _eval_config(cfg) -> EvalConfig:
-    return EvalConfig(
-        tail_eps=cfg["tail_eps"],
-        quad_rel_tol=cfg["quad_rel_tol"],
-        quad_max_nodes=cfg["quad_max_nodes"],
-        grid_points=cfg["grid_points"],
-        domain_cap=cfg["domain_cap"],
-    )
+    return EvalConfig(**{key: cfg[key] for key in _TOLERANCES})
 
 
 def _operator_kind(name) -> OperatorKind:
@@ -341,17 +324,7 @@ def _cmd_moments(args):
             closed = closed_moment(kind, params, m, x)
             numeric = _moment_numeric(kind, params, m, x, ecfg)
         except DomainError as exc:
-            rows.append(
-                {
-                    "order": m,
-                    "x": x,
-                    "closed_form": None,
-                    "numeric": None,
-                    "rel_error": None,
-                    "formula_class": "exact",
-                    "status": f"threshold: {exc}",
-                }
-            )
+            add_row(m, None, None, "exact", f"threshold: {exc}")
             continue
         add_row(m, closed, numeric, "exact")
         if m in (3, 4):
@@ -366,17 +339,7 @@ def _cmd_moments(args):
                 closed = central(params, k, x)
                 res = eval_operator(kind, params, shifted_power(k, x), x, ecfg)
             except DomainError as exc:
-                rows.append(
-                    {
-                        "order": f"mu{k}",
-                        "x": x,
-                        "closed_form": None,
-                        "numeric": None,
-                        "rel_error": None,
-                        "formula_class": "exact",
-                        "status": f"threshold: {exc}",
-                    }
-                )
+                add_row(f"mu{k}", None, None, "exact", f"threshold: {exc}")
                 continue
             add_row(f"mu{k}", closed, res.value, "exact")
 
@@ -524,11 +487,8 @@ def _add_common(sub):
     sub.add_argument("--seed", type=int, help="seed for randomized grid jitter")
     sub.add_argument("--format", choices=["csv", "json"], help="table format (default csv)")
     sub.add_argument("--output", help="output base name (default: command name)")
-    sub.add_argument("--tail-eps", dest="tail_eps", type=float)
-    sub.add_argument("--quad-rel-tol", dest="quad_rel_tol", type=float)
-    sub.add_argument("--quad-max-nodes", dest="quad_max_nodes", type=int)
-    sub.add_argument("--grid-points", dest="grid_points", type=int)
-    sub.add_argument("--domain-cap", dest="domain_cap", type=float)
+    for key, default in _TOLERANCES.items():
+        sub.add_argument("--" + key.replace("_", "-"), dest=key, type=type(default))
 
 
 def _add_params(sub):

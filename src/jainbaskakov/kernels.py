@@ -33,40 +33,6 @@ from . import _core
 from .errors import ConvergenceError, DomainError, IntegrabilityError, ThresholdError
 from .params import BasisWeight, EvalConfig, OperatorParams, check_point
 
-# Hard cap on the adaptive v-series; beyond this we fail loudly rather than
-# silently truncate a heavy-tail case (beta near 1).
-V_MAX = 10**6
-
-# Every v-series (operator values and the basis mass) sums the same blocks:
-# 256 terms, doubling up to 8192.
-_BLOCK_START = 256
-_BLOCK_MAX = 8192
-
-
-def block_schedule(v_max: int):
-    """(v0, count) of the summation blocks, while v0 < v_max."""
-    v0, block = 0, _BLOCK_START
-    while v0 < v_max:
-        yield v0, block
-        v0 += block
-        block = min(block * 2, _BLOCK_MAX)
-
-
-def mass_saturated(mass: float, last: float, tail_eps: float) -> bool:
-    """Whether the basis mass collected so far lets a series stop.
-
-    ``mass`` is the summed mass, ``last`` the last block's share.  The
-    computed mass saturates at 1 - O(nx log(nx) eps) because the log-space
-    weights round; once block contributions sit at rounding level (and the
-    bulk of the mass has been collected, so this is the right tail and not
-    the pre-mode left tail) the mass is taken as complete.
-
-    The rule only grows truer as ``mass`` grows and as ``last`` shrinks (each
-    float operation in it is monotone), which lets a caller decide it from
-    bounds on the two inputs.
-    """
-    return (1.0 - mass) <= tail_eps or (mass >= 0.5 and last <= 2e-16 * (1.0 + mass))
-
 
 def jain_basis_log(params: OperatorParams, x: float, v: int) -> float:
     """log w_b(v, nx); -inf where the weight is exactly zero.
@@ -85,49 +51,6 @@ def jain_basis_weight(params: OperatorParams, x: float, v: int) -> BasisWeight:
     """The weight at index v in both log and linear scale."""
     lw = jain_basis_log(params, x, v)
     return BasisWeight(v=v, log_weight=lw, weight=math.exp(lw))
-
-
-def basis_mass(
-    params: OperatorParams,
-    x: float,
-    v_max: int | None = None,
-    cfg: EvalConfig | None = None,
-) -> float:
-    """Partial sum of the basis weights, sum_{v=0}^{v_max} w_b(v, nx).
-
-    With ``v_max=None`` the summation is adaptive: it stops once the
-    unaccounted mass drops below ``cfg.tail_eps`` (or the float sum
-    saturates).  Summation is blockwise-``fsum`` exact, but the individual
-    weights carry log-space rounding of order nx*eps, so the raw sum can
-    overshoot 1 by a few ulps; the result is clamped to [0, 1].
-    """
-    check_point(x)
-    cfg = cfg or EvalConfig()
-    if x == 0:
-        return 1.0  # only v = 0 survives
-    nx = params.n * x
-
-    if v_max is not None:
-        if v_max < 0:
-            raise DomainError(f"v_max must be nonnegative, got {v_max}")
-        parts = []
-        v0, remaining = 0, v_max + 1
-        while remaining > 0:
-            count = min(remaining, _BLOCK_MAX)
-            parts.append(math.fsum(_core.jain_weights(nx, params.beta, v0, count).tolist()))
-            v0 += count
-            remaining -= count
-        return min(math.fsum(parts), 1.0)
-
-    parts = []
-    for v0, count in block_schedule(V_MAX):
-        parts.append(math.fsum(_core.jain_weights(nx, params.beta, v0, count).tolist()))
-        total = math.fsum(parts)
-        if mass_saturated(total, parts[-1], cfg.tail_eps):
-            return min(total, 1.0)
-    raise ConvergenceError(
-        f"basis mass did not reach 1 - {cfg.tail_eps} within v <= {V_MAX}"
-    )
 
 
 def baskakov_kernel_log(params: OperatorParams, v: int, t: float) -> float:
@@ -151,26 +74,14 @@ def baskakov_kernel_log(params: OperatorParams, v: int, t: float) -> float:
     )
 
 
-def _rising(v, j: int):
-    """v (v+1) ... (v+j-1); empty product (1) for j = 0.  Vectorized in v."""
-    out = np.ones_like(np.asarray(v, dtype=np.float64))
-    for i in range(j):
-        out = out * (v + i)
-    return out
-
-
 def kernel_moment_exact(params: OperatorParams, v: int, j: int) -> float:
     """Exact monomial kernel integral int t^j p(t) dt; needs n > (j+1)c."""
     if v < 1:
         raise DomainError(f"kernel index v must be >= 1, got {v}")
     if j < 0:
         raise DomainError(f"moment order must be nonnegative, got {j}")
-    params.require_order(j)
     n, c = params.n, params.c
-    denom = 1.0
-    for i in range(1, j + 2):
-        denom *= n - i * c
-    return float(c * _rising(float(v), j) / denom)
+    return float(c / (n - c) * expectation_moments(params, v, j))
 
 
 def expectation_moments(params: OperatorParams, v, j: int) -> np.ndarray:
@@ -181,10 +92,23 @@ def expectation_moments(params: OperatorParams, v, j: int) -> np.ndarray:
     """
     params.require_order(j)
     n, c = params.n, params.c
-    denom = 1.0
-    for i in range(2, j + 2):
-        denom *= n - i * c
-    return _rising(np.asarray(v, dtype=np.float64), j) / denom
+    v = np.asarray(v, dtype=np.float64)
+    rising, denom = np.ones_like(v), 1.0
+    for i in range(j):
+        rising = rising * (v + i)
+        denom *= n - (i + 2) * c
+    return rising / denom
+
+
+def magnitude_bound(params: OperatorParams, f, v) -> np.ndarray:
+    """A-priori bound on |E_v[f]|, elementwise over the integer(s) ``v``.
+
+    ``f.sup_bound`` for bounded f, else ``m_bound * (1 + E_v[t^d])`` with d
+    the growth degree.
+    """
+    if f.bounded:
+        return np.full_like(v, f.sup_bound, dtype=np.float64)
+    return f.m_bound * (1.0 + expectation_moments(params, v, f.growth_degree))
 
 
 def _kernel_expectation(params, v, fn, cfg, scale):
@@ -272,10 +196,6 @@ def kernel_integral(
             f"integrating growth-degree-{d} functions needs n > {d + 1}c "
             f"(n={n}, c={c})"
         )
-    if f.bounded:
-        scale = f.sup_bound
-    else:
-        em = float(expectation_moments(params, v, d))
-        scale = f.m_bound * (1.0 + em)
+    scale = float(magnitude_bound(params, f, v))
     val, _ = _kernel_expectation(params, v, f.fn, cfg, scale)
     return c / (n - c) * val

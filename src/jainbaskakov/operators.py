@@ -11,16 +11,18 @@ basis in v:
   r_n(x) = (n-2c)(1-beta)x/n (kernel integrals unchanged), which restores
   exact reproduction of constants and of the identity.
 
-The v-series is summed in blocks of v (:func:`kernels.block_schedule`), each
+The v-series is summed in blocks of v (:func:`block_schedule`), each
 block as numpy arrays with one exactly rounded ``math.fsum``.  Summation
 stops only once a geometric majorant of the remaining terms
 (growth-corrected for unbounded f) drops below
 ``tail_eps * (1 + |value|) * gcf`` *and* the accumulated basis mass passes
-:func:`kernels.mass_saturated`.  The mass is only needed for that decision,
+:func:`mass_saturated`.  The mass is only needed for that decision,
 so it is kept as plain ``np.sum`` block sums with their rounding bound
 (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 4.2);
 only when that bracket straddles a threshold are the exact block sums
-recomputed, so the decision is the exact-sum one.
+recomputed, so the decision is the exact-sum one.  :func:`basis_mass` is
+the same series for f = 1 with zero magnitude bounds, which it stops on the
+mass rule alone.
 
 Kernel integrals are cached per (n, c, f) since they depend on neither beta
 nor x; grid and parameter sweeps reuse them heavily.  A table holds E_v[f],
@@ -46,13 +48,7 @@ from .errors import (
     ThresholdError,
 )
 from .functions import TestFunction
-from .kernels import (
-    V_MAX,
-    _kernel_expectation,
-    block_schedule,
-    expectation_moments,
-    mass_saturated,
-)
+from .kernels import _kernel_expectation, magnitude_bound
 from .moments import d_moment_exact, jain_moment, king_transform
 from .params import EvalConfig, OperatorKind, OperatorParams, check_point
 
@@ -89,14 +85,7 @@ class _IntegralTable:
         self._values = np.array([float(f.fn(0.0))])
         self._errors = np.zeros(1)
         self._filled = np.ones(1, dtype=bool)
-        self._mag = self._mag_range(0, 1)
-
-    def _mag_range(self, lo: int, hi: int) -> np.ndarray:
-        f = self.f
-        if f.bounded:
-            return np.full(hi - lo, f.sup_bound)
-        em = expectation_moments(self.params, np.arange(lo, hi), f.growth_degree)
-        return f.m_bound * (1.0 + em)
+        self._mag = magnitude_bound(params, f, np.arange(1))
 
     def _reserve(self, size: int) -> None:
         old = len(self._filled)
@@ -107,7 +96,9 @@ class _IntegralTable:
         self._values = np.concatenate((self._values, np.zeros(grow)))
         self._errors = np.concatenate((self._errors, np.zeros(grow)))
         self._filled = np.concatenate((self._filled, np.zeros(grow, dtype=bool)))
-        self._mag = np.concatenate((self._mag, self._mag_range(old, size)))
+        self._mag = np.concatenate(
+            (self._mag, magnitude_bound(self.params, self.f, np.arange(old, size)))
+        )
 
     def mag(self, v0: int, count: int) -> np.ndarray:
         """Bounds on |E_v[f]| for v = v0 .. v0+count-1 (a view; do not write)."""
@@ -159,8 +150,38 @@ class KernelIntegralCache:
 DEFAULT_CACHE = KernelIntegralCache()
 
 
-def clear_cache():
-    DEFAULT_CACHE.clear()
+# Hard cap on the adaptive v-series; beyond this we fail loudly rather than
+# silently truncate a heavy-tail case (beta near 1).
+V_MAX = 10**6
+
+# Every v-series sums the same blocks: 256 terms, doubling up to 8192.
+_BLOCK_START = 256
+_BLOCK_MAX = 8192
+
+
+def block_schedule(v_max: int):
+    """(v0, count) of the summation blocks, while v0 < v_max."""
+    v0, block = 0, _BLOCK_START
+    while v0 < v_max:
+        yield v0, block
+        v0 += block
+        block = min(block * 2, _BLOCK_MAX)
+
+
+def mass_saturated(mass: float, last: float, tail_eps: float) -> bool:
+    """Whether the basis mass collected so far lets a series stop.
+
+    ``mass`` is the summed mass, ``last`` the last block's share.  The
+    computed mass saturates at 1 - O(nx log(nx) eps) because the log-space
+    weights round; once block contributions sit at rounding level (and the
+    bulk of the mass has been collected, so this is the right tail and not
+    the pre-mode left tail) the mass is taken as complete.
+
+    The rule only grows truer as ``mass`` grows and as ``last`` shrinks (each
+    float operation in it is monotone), which lets a caller decide it from
+    bounds on the two inputs.
+    """
+    return (1.0 - mass) <= tail_eps or (mass >= 0.5 and last <= 2e-16 * (1.0 + mass))
 
 
 # Machine epsilon, twice the unit roundoff u.  For nonnegative w, np.sum(w)
@@ -173,7 +194,7 @@ _EPS = float(np.finfo(np.float64).eps)
 
 
 class _BlockMass:
-    """Basis mass of a series so far, for :func:`kernels.mass_saturated`.
+    """Basis mass of a series so far, for :func:`mass_saturated`.
 
     Keeps ``np.sum`` block sums and a rigorous bound on how far their total
     and the last block's sum may lie from the exact (fsum-of-fsums) values
@@ -270,6 +291,45 @@ def _growth_correction(params, f, basis_x, hybrid: bool) -> float:
     d = f.growth_degree
     mom = d_moment_exact(params, d, basis_x) if hybrid else jain_moment(params, d, basis_x)
     return 1.0 + abs(mom)
+
+
+def _unit_provider(v0, w, _val_run):
+    # f = 1 with zero magnitude bounds: the geometric tail is 0, so the
+    # series stops on the mass rule alone
+    return np.ones_like(w), np.zeros_like(w), 0.0, 0.0
+
+
+def basis_mass(
+    params: OperatorParams,
+    x: float,
+    v_max: int | None = None,
+    cfg: EvalConfig | None = None,
+) -> float:
+    """Partial sum of the basis weights, sum_{v=0}^{v_max} w_b(v, nx).
+
+    With ``v_max=None`` this is the v-series of f = 1, which stops once the
+    unaccounted mass drops below ``cfg.tail_eps`` (or the float sum
+    saturates).  Summation is blockwise-``fsum`` exact, but the individual
+    weights carry log-space rounding of order nx*eps, so the raw sum can
+    overshoot 1 by a few ulps; the result is clamped to [0, 1].
+    """
+    check_point(x)
+    cfg = cfg or EvalConfig()
+    if x == 0:
+        return 1.0  # only v = 0 survives
+    if v_max is None:
+        return min(_series_eval(params, x, _unit_provider, 1.0, cfg, x).value, 1.0)
+    if v_max < 0:
+        raise DomainError(f"v_max must be nonnegative, got {v_max}")
+    nx = params.n * x
+    parts = []
+    v0, remaining = 0, v_max + 1
+    while remaining > 0:
+        count = min(remaining, _BLOCK_MAX)
+        parts.append(math.fsum(_core.jain_weights(nx, params.beta, v0, count).tolist()))
+        v0 += count
+        remaining -= count
+    return min(math.fsum(parts), 1.0)
 
 
 def _atom_result(x, f):

@@ -62,10 +62,6 @@ class OperatorParams:
                 "construct OperatorParams(..., beta_guard=...) to override"
             )
 
-    @property
-    def one_minus_beta(self) -> float:
-        return 1.0 - self.beta
-
     def require_order(self, j: int) -> None:
         """Check the order-j moment threshold n > (j+1)c."""
         if not (self.n > (j + 1) * self.c):
@@ -73,10 +69,6 @@ class OperatorParams:
                 f"order-{j} formula needs n > {j + 1}c "
                 f"(n={self.n}, c={self.c})"
             )
-
-    def key(self) -> tuple:
-        """Hashable identity used for caching (guard excluded)."""
-        return (self.n, self.c, self.beta)
 
 
 @dataclass(frozen=True)
@@ -99,14 +91,14 @@ class EvalConfig:
     def __post_init__(self):
         if not (0.0 < self.tail_eps < 1.0):
             raise DomainError(f"tail_eps must be in (0,1), got {self.tail_eps}")
-        if not (self.quad_rel_tol > 0):
-            raise DomainError("quad_rel_tol must be positive")
+        if not (0 < self.quad_rel_tol < math.inf):
+            raise DomainError(f"quad_rel_tol must be positive and finite, got {self.quad_rel_tol}")
         if self.quad_max_nodes < 21:
             raise DomainError("quad_max_nodes must allow at least one panel (21)")
         if self.grid_points < 2:
             raise DomainError("grid_points must be at least 2")
-        if not (self.domain_cap > 0):
-            raise DomainError("domain_cap must be positive")
+        if not (0 < self.domain_cap < math.inf):
+            raise DomainError(f"domain_cap must be positive and finite, got {self.domain_cap}")
 
     def quad_key(self) -> tuple:
         return (self.quad_rel_tol, self.quad_max_nodes)

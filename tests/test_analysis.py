@@ -21,7 +21,6 @@ from jainbaskakov import (
 )
 from jainbaskakov.analysis import (
     empirical_order,
-    modulus_estimate,
     rate_bound_checks,
     sweep_orders,
     weighted_majorant_e1,
@@ -97,11 +96,6 @@ class TestModulus2:
         f = get_function("recip-sq")
         vals = [modulus2(f, h, cfg) for h in (0.05, 0.1, 0.2, 0.4)]
         assert all(a <= b + 1e-15 for a, b in zip(vals, vals[1:]))
-
-    def test_estimate_record(self, cfg):
-        est = modulus_estimate(get_function("sin"), 3.0, 0.25, cfg)
-        assert est.omega1 > 0 and est.omega2 > 0
-        assert est.grid_points == 2 * cfg.grid_points - 1
 
 
 class TestDirectBound:

@@ -252,3 +252,66 @@ def test_golden_files_bit_exact(command, tmp_path):
         got = (tmp_path / (command + suffix)).read_bytes()
         want = (GOLDEN / (command + suffix)).read_bytes()
         assert got == want, f"{command}{suffix} deviates from the golden file"
+
+
+@pytest.mark.parametrize(
+    "file_cfg, env, key",
+    [
+        (None, {"JAINBASKAKOV_TAIL_EPS": "abc"}, "tail_eps"),
+        ({"n": "fifty"}, None, "n"),
+        ({"quad_max_nodes": "1e3"}, None, "quad_max_nodes"),
+    ],
+)
+def test_bad_config_value_exits_2(tmp_path, file_cfg, env, key):
+    args = ["eval", "--output", str(tmp_path / "x")]
+    if file_cfg is not None:
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps(file_cfg))
+        args += ["--config", str(cfgfile)]
+    cp = run_cli(*args, env_extra=env)
+    assert cp.returncode == 2, cp.stderr
+    err = json.loads(cp.stderr.strip())["error"]
+    assert err["type"] == "ConfigError"
+    assert err["exit_code"] == 2
+    assert repr(key) in err["message"]
+
+
+# one non-default value per EvalConfig field, as the CLI would receive it
+_TOLERANCE_VALUES = {
+    "tail_eps": 1e-9,
+    "quad_rel_tol": 1e-8,
+    "quad_max_nodes": 2100,
+    "grid_points": 65,
+    "domain_cap": 12.5,
+}
+
+
+def test_tolerance_values_cover_eval_config():
+    import dataclasses
+
+    from jainbaskakov import EvalConfig
+
+    assert set(_TOLERANCE_VALUES) == {f.name for f in dataclasses.fields(EvalConfig)}
+
+
+@pytest.mark.parametrize("source", ["flag", "config", "env"])
+@pytest.mark.parametrize("key", sorted(_TOLERANCE_VALUES))
+def test_every_tolerance_reaches_eval_config(tmp_path, monkeypatch, source, key):
+    from jainbaskakov import EvalConfig, cli
+
+    value = _TOLERANCE_VALUES[key]
+    argv = ["eval"]
+    if source == "flag":
+        argv += ["--" + key.replace("_", "-"), str(value)]
+    elif source == "config":
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps({key: value}))
+        argv += ["--config", str(cfgfile)]
+    else:
+        monkeypatch.setenv("JAINBASKAKOV_" + key.upper(), str(value))
+    ecfg = cli._eval_config(cli._resolve(cli.build_parser().parse_args(argv), "eval"))
+    assert getattr(ecfg, key) == value
+    assert type(getattr(ecfg, key)) is type(getattr(EvalConfig(), key))
+    for other in _TOLERANCE_VALUES:
+        if other != key:
+            assert getattr(ecfg, other) == getattr(EvalConfig(), other)

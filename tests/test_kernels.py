@@ -85,6 +85,12 @@ class TestJainBasis:
         with pytest.raises(DomainError):
             OperatorParams(n, c, 0.2)
 
+    @pytest.mark.parametrize("field", ["domain_cap", "quad_rel_tol"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
+    def test_eval_config_rejects_non_finite_or_nonpositive(self, field, value):
+        with pytest.raises(DomainError, match=field):
+            EvalConfig(**{field: value})
+
     @given(
         beta=st.floats(0.0, 0.6),
         n=st.floats(1.0, 200.0),
@@ -263,7 +269,7 @@ class TestWeightBlocks:
 
 class TestBlockSchedule:
     def test_schedule_doubles_then_holds(self):
-        from jainbaskakov.kernels import block_schedule
+        from jainbaskakov.operators import block_schedule
 
         blocks = list(block_schedule(40_000))
         assert [c for _, c in blocks[:6]] == [256, 512, 1024, 2048, 4096, 8192]

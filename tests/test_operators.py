@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.stats import poisson
 
 import jainbaskakov.operators as ops
+from jainbaskakov.kernels import expectation_moments
 from jainbaskakov import (
     ConvergenceError,
     DomainError,
@@ -296,7 +297,7 @@ class TestIntegralTable:
             if v == 0:
                 assert (val, err) == (f.fn(0.0), 0.0)
                 continue
-            scale = f.m_bound * (1.0 + float(ops.expectation_moments(p, v, 2)))
+            scale = f.m_bound * (1.0 + float(expectation_moments(p, v, 2)))
             assert (val, err) == real(p, v, f.fn, cfg, scale)
         # a later block reuses what is filled and grows the arrays
         values2, _ = tab.get(np.arange(0, 40))
@@ -310,7 +311,7 @@ class TestIntegralTable:
         e2 = ops._IntegralTable(p, get_function("e2"), cfg)
         v = np.arange(5, 300)
         np.testing.assert_array_equal(
-            e2.mag(5, 295), get_function("e2").m_bound * (1.0 + ops.expectation_moments(p, v, 2))
+            e2.mag(5, 295), get_function("e2").m_bound * (1.0 + expectation_moments(p, v, 2))
         )
         sin = get_function("sin")
         assert set(ops._IntegralTable(p, sin, cfg).mag(0, 50).tolist()) == {sin.sup_bound}
