@@ -198,6 +198,18 @@ def _load_config_file(path):
     return {str(k).replace("-", "_"): v for k, v in raw.items()}
 
 
+def _number(key, val, cast):
+    """``val`` cast to ``cast``; a boolean, or a fractional value for an
+    integer option, is a ConfigError rather than 1 or a truncation."""
+    fractional = cast is int and isinstance(val, float) and not val.is_integer()
+    if not (isinstance(val, bool) or fractional):
+        try:
+            return cast(val)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ConfigError(f"bad value for {key!r}: {val!r}")
+
+
 def _resolve(args, command):
     """Merge CLI flags, config file, environment and defaults."""
     file_cfg = _load_config_file(args.config) if args.config else {}
@@ -217,10 +229,7 @@ def _resolve(args, command):
         # numeric options may arrive as strings from config/env
         cast = int if key == "seed" else type(builtin)
         if val is not None and cast in (int, float):
-            try:
-                val = cast(val)
-            except (TypeError, ValueError, OverflowError):
-                raise ConfigError(f"bad value for {key!r}: {val!r}") from None
+            val = _number(key, val, cast)
         out[key] = val
     out["output"] = args.output or file_cfg.get("output") or command
     if out["format"] not in ("csv", "json"):

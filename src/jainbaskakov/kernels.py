@@ -13,8 +13,13 @@ Two building blocks drive every operator here:
 
 Under s = ct/(1+ct) the kernel measure becomes c/(n-c) times a
 Beta(v, n/c-1) law on (0, 1), so kernel integrals are computed as Beta
-expectations with adaptive Gauss-Kronrod quadrature on the unit interval,
-and the monomial integrals have the exact product form
+expectations E_v[f].  :func:`kernel_expectations` computes a whole array
+of v at once by an embedded Gauss-Legendre pair in u = log(s/(1-s)),
+with an error estimate from the pair, a truncation bound from the
+concavity of the log density and a rounding bound; a v whose estimate
+misses the tolerance falls back to adaptive Gauss-Kronrod quadrature
+(QUADPACK) on the unit interval, :func:`_kernel_expectation`, the only
+caller of ``quad``.  The monomial integrals have the exact product form
 
     int t^j p(t) dt = c * v(v+1)...(v+j-1) / ((n-c)(n-2c)...(n-(j+1)c))
 
@@ -23,11 +28,12 @@ valid for n > (j+1)c.  All Gamma factors are taken through log-gamma.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import betaln, gammaln
+from scipy.special import betaln, expit, gammaln
 
 from . import _core
 from .errors import ConvergenceError, DomainError, IntegrabilityError, ThresholdError
@@ -173,6 +179,210 @@ def _kernel_expectation(params, v, fn, cfg, scale):
     return val, err
 
 
+# The embedded pair of Gauss-Legendre rules in the logit variable: K and 2K
+# nodes, evaluated together (3K integrand values per v).
+_GL_K = 64
+# v per vectorised chunk: each (chunk x 3K) float temporary is 48 KB.  The
+# sums over the nodes go through einsum, not BLAS, whose buffers would add
+# about 0.4 MB to the peak resident memory.
+_GL_CHUNK = 32
+# QUADPACK's error estimate is not a bound: on the integrands near the
+# integrability threshold, singular at s = 1, it fell short of the actual
+# error by up to 2.4x (n = (d + 1.3)c, checked against mpmath), so a
+# fallback value reports this multiple of it.
+_QUAD_SAFETY = 10.0
+# Machine epsilon, twice the unit roundoff.
+_EPS = float(np.finfo(np.float64).eps)
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _legendre(m):
+    """Nodes and weights of the m-point Gauss-Legendre rule on [-1, 1]:
+    Newton's method on the three-term recurrence of P_m from the
+    Chebyshev-like first guesses (Press et al., Numerical Recipes, 4.6)."""
+    x = np.cos(np.pi * (np.arange(1, m + 1) - 0.25) / (m + 0.5))
+    for _ in range(8):
+        p0, p1 = np.ones_like(x), x
+        for j in range(2, m + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        dp = m * (x * p1 - p0) / (x * x - 1.0)
+        x = x - p1 / dp
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+
+
+@functools.cache
+def _gl_rule():
+    """Nodes on [-1, 1] of the K- and the 2K-point rule side by side, and a
+    (3K, 2) matrix whose columns weight them (zero on the other rule's
+    nodes).  Built on first use, not at import; shared, so read-only."""
+    x1, w1 = _legendre(_GL_K)
+    x2, w2 = _legendre(2 * _GL_K)
+    nodes = np.concatenate((x1, x2))
+    weights = np.zeros((3 * _GL_K, 2))
+    weights[:_GL_K, 0] = w1
+    weights[_GL_K:, 1] = w2
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+# Coefficients B_2k / (2k (2k-1)) of Stirling's series for log Gamma, k = 1..8.
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156,
+             -3617 / 122400)
+
+
+def _stirling_rest(x):
+    """log Gamma(x) less its Stirling part (x - 1/2) log x - x + log(2 pi)/2:
+    by eight terms of the asymptotic series for x >= 8 (truncation error below
+    1e-16), and from ``gammaln`` below 8, where both parts are below 10."""
+    x = np.asarray(x, dtype=np.float64)
+    small = x < 8.0
+    xs = np.where(small, 8.0, x)
+    r2 = 1.0 / (xs * xs)
+    series = np.zeros_like(xs)
+    for coef in reversed(_STIRLING):
+        series = series * r2 + coef
+    xd = np.where(small, x, 1.0)
+    direct = gammaln(xd) - ((xd - 0.5) * np.log(xd) - xd + _HALF_LOG_2PI)
+    return np.where(small, direct, series / xs)
+
+
+def _log_peak(v, big):
+    """log of the Beta(v, big) density in u = log(s/(1-s)) at its mode
+    log(v/big): v log s0 + big log(1-s0) - log Beta(v, big), s0 = v/(v+big).
+    Its terms of size v log v cancel analytically through Stirling's
+    formula; ``betaln`` would leave eps * v log v of them (1e-11 at
+    v = 5000)."""
+    return (-0.5 * np.log(2.0 * math.pi * (1.0 / v + 1.0 / big))
+            - _stirling_rest(v) - _stirling_rest(big) + _stirling_rest(v + big))
+
+
+def _log1pmx(y):
+    """log1p(y) - y, without the cancellation at small |y|: below 1/4 from
+    log1p(y) = 2 atanh(z), z = y/(2+y), as -y^2/(2+y) + 2 (z^3/3 + ... +
+    z^19/19) (truncation below 1e-18 of the value)."""
+    ys = np.where(np.abs(y) < 0.25, y, 0.0)
+    z = ys / (2.0 + ys)
+    w = z * z
+    series = np.full_like(w, 1.0 / 19)
+    for k in range(17, 2, -2):
+        series = series * w + 1.0 / k
+    small = -ys * ys / (2.0 + ys) + 2.0 * z * w * series
+    return np.where(np.abs(y) < 0.25, small, np.log1p(y) - y)
+
+
+def _expm1px(a):
+    """expm1(-a) + a for a >= 0, without the cancellation at small a: below
+    1/4 by its Taylor series to a^13 (truncation below 1e-17 of the value)."""
+    as_ = np.where(a < 0.25, a, 0.0)
+    series = np.full_like(as_, 1.0 / math.factorial(13))
+    for k in range(12, 1, -1):
+        series = series * -as_ + 1.0 / math.factorial(k)
+    return np.where(a < 0.25, as_ * as_ * series, np.expm1(-a) + a)
+
+
+def _log_step(delta, v, big):
+    """phi(u0 + delta) - phi(u0) for the log density phi of Beta(v, big) in u
+    and its mode u0, and the size of its two terms (for the rounding bound).
+
+    phi(u) = -v log(1+e^-u) - big log(1+e^u) + const.  Right of the mode
+    the first log changes by log1p(q x), x = expm1(-delta), q = big/(v+big),
+    and the second by delta more; left of it the second changes by
+    log1p(q x), x = expm1(delta), q = v/(v+big), and the first by -delta
+    more.  With r = (v+big) q that is
+    phi(u0 + delta) - phi(u0) = -(v+big) (log1p(q x) - q x) - r (x + |delta|),
+    two terms of second order in delta, so near the mode, where the mass
+    is, they are small and so is their rounding.
+    """
+    r = np.where(delta >= 0.0, big, v)
+    a = np.abs(delta)
+    curve = -(v + big) * _log1pmx(r / (v + big) * np.expm1(-a))
+    bend = r * _expm1px(a)
+    return curve - bend, curve + bend
+
+
+def _gauss_legendre(params, f, v, cfg):
+    """E_v[f] for the float array ``v`` by the embedded Gauss-Legendre pair in
+    u = log(s/(1-s)); returns (values, error estimates).
+
+    In u the Beta(v, B) law (B = n/c - 1) has the log density
+    phi(u) = -v log(1+e^-u) - B log(1+e^u) - log Beta(v, B), concave with
+    its mode at u0 = log(v/B) and tails decaying like e^(v u) on the left
+    and e^(-B u) on the right; and t = e^u / c.  The window runs from u0,
+    less a Gaussian width and the distance at rate v, to the mode of
+    phi + d u (d the growth degree), plus the same at rate B - d.  phi is
+    evaluated as its value at u0 plus the step from u0 (:func:`_log_peak`,
+    :func:`_log_step`), which keeps its rounding at eps times terms of the
+    size of the step rather than of v log v.
+
+    The error estimate is |Q_2K - Q_K|, plus the mass of the envelope
+    |f| <= M (1 + t^d) (or the sup of a bounded f) beyond the window --
+    phi and phi + d u are concave, so each tail is at most e^phi / |phi'| at
+    the window's edge -- plus a bound on the rounding of phi and of the sum.
+    """
+    n, c = params.n, params.c
+    big = n / c - 1.0
+    if f.bounded:
+        d, env, env_d = 0, f.sup_bound, 0.0
+    else:
+        d, env = f.growth_degree, f.m_bound
+        env_d = f.m_bound * c ** -d
+    drop = math.log(1.0 / cfg.quad_rel_tol) + 10.0  # log-density drop to the edges
+    spread = math.sqrt(2.0 * drop)
+    u0 = np.log(v / big)
+    left = -spread * np.sqrt(1.0 / v + 1.0 / big) - drop / v
+    right = (np.log1p(d / v) - np.log1p(-d / big)
+             + spread * np.sqrt(1.0 / (v + d) + 1.0 / (big - d)) + drop / (big - d))
+    half = 0.5 * (right - left)
+    peak = _log_peak(v, big)
+    nodes, weights = _gl_rule()
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        delta = 0.5 * (right + left)[:, None] + half[:, None] * nodes
+        step, size = _log_step(delta, v[:, None], big)
+        u = u0[:, None] + delta
+        g = np.exp(peak[:, None] + step) * np.asarray(f.fn(np.exp(u) / c), dtype=np.float64)
+        q = half[:, None] * np.einsum("ij,jk->ik", g, weights)
+        size += np.abs(peak)[:, None] + (d + 1) * np.abs(u) + _GL_K
+        rounding = 2.0 * _EPS * half * np.einsum("ij,j->i", np.abs(g) * size, weights[:, 1])
+        tails = np.zeros_like(v)
+        for edge, sign in ((left, 1.0), (right, -1.0)):
+            phi_e = peak + _log_step(edge, v, big)[0]
+            slope = sign * (v - (v + big) * expit(u0 + edge))
+            tails += env * np.exp(phi_e) / slope
+            if env_d:
+                tails += env_d * np.exp(phi_e + d * (u0 + edge)) / (slope + sign * d)
+    return q[:, 1], np.abs(q[:, 1] - q[:, 0]) + tails + rounding
+
+
+def kernel_expectations(params, f, v, cfg, mag):
+    """(E_v[f], error estimates) for the sorted integer array ``v`` >= 1.
+
+    ``mag`` holds a-priori bounds on |E_v[f]|.  Each v is tried with the
+    Gauss-Legendre rule of :func:`_gauss_legendre`, in chunks of _GL_CHUNK.
+    A v whose estimate misses max(quad_rel_tol |value|, 1e-2 quad_rel_tol
+    mag) -- a kink, an oscillation the nodes cannot resolve, a slowly
+    decaying tail -- or whose 3K nodes exceed ``quad_max_nodes`` is computed
+    by :func:`_kernel_expectation` instead, with its ConvergenceError.  Such
+    a value reports _QUAD_SAFETY times QUADPACK's estimate plus the rounding
+    of its ``betaln`` (which QUADPACK cannot see: it scales the integrand).
+    """
+    values = np.empty(len(v))
+    errors = np.empty(len(v))
+    vf = np.asarray(v, dtype=np.float64)
+    for lo in range(0, len(v), _GL_CHUNK):
+        part = slice(lo, lo + _GL_CHUNK)
+        values[part], errors[part] = _gauss_legendre(params, f, vf[part], cfg)
+    ok = errors <= cfg.quad_rel_tol * np.maximum(np.abs(values), 1e-2 * mag)
+    if 3 * _GL_K > cfg.quad_max_nodes:
+        ok[:] = False
+    big = params.n / params.c - 1.0
+    for i in np.flatnonzero(~ok).tolist():
+        vi = int(v[i])
+        values[i], err = _kernel_expectation(params, vi, f.fn, cfg, float(mag[i]))
+        lgam = abs(gammaln(vi)) + abs(gammaln(big)) + abs(gammaln(vi + big))
+        errors[i] = _QUAD_SAFETY * err + 4.0 * _EPS * lgam * abs(values[i])
+    return values, errors
+
+
 def kernel_integral(
     params: OperatorParams,
     v: int,
@@ -182,7 +392,8 @@ def kernel_integral(
     """int_0^inf p(t) f(t) dt via the s = ct/(1+ct) substitution.
 
     ``f`` is a TestFunction (its growth degree gates integrability:
-    n > (growth_degree+1)c is required).
+    n > (growth_degree+1)c is required).  Computed by the same rule as the
+    operators' integral tables (:func:`kernel_expectations`).
     """
     cfg = cfg or EvalConfig()
     if v < 1:
@@ -196,6 +407,6 @@ def kernel_integral(
             f"integrating growth-degree-{d} functions needs n > {d + 1}c "
             f"(n={n}, c={c})"
         )
-    scale = float(magnitude_bound(params, f, v))
-    val, _ = _kernel_expectation(params, v, f.fn, cfg, scale)
-    return c / (n - c) * val
+    vs = np.array([v])
+    val, _ = kernel_expectations(params, f, vs, cfg, magnitude_bound(params, f, vs))
+    return c / (n - c) * float(val[0])

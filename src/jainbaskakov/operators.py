@@ -27,7 +27,12 @@ mass rule alone.
 Kernel integrals are cached per (n, c, f) since they depend on neither beta
 nor x; grid and parameter sweeps reuse them heavily.  A table holds E_v[f],
 its error estimate and the a-priori bound on |E_v[f]| in arrays indexed by
-v and answers a whole block of v in one lookup.
+v and answers a whole block of v in one lookup.  The v a block finds
+missing are computed in one call of :func:`kernels.kernel_expectations`:
+a vectorised Gauss-Legendre rule in the logit variable, whose reported
+error is its K/2K difference plus a truncation and a rounding bound, with
+QUADPACK for each v where that estimate misses ``quad_rel_tol``.  The cache
+keeps at most CACHE_TABLES tables, dropping the least recently used.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from .errors import (
     ThresholdError,
 )
 from .functions import TestFunction
-from .kernels import _kernel_expectation, magnitude_bound
+from .kernels import _EPS, kernel_expectations, magnitude_bound
 from .moments import d_moment_exact, jain_moment, king_transform
 from .params import EvalConfig, OperatorKind, OperatorParams, check_point
 
@@ -108,16 +113,17 @@ class _IntegralTable:
     def get(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(E_v[f], error estimates) for the integer array ``v``.
 
-        Entries not yet in the table are computed first, in ascending v.
+        Entries not yet in the table are computed first, all in one call
+        of :func:`kernels.kernel_expectations`.
         """
         self._reserve(int(v.max(initial=0)) + 1)
         missing = v[~self._filled[v]]
         if missing.size:
-            for vi in np.unique(missing).tolist():
-                self._values[vi], self._errors[vi] = _kernel_expectation(
-                    self.params, vi, self.f.fn, self.cfg, float(self._mag[vi])
-                )
-                self._filled[vi] = True
+            new = np.unique(missing)
+            self._values[new], self._errors[new] = kernel_expectations(
+                self.params, self.f, new, self.cfg, self._mag[new]
+            )
+            self._filled[new] = True
         return self._values[v], self._errors[v]
 
     def __len__(self):
@@ -125,8 +131,17 @@ class _IntegralTable:
         return int(np.count_nonzero(self._filled)) - 1
 
 
+# Tables a cache keeps; beyond this the least recently used one is dropped.
+CACHE_TABLES = 64
+
+
 class KernelIntegralCache:
-    """Process-wide table cache.
+    """Process-wide table cache, bounded at CACHE_TABLES tables.
+
+    ``_tables`` is kept in order of use, least recent first.  Each
+    evaluation asks for its table once and holds it for its whole series, so
+    eviction never takes a table from a running series, and a sweep that
+    keeps using one table keeps it however many others pass through.
 
     Tables grow in place and are not safe to fill from several threads at
     once; give each thread its own cache.
@@ -137,10 +152,12 @@ class KernelIntegralCache:
 
     def table(self, params: OperatorParams, f: TestFunction, cfg: EvalConfig) -> _IntegralTable:
         key = (params.n, params.c, cfg.quad_key(), f.name, id(f))
-        tab = self._tables.get(key)
+        tab = self._tables.pop(key, None)
         if tab is None:
             tab = _IntegralTable(params, f, cfg)
-            self._tables[key] = tab
+            if len(self._tables) >= CACHE_TABLES:
+                del self._tables[next(iter(self._tables))]
+        self._tables[key] = tab
         return tab
 
     def clear(self):
@@ -184,13 +201,12 @@ def mass_saturated(mass: float, last: float, tail_eps: float) -> bool:
     return (1.0 - mass) <= tail_eps or (mass >= 0.5 and last <= 2e-16 * (1.0 + mass))
 
 
-# Machine epsilon, twice the unit roundoff u.  For nonnegative w, np.sum(w)
-# lies within gamma_{len-1} * sum(w), about (len-1) u sum(w), of the exact sum
-# whatever the order of the additions (Higham, 4.2), and fsum(w) within u of
-# it, so len(w) * _EPS * np.sum(w) bounds their distance with a factor two to
-# spare; the spare covers the rounding of that bound and of the running
-# totals in _BlockMass.
-_EPS = float(np.finfo(np.float64).eps)
+# _EPS (from kernels) is machine epsilon, twice the unit roundoff u.  For
+# nonnegative w, np.sum(w) lies within gamma_{len-1} * sum(w), about
+# (len-1) u sum(w), of the exact sum whatever the order of the additions
+# (Higham, 4.2), and fsum(w) within u of it, so len(w) * _EPS * np.sum(w)
+# bounds their distance with a factor two to spare; the spare covers the
+# rounding of that bound and of the running totals in _BlockMass.
 
 
 class _BlockMass:

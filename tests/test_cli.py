@@ -260,6 +260,13 @@ def test_golden_files_bit_exact(command, tmp_path):
         (None, {"JAINBASKAKOV_TAIL_EPS": "abc"}, "tail_eps"),
         ({"n": "fifty"}, None, "n"),
         ({"quad_max_nodes": "1e3"}, None, "quad_max_nodes"),
+        # integer options: no truncation of fractions, no booleans as 0/1
+        ({"grid_points": 33.9}, None, "grid_points"),
+        ({"quad_max_nodes": True}, None, "quad_max_nodes"),
+        ({"seed": 2.5}, None, "seed"),
+        ({"seed": False}, None, "seed"),
+        (None, {"JAINBASKAKOV_GRID_POINTS": "33.9"}, "grid_points"),
+        (None, {"JAINBASKAKOV_QUAD_MAX_NODES": "true"}, "quad_max_nodes"),
     ],
 )
 def test_bad_config_value_exits_2(tmp_path, file_cfg, env, key):
@@ -274,6 +281,16 @@ def test_bad_config_value_exits_2(tmp_path, file_cfg, env, key):
     assert err["type"] == "ConfigError"
     assert err["exit_code"] == 2
     assert repr(key) in err["message"]
+
+
+def test_integral_float_accepted_for_integer_options(tmp_path):
+    from jainbaskakov import cli
+
+    cfgfile = tmp_path / "run.json"
+    cfgfile.write_text(json.dumps({"grid_points": 33.0, "quad_max_nodes": 2100.0, "seed": 7.0}))
+    cfg = cli._resolve(cli.build_parser().parse_args(["eval", "--config", str(cfgfile)]), "eval")
+    assert [(cfg[k], type(cfg[k])) for k in ("grid_points", "quad_max_nodes", "seed")] == [
+        (33, int), (2100, int), (7, int)]
 
 
 # one non-default value per EvalConfig field, as the CLI would receive it

@@ -7,12 +7,14 @@ hypergeometric route for the exponential kernel integral).
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import poisson
 
+from jainbaskakov import kernels, operators
 from jainbaskakov import (
     ConvergenceError,
     DomainError,
@@ -28,6 +30,7 @@ from jainbaskakov import (
     kernel_integral,
     kernel_moment_exact,
 )
+from jainbaskakov.kernels import magnitude_bound
 class TestJainBasis:
     def test_poisson_v0(self):
         p = OperatorParams(1, 1, 0.0)
@@ -231,6 +234,162 @@ class TestKernelMoments:
         tight = EvalConfig(quad_rel_tol=1e-14, quad_max_nodes=42)
         with pytest.raises(ConvergenceError):
             kernel_integral(OperatorParams(50, 1, 0.0), 30, get_function("abs-shift"), tight)
+
+
+_MP_FUNCTIONS = {
+    "e1": lambda t: t, "e2": lambda t: t**2, "e3": lambda t: t**3, "e4": lambda t: t**4,
+    "exp-neg": lambda t: mpmath.exp(-t), "t-exp-neg": lambda t: t * mpmath.exp(-t),
+    "recip-sq": lambda t: 1 / (1 + t * t), "sin": mpmath.sin,
+    "abs-shift": lambda t: abs(t - 1),
+}
+
+
+def _mp_expectation(n, c, v, name, d):
+    """E_v[f] by ``mpmath.quad`` at 30 digits, in u = log(s/(1-s)).
+
+    The integral runs, past the peak of the density times t^d, to where the
+    log density plus max(0, d u) has fallen 92 below that peak
+    (e^-92 ~ 1e-40), with break points at the mode, at 1.5-fold growing
+    steps of the standard deviation from it, at the kink of abs-shift and at
+    the zeros of sin.
+    """
+    with mpmath.workdps(30):
+        n, c, v = mpmath.mpf(n), mpmath.mpf(c), mpmath.mpf(v)
+        b = n / c - 1
+        lb = mpmath.log(mpmath.beta(v, b))
+        fn = _MP_FUNCTIONS[name]
+
+        def logdens(u):
+            return -v * mpmath.log1p(mpmath.exp(-u)) - b * mpmath.log1p(mpmath.exp(u)) - lb
+
+        mode, sd = mpmath.log(v / b), mpmath.sqrt(1 / v + 1 / b)
+        top = mpmath.log((v + d) / (b - d))
+        peak = max(logdens(mode), logdens(top) + d * top)
+        pts = [mode]
+        for sign in (-1, 1):
+            u, step = mode, sd
+            while sign * (top - u) > 0 or logdens(u) + max(0, d * u) >= peak - 92:
+                u = mode + sign * step
+                pts.append(u)
+                step *= 1.5
+        lo, hi = min(pts), max(pts)
+        if name == "abs-shift" and lo < mpmath.log(c) < hi:
+            pts.append(mpmath.log(c))
+        if name == "sin":
+            k = math.ceil(mpmath.exp(lo) * c / mpmath.pi)
+            while mpmath.log(c * k * mpmath.pi) < hi:
+                pts.append(mpmath.log(c * k * mpmath.pi))
+                k += 1
+        pts.sort()
+        return mpmath.quad(lambda u: mpmath.exp(logdens(u)) * fn(mpmath.exp(u) / c), pts)
+
+
+# (function, n, c, v): e1-e4 at 0.3c, 1c and 4c past their thresholds
+# n > (d+1)c, the bounded functions from heavy (n = 1.5c) to light tails
+_HONEST_CASES = [
+    ("e1", 2.3, 1.0, 2), ("e1", 4.6, 2.0, 40), ("e1", 3.0, 1.0, 1500), ("e1", 6.0, 1.0, 250),
+    ("e2", 3.3, 1.0, 3), ("e2", 6.6, 2.0, 250), ("e2", 4.0, 1.0, 1500), ("e2", 7.0, 1.0, 1500),
+    ("e3", 4.3, 1.0, 1), ("e3", 8.6, 2.0, 40), ("e3", 5.0, 1.0, 1500), ("e3", 8.0, 1.0, 250),
+    ("e4", 5.3, 1.0, 7), ("e4", 10.6, 2.0, 250), ("e4", 6.0, 1.0, 1500), ("e4", 9.0, 1.0, 40),
+    ("exp-neg", 1.5, 1.0, 250), ("exp-neg", 20.0, 1.0, 40), ("exp-neg", 300.0, 1.0, 2),
+    ("exp-neg", 300.0, 2.0, 1500),
+    ("t-exp-neg", 3.0, 1.0, 7), ("t-exp-neg", 40.0, 2.0, 40), ("t-exp-neg", 300.0, 1.0, 250),
+    ("recip-sq", 1.5, 1.0, 1), ("recip-sq", 6.0, 2.0, 1500), ("recip-sq", 20.0, 1.0, 40),
+    ("recip-sq", 300.0, 1.0, 1500),
+    ("sin", 300.0, 1.0, 1), ("sin", 300.0, 1.0, 40), ("sin", 300.0, 2.0, 1500),
+    # the sizes the Voronovskaja sweeps reach, also at the tolerance they
+    # tighten to there (analysis._tightened)
+    ("e2", 1025.0, 1.0, 1000), ("exp-neg", 4097.0, 1.0, 4000), ("e1", 8193.0, 1.0, 8192),
+]
+_SWEEP_TOLERANCE = 1e-13
+
+
+class TestGaussLegendreRule:
+    """The table's rule against a 30-digit reference: the reported error
+    estimate bounds the actual error, whichever path computed the value."""
+
+    @pytest.fixture
+    def fallbacks(self, monkeypatch):
+        seen = []
+        real = kernels._kernel_expectation
+
+        def spy(params, v, fn, cfg_, scale):
+            seen.append(v)
+            return real(params, v, fn, cfg_, scale)
+
+        monkeypatch.setattr(kernels, "_kernel_expectation", spy)
+        return seen
+
+    def test_error_estimate_bounds_actual_error(self, cfg, fallbacks):
+        paths = set()
+        for name, n, c, v in _HONEST_CASES:
+            f = get_function(name)
+            ref = _mp_expectation(n, c, v, name, 0 if f.bounded else f.growth_degree)
+            tolerances = (cfg.quad_rel_tol, _SWEEP_TOLERANCE) if n > 1000 else (cfg.quad_rel_tol,)
+            for cfg_ in (EvalConfig(quad_rel_tol=tol) for tol in tolerances):
+                tab = operators._IntegralTable(OperatorParams(n, c, 0.0), f, cfg_)
+                fallbacks.clear()
+                value, err = (float(a[0]) for a in tab.get(np.array([v])))
+                assert abs(value - ref) <= err, (name, n, c, v, cfg_.quad_rel_tol, value, err)
+                paths.add(bool(fallbacks))
+        assert paths == {True, False}  # both the rule and QUADPACK were checked
+
+    @pytest.mark.parametrize("v", [20, 49, 100])
+    def test_kink_refused(self, cfg, fallbacks, v):
+        # abs-shift has its kink at t = 1, in the bulk of these laws
+        p, f = OperatorParams(50, 1, 0.0), get_function("abs-shift")
+        value, err = kernels._gauss_legendre(p, f, np.array([float(v)]), cfg)
+        tol = cfg.quad_rel_tol * max(abs(value[0]), 1e-2 * float(magnitude_bound(p, f, v)))
+        assert err[0] > tol
+        value, err = kernels.kernel_expectations(p, f, np.array([v]), cfg, magnitude_bound(p, f, [v]))
+        assert fallbacks == [v]
+        assert abs(value[0] - _mp_expectation(50, 1, v, "abs-shift", 1)) <= err[0]
+
+    def test_unresolved_oscillation_refused(self, cfg, fallbacks):
+        # sin over Beta(211, 7), t = s/(2(1-s)): the right tail reaches t ~ 1e6
+        p, f = OperatorParams(16, 2, 0.9), get_function("sin")
+        _, err = kernels._gauss_legendre(p, f, np.array([211.0]), cfg)
+        assert err[0] > cfg.quad_rel_tol
+        with pytest.raises(ConvergenceError):
+            kernels.kernel_expectations(p, f, np.array([211]), cfg, np.ones(1))
+        assert fallbacks == [211]
+
+    @pytest.mark.xfail(raises=ConvergenceError, strict=True,
+                       reason="QUADPACK fails on the singular integrand near the threshold")
+    def test_near_threshold_large_v(self, cfg):
+        f = get_function("e1")
+        kernel_integral(OperatorParams(2.3, 1, 0.0), 250, f, cfg)
+
+    def test_node_budget_sends_every_v_to_quadpack(self, fallbacks):
+        p, f = OperatorParams(20, 1, 0.0), get_function("exp-neg")
+        v = np.arange(1, 12)
+        kernels.kernel_expectations(p, f, v, EvalConfig(quad_max_nodes=3 * kernels._GL_K - 1),
+                                    magnitude_bound(p, f, v))
+        assert fallbacks == v.tolist()
+
+    def test_log_density_matches_high_precision(self):
+        # the log density at the mode and the step away from it, each to a
+        # few ulps of its own size, where betaln loses eps * v log v
+        for v, b in [(1, 299), (3, 0.3), (15.9, 16.1), (250, 7), (5000, 299), (1e6, 2047)]:
+            with mpmath.workdps(40):
+                v_, b_ = mpmath.mpf(v), mpmath.mpf(b)
+                s0 = v_ / (v_ + b_)
+
+                def phi(u):
+                    return (-v_ * mpmath.log1p(mpmath.exp(-u)) - b_ * mpmath.log1p(mpmath.exp(u))
+                            - mpmath.log(mpmath.beta(v_, b_)))
+
+                u0 = mpmath.log(v_ / b_)
+                peak = phi(u0)
+                assert v_ * mpmath.log(s0) + b_ * mpmath.log(1 - s0) - mpmath.log(
+                    mpmath.beta(v_, b_)) == pytest.approx(peak, abs=1e-25)
+                got = kernels._log_peak(np.float64(v), np.float64(b))
+                assert abs(got - float(peak)) <= 16 * np.finfo(float).eps * (1 + abs(float(peak)))
+                sd = math.sqrt(1 / v + 1 / b)
+                for delta in (-20 * sd, -sd, -1e-3 * sd, 0.0, 1e-3 * sd, sd, 20 * sd):
+                    want = float(phi(u0 + delta) - peak)
+                    step, size = kernels._log_step(np.float64(delta), np.float64(v), b)
+                    assert abs(step - want) <= 4 * np.finfo(float).eps * size
 
 
 class TestWeightBlocks:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import poisson
 
+import jainbaskakov.kernels as kernels
 import jainbaskakov.operators as ops
 from jainbaskakov.kernels import expectation_moments
 from jainbaskakov import (
@@ -256,6 +257,54 @@ class TestCacheAndLimits:
         assert cache.table(pb, f, cfg) is tab
         assert len(tab) >= filled
 
+    def test_cache_keeps_at_most_its_bound(self, cfg):
+        cache = KernelIntegralCache()
+        p = OperatorParams(20, 1, 0.1)
+        e0, e1 = get_function("e0"), get_function("e1")
+        for i in range(200):
+            f = combine(f"lin{i}", 1.0, e0, 0.5 + i / 400, e1)
+            eval_jain_baskakov(p, f, 0.5, cfg, cache=cache)
+            assert len(cache._tables) <= ops.CACHE_TABLES
+        assert len(cache._tables) == ops.CACHE_TABLES
+        # the survivors are the most recently used
+        assert [t.f.name for t in cache._tables.values()] == [
+            f"lin{i}" for i in range(200 - ops.CACHE_TABLES, 200)]
+
+    def test_table_in_use_survives_churn(self, cfg, monkeypatch):
+        computed = []
+        real = ops.kernel_expectations
+
+        def spy(params, f, v, cfg_, mag):
+            computed.extend((f.name, vi) for vi in v.tolist())
+            return real(params, f, v, cfg_, mag)
+
+        monkeypatch.setattr(ops, "kernel_expectations", spy)
+        cache = KernelIntegralCache()
+        p = OperatorParams(20, 1, 0.1)
+        f, e0 = get_function("exp-neg"), get_function("e0")
+        clean = [eval_jain_baskakov(p, f, x, cfg) for x in (0.3, 0.6, 0.9)]
+        computed.clear()
+        # a sweep over x keeps its table while more than a cache's worth of
+        # other tables pass through between its points
+        xs = np.linspace(0.3, 3.0, 2 * ops.CACHE_TABLES)
+        for i, x in enumerate(xs):
+            eval_jain_baskakov(p, f, float(x), cfg, cache=cache)
+            cache.table(p, combine(f"churn{i}", 1.0, e0, 0.0, e0), cfg)
+        mine = [vi for name, vi in computed if name == f.name]
+        assert len(mine) == len(set(mine))  # no v of the sweep computed twice
+
+        # churn from inside a running series: the series holds its table
+        def churning(t):
+            for j in range(ops.CACHE_TABLES + 8):
+                cache.table(p, combine(f"inner{j}", 1.0, e0, 0.0, e0), cfg)
+            return f.fn(t)
+
+        g = TestFunction("exp-neg-churn", churning, growth_degree=0, m_bound=1.0,
+                         bounded=True, sup_bound=1.0)
+        for x, want in zip((0.3, 0.6, 0.9), clean):
+            got = eval_jain_baskakov(p, g, x, cfg, cache=cache)
+            assert (got.value, got.v_terms_used) == (want.value, want.v_terms_used)
+
     def test_series_cap_raises(self, cfg, monkeypatch):
         monkeypatch.setattr(ops, "V_MAX", 256)
         p = OperatorParams(300, 1, 0.0)
@@ -277,31 +326,54 @@ class TestCacheAndLimits:
 
 class TestIntegralTable:
     def test_batched_get_matches_per_v_quadrature(self, cfg, monkeypatch):
+        # each missing v goes through the Gauss-Legendre rule once, in one
+        # ascending batch; QUADPACK runs only for the v whose estimate misses
+        # the tolerance, and both paths agree within their error estimates
         p = OperatorParams(20, 1, 0.1)
         f = get_function("e2")
-        calls = []
-        real = ops._kernel_expectation
+        ruled, fallback = [], []
+        real_rule, real_quad = kernels._gauss_legendre, kernels._kernel_expectation
 
-        def counted(params, v, fn, cfg_, scale):
-            calls.append(v)
-            return real(params, v, fn, cfg_, scale)
+        def rule(params, f_, v, cfg_):
+            ruled.extend(v.tolist())
+            return real_rule(params, f_, v, cfg_)
 
-        monkeypatch.setattr(ops, "_kernel_expectation", counted)
+        def quad(params, v, fn, cfg_, scale):
+            fallback.append(v)
+            return real_quad(params, v, fn, cfg_, scale)
+
+        def refused(vs):
+            out = []
+            for v in vs:
+                val, err = real_rule(p, f, np.array([float(v)]), cfg)
+                scale = f.m_bound * (1.0 + float(expectation_moments(p, v, 2)))
+                if not err[0] <= cfg.quad_rel_tol * max(abs(val[0]), 1e-2 * scale):
+                    out.append(v)
+            return out
+
+        monkeypatch.setattr(kernels, "_gauss_legendre", rule)
+        monkeypatch.setattr(kernels, "_kernel_expectation", quad)
         tab = ops._IntegralTable(p, f, cfg)
         assert len(tab) == 0
         vs = np.array([9, 0, 3, 9, 1, 3])
         values, errors = tab.get(vs)
-        assert calls == [1, 3, 9]  # ascending, each v once, none for the atom
+        assert ruled == [1, 3, 9]  # ascending, each v once, none for the atom
+        assert fallback == refused([1, 3, 9])
+        assert 1 in fallback and 9 not in fallback  # v = 1 decays only like e^u
         assert len(tab) == 3
         for v, val, err in zip(vs.tolist(), values.tolist(), errors.tolist()):
             if v == 0:
                 assert (val, err) == (f.fn(0.0), 0.0)
                 continue
             scale = f.m_bound * (1.0 + float(expectation_moments(p, v, 2)))
-            assert (val, err) == real(p, v, f.fn, cfg, scale)
+            ref, ref_err = real_quad(p, v, f.fn, cfg, scale)
+            assert abs(val - ref) <= err + ref_err
+            assert err <= cfg.quad_rel_tol * max(abs(val), 1e-2 * scale) or v in fallback
         # a later block reuses what is filled and grows the arrays
         values2, _ = tab.get(np.arange(0, 40))
-        assert calls == [1, 3, 9] + [v for v in range(2, 40) if v not in (3, 9)]
+        later = [v for v in range(2, 40) if v not in (3, 9)]
+        assert ruled == [1, 3, 9] + later
+        assert fallback == refused([1, 3, 9]) + refused(later)
         assert len(tab) == 39
         np.testing.assert_array_equal(values2[vs], values)
         assert tab.get(np.array([], dtype=np.int64))[0].shape == (0,)

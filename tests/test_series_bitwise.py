@@ -1,10 +1,13 @@
 """Bit-for-bit regression of the v-series engine.
 
 ``tests/golden/series_bitwise.json`` holds ``float.hex`` of every result
-field for hybrid, King and Jain evaluations and for the adaptive basis mass,
-recorded with the scalar (per-v) series code that the array-backed one
-replaced.  Any change to summation order, stopping rule or cache layout that
-moves a single bit fails here.
+field for hybrid, King and Jain evaluations and for the adaptive basis mass.
+The Jain and basis-mass rows were recorded with the scalar (per-v) series
+code that the array-backed one replaced; the hybrid and King rows were
+re-recorded when the integral tables moved to the Gauss-Legendre rule, which
+moved their values in the last digits.  Any change to summation order,
+stopping rule, quadrature or cache layout that moves a single bit fails
+here.
 
 Re-record only when a change is meant to move results:
 
