@@ -11,7 +11,6 @@ from .analysis import (
     VoronovskajaRecord,
     WeightedNormEstimate,
     check_direct_bound,
-    check_rate_bound,
     modulus1,
     modulus2,
     voronovskaja_sweep,
@@ -29,13 +28,11 @@ from .functions import REGISTRY, TestFunction, get_function
 from .kernels import (
     baskakov_kernel_log,
     jain_basis_log,
-    jain_basis_weight,
     kernel_integral,
     kernel_moment_exact,
 )
 from .moments import (
     CentralMoments,
-    MomentReport,
     d_central_moment,
     d_central_moments,
     d_moment_display,
@@ -58,12 +55,11 @@ from .operators import (
     eval_king,
     eval_operator,
 )
-from .params import BasisWeight, EvalConfig, OperatorKind, OperatorParams
+from .params import EvalConfig, OperatorKind, OperatorParams
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisWeight",
     "BoundCheck",
     "CentralMoments",
     "ConvergenceError",
@@ -73,7 +69,6 @@ __all__ = [
     "GridEvalError",
     "IntegrabilityError",
     "KernelIntegralCache",
-    "MomentReport",
     "OperatorKind",
     "OperatorParams",
     "REGISTRY",
@@ -85,7 +80,6 @@ __all__ = [
     "basis_mass",
     "baskakov_kernel_log",
     "check_direct_bound",
-    "check_rate_bound",
     "d_central_moment",
     "d_central_moments",
     "d_moment_display",
@@ -97,7 +91,6 @@ __all__ = [
     "eval_operator",
     "get_function",
     "jain_basis_log",
-    "jain_basis_weight",
     "jain_moment",
     "jain_moment_display",
     "kernel_integral",

@@ -199,17 +199,6 @@ def rate_bound_checks(
     return checks
 
 
-def check_rate_bound(
-    params: OperatorParams,
-    f: TestFunction,
-    a: float,
-    cfg: Optional[EvalConfig] = None,
-) -> BoundCheck:
-    """The worst (smallest-slack) pointwise rate-bound check over [0, a]."""
-    checks = rate_bound_checks(params, f, a, cfg)
-    return min(checks, key=lambda ch: ch.slack)
-
-
 def weighted_majorant_e1(n: float, c: float, beta: float) -> float:
     """Closed-form majorant of the rho0-norm error for f = t:
     2c/(n-2c) + n beta / ((n-2c)(1-beta))."""

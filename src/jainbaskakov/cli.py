@@ -5,9 +5,11 @@ Each writes `<output>.csv` (or `.json`) plus a two-column `<output>.plot.dat`
 and prints a one-line summary.  Exit codes: 0 ok, 2 invalid configuration,
 3 domain/threshold/convergence error, 4 violated bound or trend assertion.
 
-Option values resolve in precedence order: explicit flag > --config file
-entry > JAINBASKAKOV_* environment variable (tolerances only) > built-in
-default.  All numeric output uses 17 significant digits, so repeated runs
+Every option (`_OPTIONS`) is both a flag and a --config file key.  Values
+resolve in precedence order: explicit flag > --config file entry >
+JAINBASKAKOV_* environment variable (tolerances only) > built-in default; an
+unknown config key or a disallowed value exits 2 whatever its source.  All
+numeric output uses 17 significant digits, so repeated runs
 with a fixed configuration are byte-identical.
 """
 
@@ -20,12 +22,13 @@ import json
 import math
 import os
 import sys
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import analysis
-from .errors import DomainError, ConvergenceError
-from .functions import get_function, shifted_power
+from .errors import ConvergenceError, DomainError, ThresholdError
+from .functions import ALIASES, REGISTRY, get_function, shifted_power
 from .moments import (
     closed_moment,
     d_central_moment,
@@ -117,9 +120,10 @@ def _parse_floats(text):
         raise ConfigError(f"bad numeric list {text!r}: {exc}") from None
 
 
-def _parse_points(points, interval):
-    if points is not None:
-        return _parse_floats(points)
+def _points(cfg):
+    if cfg["points"] is not None:
+        return _parse_floats(cfg["points"])
+    interval = cfg["interval"]
     if interval is not None:
         try:
             lo, hi, num = interval.split(":")
@@ -129,21 +133,13 @@ def _parse_points(points, interval):
     return [0.0, 0.5, 1.0, 2.0]
 
 
-def _schedule(n_values, beta_schedule, beta, l):
-    sched = []
-    for n in n_values:
-        if beta_schedule == "const":
-            b = beta
-        elif beta_schedule == "inv-n":
-            b = 1.0 / n
-        elif beta_schedule == "inv-n2":
-            b = 1.0 / (n * n)
-        elif beta_schedule == "l-over-n":
-            b = l / n
-        else:
-            raise ConfigError(f"unknown beta schedule {beta_schedule!r}")
-        sched.append((n, b))
-    return sched
+# beta_n of each sweep schedule, from n, the fixed beta and l
+_SCHEDULES = {
+    "const": lambda n, beta, l: beta,
+    "inv-n": lambda n, beta, l: 1.0 / n,
+    "inv-n2": lambda n, beta, l: 1.0 / (n * n),
+    "l-over-n": lambda n, beta, l: l / n,
+}
 
 
 def _trend_violation(values) -> bool:
@@ -165,26 +161,49 @@ def _trend_violation(values) -> bool:
 # option resolution
 
 
-_DEFAULTS = {
-    "operator": "jain",
-    "function": "e0",
-    "n": 50.0,
-    "c": 1.0,
-    "beta": 0.0,
-    "l": 0.0,
-    "x": 1.0,
-    "a": 2.0,
-    "lam": 0.0,
-    "m_const": 2.0,
-    "theorem": "rate",
-    "beta_schedule": "inv-n",
-    "n_values": "16,32,64,128",
-    "format": "csv",
-    "seed": None,
-    "points": None,
-    "interval": None,
-    **_TOLERANCES,
+class _Option(NamedTuple):
+    default: object
+    type: type
+    choices: Optional[tuple] = None
+    help: Optional[str] = None
+
+
+# Every option is a flag (see _flag) and a config-file key; the EvalConfig
+# fields also read JAINBASKAKOV_<NAME> from the environment.  `--format json`
+# echoes the resolved options in this order.
+_OPTIONS = {
+    "operator": _Option("jain", str, tuple(kind.value for kind in OperatorKind),
+                        "operator family (voronovskaja: jain-baskakov or king)"),
+    "function": _Option("e0", str, (*REGISTRY, *ALIASES)),
+    "n": _Option(50.0, float),
+    "c": _Option(1.0, float),
+    "beta": _Option(0.0, float),
+    "l": _Option(0.0, float, help="n*beta_n limit (hybrid case, l-over-n schedule)"),
+    "x": _Option(1.0, float),
+    "a": _Option(2.0, float, help="interval endpoint"),
+    "lam": _Option(0.0, float),
+    "m_const": _Option(2.0, float, help="absolute constant in the direct bound (default 2)"),
+    "theorem": _Option("rate", str, ("rate", "direct")),
+    "beta_schedule": _Option("inv-n", str, tuple(_SCHEDULES)),
+    "n_values": _Option("16,32,64,128", str),
+    "format": _Option("csv", str, ("csv", "json"), "table format (default csv)"),
+    "seed": _Option(None, int, help="seed for randomized grid jitter"),
+    "points": _Option(None, str, help="comma-separated x values"),
+    "interval": _Option(None, str, help="lo:hi:count grid spec"),
+    **{key: _Option(default, type(default)) for key, default in _TOLERANCES.items()},
+    "output": _Option(None, str, help="output base name (default: command name)"),
 }
+
+# --config names the file that the options are read from, so it is a flag of
+# every subcommand but not itself an option.
+_CONFIG_FLAG = _Option(None, str, help="JSON file with defaults for any option")
+
+# The flags of every subcommand, after its own options.
+_COMMON = ("config", "seed", "format", "output", *_TOLERANCES)
+
+
+def _flag(name) -> str:
+    return "--lambda" if name == "lam" else "--" + name.replace("_", "-")
 
 
 def _load_config_file(path):
@@ -198,11 +217,16 @@ def _load_config_file(path):
     return {str(k).replace("-", "_"): v for k, v in raw.items()}
 
 
-def _number(key, val, cast):
-    """``val`` cast to ``cast``; a boolean, or a fractional value for an
-    integer option, is a ConfigError rather than 1 or a truncation."""
-    fractional = cast is int and isinstance(val, float) and not val.is_integer()
-    if not (isinstance(val, bool) or fractional):
+def _cast(key, val, cast):
+    """``val`` cast to ``cast``; a boolean, a fractional value for an integer
+    option or a non-string for a text option is a ConfigError rather than 1,
+    a truncation or a repr."""
+    wrong = (
+        isinstance(val, bool)
+        or (cast is int and isinstance(val, float) and not val.is_integer())
+        or (cast is str and not isinstance(val, str))
+    )
+    if not wrong:
         try:
             return cast(val)
         except (TypeError, ValueError, OverflowError):
@@ -211,29 +235,39 @@ def _number(key, val, cast):
 
 
 def _resolve(args, command):
-    """Merge CLI flags, config file, environment and defaults."""
+    """Merge CLI flags, config file, environment and defaults.
+
+    The one place where option values are cast and checked: a config-file
+    key that names no option, and a value of the wrong type or outside an
+    option's choices, are ConfigErrors whatever their source.  A key for an
+    option that this subcommand does not take is accepted, so that one file
+    can serve several subcommands.
+    """
     file_cfg = _load_config_file(args.config) if args.config else {}
-    if "command" in file_cfg and file_cfg["command"] != command:
+    unknown = sorted(set(file_cfg) - set(_OPTIONS) - {"command"})
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {', '.join(map(repr, unknown))}")
+    if file_cfg.get("command", command) != command:
         raise ConfigError(
             f"config file is for command {file_cfg['command']!r}, not {command!r}"
         )
     out = {}
-    for key, builtin in _DEFAULTS.items():
+    for key, opt in _OPTIONS.items():
         val = getattr(args, key, None)
         if val is None:
             val = file_cfg.get(key)
         if val is None and key in _TOLERANCES:
             val = os.environ.get(_ENV_PREFIX + key.upper())
         if val is None:
-            val = builtin
-        # numeric options may arrive as strings from config/env
-        cast = int if key == "seed" else type(builtin)
-        if val is not None and cast in (int, float):
-            val = _number(key, val, cast)
+            val = opt.default
+        else:
+            val = _cast(key, val, opt.type)
+            if opt.choices is not None and val not in opt.choices:
+                raise ConfigError(
+                    f"bad value for {key!r}: {val!r}; choices: {', '.join(opt.choices)}"
+                )
         out[key] = val
-    out["output"] = args.output or file_cfg.get("output") or command
-    if out["format"] not in ("csv", "json"):
-        raise ConfigError(f"unknown output format {out['format']!r}")
+    out["output"] = out["output"] or command
     return out
 
 
@@ -241,98 +275,63 @@ def _eval_config(cfg) -> EvalConfig:
     return EvalConfig(**{key: cfg[key] for key in _TOLERANCES})
 
 
-def _operator_kind(name) -> OperatorKind:
-    try:
-        return OperatorKind(name)
-    except ValueError:
-        raise ConfigError(
-            f"unknown operator {name!r}; choices: jain, jain-baskakov, king"
-        ) from None
-
-
-def _function(cfg):
-    try:
-        return get_function(cfg["function"])
-    except KeyError as exc:
-        raise ConfigError(str(exc)) from None
-
-
 def _n_values(cfg):
-    vals = [int(v) for v in _parse_floats(str(cfg["n_values"]))]
+    vals = sorted(_cast("n_values", v, int) for v in _parse_floats(cfg["n_values"]))
     if len(vals) < 2:
         raise ConfigError("sweeps need at least two n values")
-    return sorted(vals)
+    return vals
+
+
+def _schedule(cfg):
+    rule = _SCHEDULES[cfg["beta_schedule"]]
+    return [(n, rule(n, cfg["beta"], cfg["l"])) for n in _n_values(cfg)]
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes the resolved options and returns the table's
+# columns, its rows, the plot pairs and the verdict line (None for none).  A
+# verdict that starts with "FAIL" is a violated assertion (exit 4).
 
 
-def _cmd_eval(args):
-    cfg = _resolve(args, "eval")
-    kind = _operator_kind(cfg["operator"])
-    f = _function(cfg)
+def _cmd_eval(cfg):
+    kind = OperatorKind(cfg["operator"])
+    f = get_function(cfg["function"])
     params = OperatorParams(cfg["n"], cfg["c"], cfg["beta"])
     ecfg = _eval_config(cfg)
-    xs = _parse_points(cfg["points"], cfg["interval"])
-    rows = []
-    for x in xs:
-        res = eval_operator(kind, params, f, float(x), ecfg)
-        fx = float(f.fn(float(x)))
-        rows.append(
-            {
-                "x": float(x),
-                "value": res.value,
-                "fx": fx,
-                "error": res.value - fx,
-                "v_terms_used": res.v_terms_used,
-                "tail_bound": res.est_tail_bound,
-            }
-        )
     fields = ["x", "value", "fx", "error", "v_terms_used", "tail_bound"]
-    _emit(args, "eval", cfg, fields, rows, [(r["x"], r["value"]) for r in rows])
-    return EXIT_OK
+    rows = []
+    for x in map(float, _points(cfg)):
+        res = eval_operator(kind, params, f, x, ecfg)
+        fx = float(f.fn(x))
+        values = (x, res.value, fx, res.value - fx, res.v_terms_used, res.est_tail_bound)
+        rows.append(dict(zip(fields, values)))
+    return fields, rows, [(r["x"], r["value"]) for r in rows], None
 
 
-def _moment_numeric(kind, params, m, x, ecfg):
-    return eval_operator(kind, params, get_function(f"e{m}"), x, ecfg).value
-
-
-def _cmd_moments(args):
-    cfg = _resolve(args, "moments")
-    kind = _operator_kind(cfg["operator"])
+def _cmd_moments(cfg):
+    kind = OperatorKind(cfg["operator"])
     params = OperatorParams(cfg["n"], cfg["c"], cfg["beta"])
     ecfg = _eval_config(cfg)
     x = cfg["x"]
+    fields = ["order", "x", "closed_form", "numeric", "rel_error", "formula_class", "status"]
     rows = []
-    worst_exact = 0.0
 
     def add_row(order, closed, numeric, formula_class, status="ok"):
-        nonlocal worst_exact
         rel = (
             abs(closed - numeric) / max(1.0, abs(closed))
             if (closed is not None and numeric is not None)
             else None
         )
-        if formula_class == "exact" and rel is not None:
-            worst_exact = max(worst_exact, rel)
-        rows.append(
-            {
-                "order": order,
-                "x": x,
-                "closed_form": closed,
-                "numeric": numeric,
-                "rel_error": rel,
-                "formula_class": formula_class,
-                "status": status,
-            }
-        )
+        values = (order, x, closed, numeric, rel, formula_class, status)
+        rows.append(dict(zip(fields, values)))
 
+    # A threshold (n too small for the moment's order) is a row of the report;
+    # any other DomainError, such as a bad x, fails the run.
     for m in range(5):
         try:
             closed = closed_moment(kind, params, m, x)
-            numeric = _moment_numeric(kind, params, m, x, ecfg)
-        except DomainError as exc:
+            numeric = eval_operator(kind, params, get_function(f"e{m}"), x, ecfg).value
+        except ThresholdError as exc:
             add_row(m, None, None, "exact", f"threshold: {exc}")
             continue
         add_row(m, closed, numeric, "exact")
@@ -347,86 +346,65 @@ def _cmd_moments(args):
             try:
                 closed = central(params, k, x)
                 res = eval_operator(kind, params, shifted_power(k, x), x, ecfg)
-            except DomainError as exc:
+            except ThresholdError as exc:
                 add_row(f"mu{k}", None, None, "exact", f"threshold: {exc}")
                 continue
             add_row(f"mu{k}", closed, res.value, "exact")
 
-    fields = ["order", "x", "closed_form", "numeric", "rel_error", "formula_class", "status"]
     plot = [
         (i, r["rel_error"])
         for i, r in enumerate(rows)
         if r["formula_class"] == "exact" and r["rel_error"] is not None
     ]
-    _emit(args, "moments", cfg, fields, rows, plot)
-    if worst_exact > 1e-6:
-        print(f"FAIL: worst exact-class rel_error {worst_exact:.3e} > 1e-6")
-        return EXIT_ASSERT
-    print(f"ok: worst exact-class rel_error {worst_exact:.3e}")
-    return EXIT_OK
+    worst = max((rel for _, rel in plot), default=0.0)
+    if worst > 1e-6:
+        return fields, rows, plot, f"FAIL: worst exact-class rel_error {worst:.3e} > 1e-6"
+    return fields, rows, plot, f"ok: worst exact-class rel_error {worst:.3e}"
 
 
-def _cmd_converge(args):
-    cfg = _resolve(args, "converge")
-    kind = _operator_kind(cfg["operator"])
-    f = _function(cfg)
-    sched = _schedule(_n_values(cfg), cfg["beta_schedule"], cfg["beta"], cfg["l"])
-    ecfg = _eval_config(cfg)
-    xs = _parse_points(cfg["points"], cfg["interval"])
-    data = analysis.converge_sweep(kind, sched, cfg["c"], f, xs, ecfg)
+def _cmd_converge(cfg):
+    kind = OperatorKind(cfg["operator"])
+    f = get_function(cfg["function"])
+    data = analysis.converge_sweep(
+        kind, _schedule(cfg), cfg["c"], f, _points(cfg), _eval_config(cfg)
+    )
     errs = [r[2] for r in data]
     orders = analysis.sweep_orders([r[0] for r in data], errs)
-    rows = [
-        {"n": n, "beta": b, "sup_error": e, "empirical_order": o}
-        for (n, b, e), o in zip(data, orders)
-    ]
     fields = ["n", "beta", "sup_error", "empirical_order"]
-    _emit(args, "converge", cfg, fields, rows, [(r["n"], r["sup_error"]) for r in rows])
+    rows = [dict(zip(fields, (*r, o))) for r, o in zip(data, orders)]
+    plot = [(r["n"], r["sup_error"]) for r in rows]
     if _trend_violation(errs):
-        print("FAIL: error trend is not decreasing")
-        return EXIT_ASSERT
-    print("ok: error trend decreasing")
-    return EXIT_OK
+        return fields, rows, plot, "FAIL: error trend is not decreasing"
+    return fields, rows, plot, "ok: error trend decreasing"
 
 
-def _cmd_voronovskaja(args):
-    cfg = _resolve(args, "voronovskaja")
-    kind = _operator_kind(cfg["operator"])
-    f = _function(cfg)
+def _cmd_voronovskaja(cfg):
+    kind = OperatorKind(cfg["operator"])
+    f = get_function(cfg["function"])
     records = analysis.voronovskaja_sweep(
         kind, cfg["c"], cfg["l"], f, cfg["x"], _n_values(cfg), _eval_config(cfg)
     )
     gaps = [r.gap for r in records]
     orders = analysis.sweep_orders([r.n for r in records], gaps)
+    fields = ["n", "beta_n", "scaled_error", "predicted_limit", "gap", "empirical_order"]
     rows = [
-        {
-            "n": r.n,
-            "beta_n": r.beta_n,
-            "scaled_error": r.scaled_error,
-            "predicted_limit": r.predicted_limit,
-            "gap": r.gap,
-            "empirical_order": o,
-        }
+        dict(zip(fields, (r.n, r.beta_n, r.scaled_error, r.predicted_limit, r.gap, o)))
         for r, o in zip(records, orders)
     ]
-    fields = ["n", "beta_n", "scaled_error", "predicted_limit", "gap", "empirical_order"]
-    _emit(args, "voronovskaja", cfg, fields, rows, [(r["n"], r["gap"]) for r in rows])
+    plot = [(r["n"], r["gap"]) for r in rows]
     if len(gaps) >= 2 and gaps[-1] >= gaps[0] and gaps[0] > 1e-12:
-        print("FAIL: asymptotic gap did not shrink across the sweep")
-        return EXIT_ASSERT
-    print("ok: asymptotic gap shrinking")
-    return EXIT_OK
+        return fields, rows, plot, "FAIL: asymptotic gap did not shrink across the sweep"
+    return fields, rows, plot, "ok: asymptotic gap shrinking"
 
 
-def _cmd_bound(args):
-    cfg = _resolve(args, "bound")
-    f = _function(cfg)
+def _cmd_bound(cfg):
+    f = get_function(cfg["function"])
     params = OperatorParams(cfg["n"], cfg["c"], cfg["beta"])
     ecfg = _eval_config(cfg)
     a = cfg["a"]
     if cfg["theorem"] == "rate":
         checks = analysis.rate_bound_checks(params, f, a, ecfg)
-    elif cfg["theorem"] == "direct":
+    else:
         xs = np.linspace(0.0, a, ecfg.grid_points)
         if cfg["seed"] is not None:
             rng = np.random.default_rng(cfg["seed"])
@@ -436,74 +414,56 @@ def _cmd_bound(args):
             analysis.check_direct_bound(params, f, float(x), ecfg, cfg["m_const"])
             for x in xs
         ]
-    else:
-        raise ConfigError(f"unknown theorem {cfg['theorem']!r} (want rate|direct)")
+    fields = ["x", "lhs", "rhs", "slack", "m_required"]
     rows = [
-        {
-            "x": ch.x,
-            "lhs": ch.lhs,
-            "rhs": ch.rhs,
-            "slack": ch.slack,
-            "m_required": ch.m_required,
-        }
+        dict(zip(fields, (ch.x, ch.lhs, ch.rhs, ch.slack, ch.m_required)))
         for ch in checks
     ]
-    fields = ["x", "lhs", "rhs", "slack", "m_required"]
-    _emit(args, "bound", cfg, fields, rows, [(r["x"], r["slack"]) for r in rows])
+    plot = [(r["x"], r["slack"]) for r in rows]
     worst = min(ch.slack for ch in checks)
     if worst < -1e-9:
-        print(f"FAIL: bound violated, worst slack {worst:.3e}")
-        return EXIT_ASSERT
-    print(f"ok: worst slack {worst:.3e}")
-    return EXIT_OK
+        return fields, rows, plot, f"FAIL: bound violated, worst slack {worst:.3e}"
+    return fields, rows, plot, f"ok: worst slack {worst:.3e}"
 
 
-def _cmd_weighted(args):
-    cfg = _resolve(args, "weighted")
-    f = _function(cfg)
-    sched = _schedule(_n_values(cfg), cfg["beta_schedule"], cfg["beta"], cfg["l"])
-    ests = analysis.weighted_norm_error(sched, cfg["c"], f, cfg["lam"], _eval_config(cfg))
+def _cmd_weighted(cfg):
+    f = get_function(cfg["function"])
+    ests = analysis.weighted_norm_error(_schedule(cfg), cfg["c"], f, cfg["lam"], _eval_config(cfg))
+    fields = ["n", "beta", "value", "tail_bound", "majorant"]
     rows = [
-        {
-            "n": int(e.n),
-            "beta": e.beta,
-            "value": e.value,
-            "tail_bound": e.tail_bound,
-            "majorant": analysis.weighted_majorant_e1(e.n, cfg["c"], e.beta),
-        }
+        dict(zip(fields, (int(e.n), e.beta, e.value, e.tail_bound,
+                          analysis.weighted_majorant_e1(e.n, cfg["c"], e.beta))))
         for e in ests
     ]
-    fields = ["n", "beta", "value", "tail_bound", "majorant"]
-    _emit(args, "weighted", cfg, fields, rows, [(r["n"], r["value"]) for r in rows])
-    values = [r["value"] for r in rows]
-    if _trend_violation(values):
-        print("FAIL: weighted norm error is not decreasing")
-        return EXIT_ASSERT
+    plot = [(r["n"], r["value"]) for r in rows]
+    if _trend_violation([r["value"] for r in rows]):
+        return fields, rows, plot, "FAIL: weighted norm error is not decreasing"
     if f.name == "e1" and cfg["lam"] == 0.0:
         if any(r["value"] > r["majorant"] for r in rows):
-            print("FAIL: measured norm exceeds the closed-form majorant")
-            return EXIT_ASSERT
-    print("ok: weighted norm error decreasing")
-    return EXIT_OK
+            return fields, rows, plot, "FAIL: measured norm exceeds the closed-form majorant"
+    return fields, rows, plot, "ok: weighted norm error decreasing"
 
 
 # ---------------------------------------------------------------------------
 # parser
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="JSON file with defaults for any option")
-    sub.add_argument("--seed", type=int, help="seed for randomized grid jitter")
-    sub.add_argument("--format", choices=["csv", "json"], help="table format (default csv)")
-    sub.add_argument("--output", help="output base name (default: command name)")
-    for key, default in _TOLERANCES.items():
-        sub.add_argument("--" + key.replace("_", "-"), dest=key, type=type(default))
-
-
-def _add_params(sub):
-    sub.add_argument("--n", type=float)
-    sub.add_argument("--c", type=float)
-    sub.add_argument("--beta", type=float)
+# subcommand -> (help, runner, its own options in --help order)
+_COMMANDS = {
+    "eval": ("evaluate an operator on points", _cmd_eval,
+             ("operator", "function", "points", "interval", "n", "c", "beta")),
+    "moments": ("closed-form vs numeric moment report", _cmd_moments,
+                ("operator", "x", "n", "c", "beta")),
+    "converge": ("sup-error sweep over n", _cmd_converge,
+                 ("operator", "function", "n_values", "beta_schedule", "l", "points",
+                  "interval", "n", "c", "beta")),
+    "voronovskaja": ("scaled-error asymptotics sweep", _cmd_voronovskaja,
+                     ("operator", "function", "x", "l", "n_values", "c")),
+    "bound": ("pointwise theorem-bound checks", _cmd_bound,
+              ("theorem", "function", "a", "m_const", "n", "c", "beta")),
+    "weighted": ("weighted sup-norm convergence sweep", _cmd_weighted,
+                 ("function", "lam", "n_values", "beta_schedule", "l", "c")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -516,67 +476,15 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eval", help="evaluate an operator on points")
-    p.add_argument("--operator")
-    p.add_argument("--function")
-    p.add_argument("--points", help="comma-separated x values")
-    p.add_argument("--interval", help="lo:hi:count grid spec")
-    _add_params(p)
-    _add_common(p)
-    p.set_defaults(run=_cmd_eval)
-
-    p = sub.add_parser("moments", help="closed-form vs numeric moment report")
-    p.add_argument("--operator")
-    p.add_argument("--x", type=float)
-    _add_params(p)
-    _add_common(p)
-    p.set_defaults(run=_cmd_moments)
-
-    p = sub.add_parser("converge", help="sup-error sweep over n")
-    p.add_argument("--operator")
-    p.add_argument("--function")
-    p.add_argument("--n-values", dest="n_values")
-    p.add_argument("--beta-schedule", dest="beta_schedule",
-                   choices=["const", "inv-n", "inv-n2", "l-over-n"])
-    p.add_argument("--l", type=float)
-    p.add_argument("--points")
-    p.add_argument("--interval")
-    _add_params(p)
-    _add_common(p)
-    p.set_defaults(run=_cmd_converge)
-
-    p = sub.add_parser("voronovskaja", help="scaled-error asymptotics sweep")
-    p.add_argument("--operator", help="jain-baskakov or king")
-    p.add_argument("--function")
-    p.add_argument("--x", type=float)
-    p.add_argument("--l", type=float, help="n*beta_n limit (hybrid case)")
-    p.add_argument("--n-values", dest="n_values")
-    p.add_argument("--c", type=float)
-    _add_common(p)
-    p.set_defaults(run=_cmd_voronovskaja)
-
-    p = sub.add_parser("bound", help="pointwise theorem-bound checks")
-    p.add_argument("--theorem", choices=["rate", "direct"])
-    p.add_argument("--function")
-    p.add_argument("--a", type=float, help="interval endpoint")
-    p.add_argument("--m-const", dest="m_const", type=float,
-                   help="absolute constant in the direct bound (default 2)")
-    _add_params(p)
-    _add_common(p)
-    p.set_defaults(run=_cmd_bound)
-
-    p = sub.add_parser("weighted", help="weighted sup-norm convergence sweep")
-    p.add_argument("--function")
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--n-values", dest="n_values")
-    p.add_argument("--beta-schedule", dest="beta_schedule",
-                   choices=["const", "inv-n", "inv-n2", "l-over-n"])
-    p.add_argument("--l", type=float)
-    p.add_argument("--c", type=float)
-    _add_common(p)
-    p.set_defaults(run=_cmd_weighted)
-
+    for command, (text, run, names) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        p.set_defaults(run=run)
+        for name in (*names, *_COMMON):
+            opt = _CONFIG_FLAG if name == "config" else _OPTIONS[name]
+            # choices are shown here but checked in _resolve, which also
+            # sees the config-file and environment values
+            metavar = "{" + ",".join(opt.choices) + "}" if opt.choices else None
+            p.add_argument(_flag(name), dest=name, metavar=metavar, help=opt.help)
     return parser
 
 
@@ -587,17 +495,21 @@ def _error_object(exc, code):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        code = args.run(args)
-    except (ConfigError, KeyError) as exc:
+        config = _resolve(args, args.command)
+        fieldnames, rows, plot_pairs, verdict = args.run(config)
+        _emit(args, args.command, config, fieldnames, rows, plot_pairs)
+    except ConfigError as exc:
         print(_error_object(exc, EXIT_CONFIG), file=sys.stderr)
         return EXIT_CONFIG
     except (DomainError, ConvergenceError) as exc:
         print(_error_object(exc, EXIT_DOMAIN), file=sys.stderr)
         return EXIT_DOMAIN
-    return code
+    if verdict is None:
+        return EXIT_OK
+    print(verdict)
+    return EXIT_ASSERT if verdict.startswith("FAIL") else EXIT_OK
 
 
 if __name__ == "__main__":

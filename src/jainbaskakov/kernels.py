@@ -37,7 +37,7 @@ from scipy.special import betaln, expit, gammaln
 
 from . import _core
 from .errors import ConvergenceError, DomainError, IntegrabilityError, ThresholdError
-from .params import BasisWeight, EvalConfig, OperatorParams, check_point
+from .params import EvalConfig, OperatorParams, check_point
 
 
 def jain_basis_log(params: OperatorParams, x: float, v: int) -> float:
@@ -51,12 +51,6 @@ def jain_basis_log(params: OperatorParams, x: float, v: int) -> float:
     if x == 0:
         return 0.0 if v == 0 else -math.inf
     return float(_core.jain_log_weights(params.n * x, params.beta, v, 1)[0])
-
-
-def jain_basis_weight(params: OperatorParams, x: float, v: int) -> BasisWeight:
-    """The weight at index v in both log and linear scale."""
-    lw = jain_basis_log(params, x, v)
-    return BasisWeight(v=v, log_weight=lw, weight=math.exp(lw))
 
 
 def baskakov_kernel_log(params: OperatorParams, v: int, t: float) -> float:

@@ -322,33 +322,3 @@ def display_moment(
     if kind is OperatorKind.JAIN_BASKAKOV:
         return d_moment_display(params, m, x)
     return king_moment_display(params, m, x)
-
-
-@dataclass(frozen=True)
-class MomentReport:
-    """Closed-form vs numeric moment with relative error.
-
-    formula_class is "exact" when closed_form is the authoritative oracle
-    and "asymptotic" when it is a displayed main-term/reference formula.
-    """
-
-    kind: OperatorKind
-    order: int
-    x: float
-    closed_form: float
-    numeric: float
-    rel_error: float
-    formula_class: str
-
-    @staticmethod
-    def make(kind, order, x, closed_form, numeric, formula_class="exact"):
-        rel = abs(closed_form - numeric) / max(1.0, abs(closed_form))
-        return MomentReport(
-            kind=OperatorKind(kind),
-            order=order,
-            x=x,
-            closed_form=closed_form,
-            numeric=numeric,
-            rel_error=rel,
-            formula_class=formula_class,
-        )

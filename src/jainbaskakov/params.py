@@ -102,16 +102,3 @@ class EvalConfig:
 
     def quad_key(self) -> tuple:
         return (self.quad_rel_tol, self.quad_max_nodes)
-
-
-@dataclass(frozen=True)
-class BasisWeight:
-    """One generalized-Poisson basis weight, carried in both scales.
-
-    ``log_weight`` is the natural log (``-inf`` for an exactly-zero weight);
-    ``weight`` is its exponential.
-    """
-
-    v: int
-    log_weight: float
-    weight: float

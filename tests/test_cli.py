@@ -4,6 +4,8 @@ Golden files live in tests/golden/; tables carry 17 significant digits, so
 comparisons are bit-exact.
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -267,6 +269,11 @@ def test_golden_files_bit_exact(command, tmp_path):
         ({"seed": False}, None, "seed"),
         (None, {"JAINBASKAKOV_GRID_POINTS": "33.9"}, "grid_points"),
         (None, {"JAINBASKAKOV_QUAD_MAX_NODES": "true"}, "quad_max_nodes"),
+        # a key that names no option, and values outside an option's choices
+        ({"tail_esp": 1e-3}, None, "tail_esp"),
+        ({"operator": "baskakov"}, None, "operator"),
+        ({"format": "xml"}, None, "format"),
+        ({"points": [0, 1]}, None, "points"),
     ],
 )
 def test_bad_config_value_exits_2(tmp_path, file_cfg, env, key):
@@ -332,3 +339,110 @@ def test_every_tolerance_reaches_eval_config(tmp_path, monkeypatch, source, key)
     for other in _TOLERANCE_VALUES:
         if other != key:
             assert getattr(ecfg, other) == getattr(EvalConfig(), other)
+
+
+def run_main(*argv):
+    """``cli.main`` in this process: (exit code, parsed JSON error or None)."""
+    from jainbaskakov import cli
+
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, (json.loads(err.getvalue()) if err.getvalue() else None)
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["converge", "--beta-schedule", "bogus"], "beta_schedule"),
+        (["bound", "--theorem", "bogus"], "theorem"),
+        (["eval", "--operator", "baskakov"], "operator"),
+        (["eval", "--format", "xml"], "format"),
+        (["eval", "--n", "fifty"], "n"),
+    ],
+)
+def test_bad_flag_value_exits_2(tmp_path, argv, key):
+    code, err = run_main(*argv, "--output", str(tmp_path / "x"))
+    assert code == 2
+    assert err["error"]["type"] == "ConfigError"
+    assert repr(key) in err["error"]["message"]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_fractional_n_values_exit_2(tmp_path, source):
+    argv = ["converge", "--output", str(tmp_path / "c")]
+    if source == "flag":
+        argv += ["--n-values", "16.9,32.2"]
+    else:
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps({"n_values": "16,32.2"}))
+        argv += ["--config", str(cfgfile)]
+    code, err = run_main(*argv)
+    assert code == 2
+    assert err["error"]["type"] == "ConfigError"
+    assert repr("n_values") in err["error"]["message"]
+
+
+def test_integral_n_values_accepted():
+    from jainbaskakov import cli
+
+    vals = cli._n_values({"n_values": "32.0,16"})
+    assert vals == [16, 32] and all(type(v) is int for v in vals)
+
+
+@pytest.mark.parametrize("x", ["-1", "nan"])
+def test_moments_bad_x_exits_3(tmp_path, x):
+    # a bad x is not a threshold row: the run fails with the domain error
+    code, err = run_main("moments", "--n", "10", "--x", x, "--output", str(tmp_path / "m"))
+    assert code == 3
+    assert err["error"]["type"] == "DomainError"
+    assert not (tmp_path / "m.csv").exists()
+
+
+def test_config_key_for_another_subcommand_accepted(tmp_path):
+    from jainbaskakov import cli
+
+    cfgfile = tmp_path / "run.json"
+    cfgfile.write_text(json.dumps({"n": 10, "theorem": "direct"}))
+    cfg = cli._resolve(
+        cli.build_parser().parse_args(["weighted", "--config", str(cfgfile)]), "weighted"
+    )
+    assert (cfg["n"], cfg["theorem"]) == (10.0, "direct")
+
+
+def _command_options():
+    from jainbaskakov import cli
+
+    return [
+        (command, name)
+        for command, (_, _, names) in cli._COMMANDS.items()
+        for name in (*names, *cli._COMMON)
+        if name != "config"
+    ]
+
+
+def _other_value(opt):
+    """A value of the option's type other than its default."""
+    if opt.choices:
+        return next(c for c in opt.choices if c != opt.default)
+    if opt.type is str:
+        return "7,8"
+    return (opt.default or 0) + opt.type(3)
+
+
+@pytest.mark.parametrize("command, name", _command_options())
+def test_every_option_resolves_from_flag_and_config(tmp_path, command, name):
+    from jainbaskakov import cli
+
+    opt = cli._OPTIONS[name]
+    value = _other_value(opt)
+    cfgfile = tmp_path / "run.json"
+    cfgfile.write_text(json.dumps({name: value}))
+    parser = cli.build_parser()
+    for argv in ([command, cli._flag(name), str(value)], [command, "--config", str(cfgfile)]):
+        cfg = cli._resolve(parser.parse_args(argv), command)
+        assert cfg[name] == value and type(cfg[name]) is opt.type
+        for other, other_opt in cli._OPTIONS.items():
+            if other != name:
+                default = command if other == "output" else other_opt.default
+                assert cfg[other] == default, (argv, other)

@@ -26,7 +26,6 @@ from jainbaskakov import (
     baskakov_kernel_log,
     get_function,
     jain_basis_log,
-    jain_basis_weight,
     kernel_integral,
     kernel_moment_exact,
 )
@@ -53,13 +52,6 @@ class TestJainBasis:
         p = OperatorParams(10, 1, 0.3)
         assert jain_basis_log(p, 0.0, 0) == 0.0
         assert jain_basis_log(p, 0.0, 5) == -math.inf
-
-    def test_basis_weight_record(self):
-        p = OperatorParams(10, 1, 0.25)
-        bw = jain_basis_weight(p, 0.5, 7)
-        assert bw.v == 7
-        assert bw.weight == pytest.approx(math.exp(bw.log_weight), rel=1e-15)
-        assert 0.0 <= bw.weight <= 1.0
 
     def test_domain_errors(self):
         p = OperatorParams(10, 1, 0.25)

@@ -14,7 +14,6 @@ import pytest
 from jainbaskakov import (
     DomainError,
     EvalConfig,
-    MomentReport,
     OperatorParams,
     ThresholdError,
     d_central_moment,
@@ -331,13 +330,3 @@ class TestKingMoments:
             f = get_function(f"e{m}")
             got = eval_king(p, f, 1.0, cfg).value
             assert got == pytest.approx(king_moment(p, m, 1.0), rel=1e-7)
-
-
-class TestMomentReport:
-    def test_rel_error_definition(self):
-        rep = MomentReport.make("jain", 2, 1.0, closed_form=2.0, numeric=2.0 + 1e-9)
-        assert rep.rel_error == pytest.approx(5e-10)
-        rep = MomentReport.make("king", 0, 0.0, closed_form=0.5, numeric=0.75)
-        # |closed - numeric| / max(1, |closed|)
-        assert rep.rel_error == pytest.approx(0.25)
-        assert rep.formula_class == "exact"
