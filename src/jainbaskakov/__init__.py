@@ -32,15 +32,12 @@ from .kernels import (
     kernel_moment_exact,
 )
 from .moments import (
-    CentralMoments,
     d_central_moment,
-    d_central_moments,
     d_moment_display,
     d_moment_exact,
     jain_moment,
     jain_moment_display,
     king_central_moment,
-    king_central_moments,
     king_moment,
     king_moment_display,
     king_transform,
@@ -61,7 +58,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundCheck",
-    "CentralMoments",
     "ConvergenceError",
     "DomainError",
     "EvalConfig",
@@ -81,7 +77,6 @@ __all__ = [
     "baskakov_kernel_log",
     "check_direct_bound",
     "d_central_moment",
-    "d_central_moments",
     "d_moment_display",
     "d_moment_exact",
     "eval_grid",
@@ -96,7 +91,6 @@ __all__ = [
     "kernel_integral",
     "kernel_moment_exact",
     "king_central_moment",
-    "king_central_moments",
     "king_moment",
     "king_moment_display",
     "king_transform",

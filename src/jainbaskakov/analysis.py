@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DomainError, UnboundedFunctionError
 from .functions import TestFunction
 from .moments import d_central_moment
-from .operators import eval_jain_baskakov, eval_king, eval_operator
+from .operators import eval_jain_baskakov, eval_operator
 from .params import EvalConfig, OperatorKind, OperatorParams
 
 # Number of fractional steps per modulus evaluation: the sup over step sizes
@@ -34,9 +34,7 @@ class BoundCheck:
     lhs: float
     rhs: float
     slack: float
-    theorem_id: str
-    x: Optional[float] = None
-    interval: Optional[tuple] = None
+    x: float
     m_required: Optional[float] = None
 
 
@@ -52,16 +50,20 @@ class VoronovskajaRecord:
 @dataclass(frozen=True)
 class WeightedNormEstimate:
     value: float
-    lam: float
-    domain_cap: float
     tail_bound: float
-    n: float = 0.0
-    beta: float = 0.0
+    n: float
+    beta: float
 
 
 def _refined_grid(lo: float, hi: float, cfg: EvalConfig) -> np.ndarray:
     # base grid plus one level of midpoint refinement
     return np.linspace(lo, hi, 2 * cfg.grid_points - 1)
+
+
+def check_endpoint(a: float) -> None:
+    """Reject an interval endpoint a that is not positive and finite."""
+    if not (0 < a < math.inf):
+        raise DomainError(f"interval endpoint a must be positive and finite, got {a}")
 
 
 def modulus1(f: TestFunction, a: float, delta: float, cfg: Optional[EvalConfig] = None) -> float:
@@ -72,8 +74,7 @@ def modulus1(f: TestFunction, a: float, delta: float, cfg: Optional[EvalConfig] 
     Lipschitz slack.
     """
     cfg = cfg or EvalConfig()
-    if a <= 0:
-        raise DomainError(f"interval endpoint a must be positive, got {a}")
+    check_endpoint(a)
     if not (0 <= delta <= a):
         raise DomainError(f"delta must lie in [0, a], got delta={delta}, a={a}")
     if delta == 0:
@@ -92,23 +93,17 @@ def modulus1(f: TestFunction, a: float, delta: float, cfg: Optional[EvalConfig] 
     return best
 
 
-def modulus2(
-    f: TestFunction,
-    h0: float,
-    cfg: Optional[EvalConfig] = None,
-    allow_unbounded: bool = False,
-) -> float:
+def modulus2(f: TestFunction, h0: float, cfg: Optional[EvalConfig] = None) -> float:
     """Second-order modulus: sup over 0 < h <= h0 and x of
     |f(x+2h) - 2f(x+h) + f(x)|.
 
-    Defined for bounded functions (the sup over [0, inf) is taken on
-    [0, domain_cap], justified by the registry's decay/periodicity); pass
-    ``allow_unbounded=True`` to force a grid sup anyway.
+    Defined for bounded functions only (the sup over [0, inf) is taken on
+    [0, domain_cap], justified by the registry's decay/periodicity).
     """
     cfg = cfg or EvalConfig()
     if h0 < 0:
         raise DomainError(f"step bound must be nonnegative, got {h0}")
-    if not f.bounded and not allow_unbounded:
+    if not f.bounded:
         raise UnboundedFunctionError(
             f"{f.name} declares no bound; the second-order modulus over "
             "[0, inf) is only computed for bounded functions"
@@ -161,9 +156,7 @@ def check_direct_bound(
         m_req = max(0.0, (lhs - w1) / w2)
     else:
         m_req = 0.0 if lhs <= w1 + 1e-12 else math.inf
-    return BoundCheck(
-        lhs=lhs, rhs=rhs, slack=rhs - lhs, theorem_id="direct", x=x, m_required=m_req
-    )
+    return BoundCheck(lhs=lhs, rhs=rhs, slack=rhs - lhs, x=x, m_required=m_req)
 
 
 def rate_bound_checks(
@@ -178,6 +171,7 @@ def rate_bound_checks(
     checked at every grid x (the stronger, pointwise reading).
     """
     cfg = cfg or EvalConfig()
+    check_endpoint(a)
     if f.growth_degree > 2:
         raise DomainError(
             "the rate bound applies to functions of growth degree <= 2"
@@ -192,10 +186,7 @@ def rate_bound_checks(
         delta = math.sqrt(mu2v)
         w = modulus1(f, a + 1.0, min(delta, a + 1.0), cfg)
         rhs = 6.0 * f.m_bound * (1.0 + a * a) * mu2v + 2.0 * w
-        checks.append(
-            BoundCheck(lhs=lhs, rhs=rhs, slack=rhs - lhs, theorem_id="rate", x=x,
-                       interval=(0.0, a))
-        )
+        checks.append(BoundCheck(lhs=lhs, rhs=rhs, slack=rhs - lhs, x=x))
     return checks
 
 
@@ -263,16 +254,7 @@ def weighted_norm_error(
         )
         value = float(np.max(np.abs(vals - fx) / weights))
         tail = _weighted_tail_bound(params, f, lam, cfg.domain_cap)
-        out.append(
-            WeightedNormEstimate(
-                value=value,
-                lam=lam,
-                domain_cap=cfg.domain_cap,
-                tail_bound=tail,
-                n=n,
-                beta=beta,
-            )
-        )
+        out.append(WeightedNormEstimate(value=value, tail_bound=tail, n=n, beta=beta))
     return out
 
 
@@ -325,11 +307,7 @@ def voronovskaja_sweep(
     for n in sorted(n_values):
         beta_n = (1.0 / (n * n)) if kind is OperatorKind.KING else l / n
         params = OperatorParams(n, c, beta_n)
-        eff = _tightened(cfg, n)
-        if kind is OperatorKind.KING:
-            res = eval_king(params, f, x, eff)
-        else:
-            res = eval_jain_baskakov(params, f, x, eff)
+        res = eval_operator(kind, params, f, x, _tightened(cfg, n))
         scaled = n * (res.value - fx)
         gap = abs(scaled - predicted)
         noise = n * (res.est_tail_bound + res.quad_error_est)

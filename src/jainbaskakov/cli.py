@@ -122,15 +122,19 @@ def _parse_floats(text):
 
 def _points(cfg):
     if cfg["points"] is not None:
-        return _parse_floats(cfg["points"])
-    interval = cfg["interval"]
-    if interval is not None:
+        points = _parse_floats(cfg["points"])
+    elif cfg["interval"] is not None:
+        interval = cfg["interval"]
         try:
             lo, hi, num = interval.split(":")
-            return list(np.linspace(float(lo), float(hi), int(num)))
+            points = list(np.linspace(float(lo), float(hi), int(num)))
         except ValueError as exc:
             raise ConfigError(f"bad interval {interval!r} (want lo:hi:count): {exc}") from None
-    return [0.0, 0.5, 1.0, 2.0]
+    else:
+        points = [0.0, 0.5, 1.0, 2.0]
+    if not points:
+        raise ConfigError("the point list is empty")
+    return points
 
 
 # beta_n of each sweep schedule, from n, the fixed beta and l
@@ -405,6 +409,7 @@ def _cmd_bound(cfg):
     if cfg["theorem"] == "rate":
         checks = analysis.rate_bound_checks(params, f, a, ecfg)
     else:
+        analysis.check_endpoint(a)
         xs = np.linspace(0.0, a, ecfg.grid_points)
         if cfg["seed"] is not None:
             rng = np.random.default_rng(cfg["seed"])

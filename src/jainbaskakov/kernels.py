@@ -115,8 +115,9 @@ def _kernel_expectation(params, v, fn, cfg, scale):
     """E[f(t(S))] with S ~ Beta(v, n/c - 1), by adaptive quadrature.
 
     ``scale`` is an a-priori magnitude bound for the expectation, used to set
-    the absolute tolerance so that near-zero integrals terminate.  Returns
-    (value, error_estimate).
+    the absolute tolerance (_MAG_FLOOR of it) so that near-zero integrals
+    terminate.  ``quad_max_nodes`` is the integrand-evaluation budget.
+    Returns (value, error_estimate).
     """
     n, c = params.n, params.c
     big = n / c - 1.0  # second Beta parameter
@@ -150,7 +151,7 @@ def _kernel_expectation(params, v, fn, cfg, scale):
         pts.append(mean)
 
     pts = sorted(set(pts))
-    epsabs = cfg.quad_rel_tol * max(scale, 1e-300) * 1e-2
+    epsabs = cfg.quad_rel_tol * max(scale, 1e-300) * _MAG_FLOOR
     # each panel refinement costs ~42 evaluations; QUADPACK needs the
     # subinterval limit to exceed the number of break points
     limit = max(len(pts) + 2, cfg.quad_max_nodes // 42)
@@ -185,6 +186,10 @@ _GL_CHUNK = 32
 # error by up to 2.4x (n = (d + 1.3)c, checked against mpmath), so a
 # fallback value reports this multiple of it.
 _QUAD_SAFETY = 10.0
+# A kernel integral is accurate enough once its error is within quad_rel_tol
+# of its value or of this fraction of the a-priori bound on its magnitude,
+# so that integrals near zero need no relative accuracy.
+_MAG_FLOOR = 1e-2
 # Machine epsilon, twice the unit roundoff.
 _EPS = float(np.finfo(np.float64).eps)
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -352,12 +357,12 @@ def kernel_expectations(params, f, v, cfg, mag):
 
     ``mag`` holds a-priori bounds on |E_v[f]|.  Each v is tried with the
     Gauss-Legendre rule of :func:`_gauss_legendre`, in chunks of _GL_CHUNK.
-    A v whose estimate misses max(quad_rel_tol |value|, 1e-2 quad_rel_tol
-    mag) -- a kink, an oscillation the nodes cannot resolve, a slowly
-    decaying tail -- or whose 3K nodes exceed ``quad_max_nodes`` is computed
-    by :func:`_kernel_expectation` instead, with its ConvergenceError.  Such
-    a value reports _QUAD_SAFETY times QUADPACK's estimate plus the rounding
-    of its ``betaln`` (which QUADPACK cannot see: it scales the integrand).
+    A v whose estimate misses max(quad_rel_tol |value|, _MAG_FLOOR
+    quad_rel_tol mag) -- a kink, an oscillation the nodes cannot resolve, a
+    slowly decaying tail -- is computed by :func:`_kernel_expectation`
+    instead, with its ConvergenceError.  Such a value reports _QUAD_SAFETY
+    times QUADPACK's estimate plus the rounding of its ``betaln`` (which
+    QUADPACK cannot see: it scales the integrand).
     """
     values = np.empty(len(v))
     errors = np.empty(len(v))
@@ -365,9 +370,7 @@ def kernel_expectations(params, f, v, cfg, mag):
     for lo in range(0, len(v), _GL_CHUNK):
         part = slice(lo, lo + _GL_CHUNK)
         values[part], errors[part] = _gauss_legendre(params, f, vf[part], cfg)
-    ok = errors <= cfg.quad_rel_tol * np.maximum(np.abs(values), 1e-2 * mag)
-    if 3 * _GL_K > cfg.quad_max_nodes:
-        ok[:] = False
+    ok = errors <= cfg.quad_rel_tol * np.maximum(np.abs(values), _MAG_FLOOR * mag)
     big = params.n / params.c - 1.0
     for i in np.flatnonzero(~ok).tolist():
         vi = int(v[i])

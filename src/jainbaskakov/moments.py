@@ -33,7 +33,6 @@ r_n(x) = (n-2c)(1-beta)x/n, which preserves constants and the identity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DomainError, ThresholdError
@@ -148,17 +147,6 @@ def d_moment_display(params: OperatorParams, m: int, x: float) -> float:
     )
 
 
-@dataclass(frozen=True)
-class CentralMoments:
-    """Central moments about x: mu1 = D(t-x), mu2 = D((t-x)^2), mu4 = D((t-x)^4)."""
-
-    mu1: float
-    mu2: float
-    mu4: float
-    x: float
-    params: OperatorParams
-
-
 def d_central_moment(params: OperatorParams, k: int, x: float) -> float:
     """Exact central moment of the hybrid operator, k in {1, 2, 4}.
 
@@ -189,18 +177,6 @@ def d_central_moment(params: OperatorParams, k: int, x: float) -> float:
             for j in range(5)
         )
     raise DomainError(f"central moments implemented for k in {{1, 2, 4}}, got {k}")
-
-
-def d_central_moments(params: OperatorParams, x: float) -> CentralMoments:
-    """All of mu1, mu2, mu4 (therefore requires n > 5c)."""
-    params.require_order(4)
-    return CentralMoments(
-        mu1=d_central_moment(params, 1, x),
-        mu2=d_central_moment(params, 2, x),
-        mu4=d_central_moment(params, 4, x),
-        x=x,
-        params=params,
-    )
 
 
 def d_central_moment4_display(params: OperatorParams, x: float) -> float:
@@ -287,17 +263,6 @@ def king_central_moment(params: OperatorParams, k: int, x: float) -> float:
             for j in range(5)
         )
     raise DomainError(f"central moments implemented for k in {{1, 2, 4}}, got {k}")
-
-
-def king_central_moments(params: OperatorParams, x: float) -> CentralMoments:
-    params.require_order(4)
-    return CentralMoments(
-        mu1=king_central_moment(params, 1, x),
-        mu2=king_central_moment(params, 2, x),
-        mu4=king_central_moment(params, 4, x),
-        x=x,
-        params=params,
-    )
 
 
 def closed_moment(kind: OperatorKind, params: OperatorParams, m: int, x: float) -> float:

@@ -315,37 +315,19 @@ def _unit_provider(v0, w, _val_run):
     return np.ones_like(w), np.zeros_like(w), 0.0, 0.0
 
 
-def basis_mass(
-    params: OperatorParams,
-    x: float,
-    v_max: int | None = None,
-    cfg: EvalConfig | None = None,
-) -> float:
-    """Partial sum of the basis weights, sum_{v=0}^{v_max} w_b(v, nx).
+def basis_mass(params: OperatorParams, x: float, cfg: EvalConfig | None = None) -> float:
+    """Total basis mass sum_v w_b(v, nx): the v-series of f = 1.
 
-    With ``v_max=None`` this is the v-series of f = 1, which stops once the
-    unaccounted mass drops below ``cfg.tail_eps`` (or the float sum
-    saturates).  Summation is blockwise-``fsum`` exact, but the individual
-    weights carry log-space rounding of order nx*eps, so the raw sum can
-    overshoot 1 by a few ulps; the result is clamped to [0, 1].
+    It stops once the unaccounted mass drops below ``cfg.tail_eps`` (or the
+    float sum saturates).  Summation is blockwise-``fsum`` exact, but the
+    individual weights carry log-space rounding of order nx*eps, so the raw
+    sum can overshoot 1 by a few ulps; the result is clamped to [0, 1].
     """
     check_point(x)
     cfg = cfg or EvalConfig()
     if x == 0:
         return 1.0  # only v = 0 survives
-    if v_max is None:
-        return min(_series_eval(params, x, _unit_provider, 1.0, cfg, x).value, 1.0)
-    if v_max < 0:
-        raise DomainError(f"v_max must be nonnegative, got {v_max}")
-    nx = params.n * x
-    parts = []
-    v0, remaining = 0, v_max + 1
-    while remaining > 0:
-        count = min(remaining, _BLOCK_MAX)
-        parts.append(math.fsum(_core.jain_weights(nx, params.beta, v0, count).tolist()))
-        v0 += count
-        remaining -= count
-    return min(math.fsum(parts), 1.0)
+    return min(_series_eval(params, x, _unit_provider, 1.0, cfg, x).value, 1.0)
 
 
 def _atom_result(x, f):

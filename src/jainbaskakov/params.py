@@ -77,7 +77,8 @@ class EvalConfig:
 
     tail_eps        unaccounted basis mass at which the v-series may stop
     quad_rel_tol    target relative error of each kernel integral
-    quad_max_nodes  total integrand-evaluation budget per kernel integral
+    quad_max_nodes  integrand-evaluation budget of the QUADPACK fallback for
+                    a kernel integral the Gauss-Legendre rule refuses
     grid_points     base grid resolution for moduli / sup computations
     domain_cap      right endpoint standing in for +inf in sup computations
     """

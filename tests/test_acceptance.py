@@ -194,7 +194,7 @@ def test_accept_07_voronovskaja_king():
     # error is machine-level evaluation noise amplified by n (the log-space
     # weights round at ~ nx log(nx) eps), bounded by 1e-8 * n with orders of
     # magnitude to spare
-    from jainbaskakov.functions import combine
+    from helpers import combine
 
     lin = combine("affine", 0.7, get_function("e0"), 1.3, get_function("e1"))
     recs = voronovskaja_sweep(OperatorKind.KING, C, 0.0, lin, 1.0, ns, CFG)

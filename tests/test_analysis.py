@@ -24,7 +24,8 @@ from jainbaskakov.analysis import (
     sweep_orders,
     weighted_majorant_e1,
 )
-from jainbaskakov.functions import combine
+
+from helpers import combine
 
 
 class TestModulus1:
@@ -68,11 +69,6 @@ class TestModulus2:
     def test_constant_is_zero(self, cfg):
         assert modulus2(get_function("e0"), 0.3, cfg) == 0.0
 
-    def test_affine_vanishes(self, cfg):
-        lin = combine("affine", 1.0, get_function("e0"), 3.0, get_function("e1"))
-        got = modulus2(lin, 0.5, cfg, allow_unbounded=True)
-        assert got <= 1e-12
-
     def test_sin_matches_analytic(self, cfg):
         # sup |sin(x+2h) - 2 sin(x+h) + sin(x)| = 4 sin^2(h/2) sup|sin| over
         # the grid; the step bound itself is sampled, grid caps the x-sup
@@ -109,7 +105,6 @@ class TestDirectBound:
         ch = check_direct_bound(OperatorParams(100, 1, 0.05), get_function("sin"), 1.0, cfg)
         assert ch.slack >= 0.0
         assert ch.m_required <= 2.0
-        assert ch.theorem_id == "direct"
 
     def test_sweep_trends(self, cfg):
         # beta_n = 1/n: rhs decreasing along the sweep; lhs decreasing in the

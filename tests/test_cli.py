@@ -399,6 +399,40 @@ def test_moments_bad_x_exits_3(tmp_path, x):
     assert not (tmp_path / "m.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--points", ","],
+        ["converge", "--points", ","],
+        ["eval", "--interval", "0:2:0"],
+    ],
+)
+def test_empty_point_list_exits_2(tmp_path, argv):
+    code, err = run_main(*argv, "--output", str(tmp_path / "p"))
+    assert code == 2
+    assert err["error"]["type"] == "ConfigError"
+    assert "point list is empty" in err["error"]["message"]
+    assert not (tmp_path / "p.csv").exists()
+
+
+@pytest.mark.parametrize("theorem", ["rate", "direct"])
+@pytest.mark.parametrize("a", ["-1", "-0.5", "0"])
+def test_bound_nonpositive_a_exits_3(tmp_path, monkeypatch, theorem, a):
+    # the endpoint is rejected by name before any operator value is computed
+    from jainbaskakov import analysis
+
+    def no_eval(*args):
+        raise AssertionError("evaluated before checking a")
+
+    monkeypatch.setattr(analysis, "eval_jain_baskakov", no_eval)
+    code, err = run_main("bound", "--theorem", theorem, "--function", "sin", "--a", a,
+                         "--output", str(tmp_path / "b"))
+    assert code == 3
+    assert err["error"]["type"] == "DomainError"
+    assert err["error"]["message"].startswith("interval endpoint a must be positive")
+    assert f"got {float(a)}" in err["error"]["message"]
+
+
 def test_config_key_for_another_subcommand_accepted(tmp_path):
     from jainbaskakov import cli
 

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from jainbaskakov import DomainError, REGISTRY, TestFunction, get_function
-from jainbaskakov.functions import _check_derivatives, _check_growth, combine, shifted_power
+from jainbaskakov.functions import _check_derivatives, _check_growth, shifted_power
+
+from helpers import combine
 
 EXPECTED_NAMES = {
     "e0", "e1", "e2", "e3", "e4",

@@ -110,18 +110,15 @@ class TestJainBasis:
 
 class TestBasisMass:
     def test_x_zero(self):
-        assert basis_mass(OperatorParams(7, 1, 0.4), 0.0, v_max=0) == 1.0
+        assert basis_mass(OperatorParams(7, 1, 0.4), 0.0) == 1.0
 
     def test_poisson_cdf(self):
+        # beta = 0 is the Poisson law with mean 5: its mass past v = 40 is
+        # below 1e-20
         p = OperatorParams(5, 1, 0.0)
-        got = basis_mass(p, 1.0, v_max=40)
+        got = basis_mass(p, 1.0)
         assert got == pytest.approx(poisson.cdf(40, 5.0), abs=1e-13)
         assert got == pytest.approx(1.0, abs=1e-12)
-
-    def test_monotone_in_v_max(self):
-        p = OperatorParams(20, 1, 0.3)
-        masses = [basis_mass(p, 2.0, v_max=v) for v in (10, 40, 80, 200)]
-        assert all(a <= b + 1e-15 for a, b in zip(masses, masses[1:]))
 
     def test_adaptive_reaches_tail_eps(self):
         cfg = EvalConfig(tail_eps=1e-12)
@@ -352,12 +349,16 @@ class TestGaussLegendreRule:
         f = get_function("e1")
         kernel_integral(OperatorParams(2.3, 1, 0.0), 250, f, cfg)
 
-    def test_node_budget_sends_every_v_to_quadpack(self, fallbacks):
+    def test_node_budget_leaves_the_rule_first(self, fallbacks):
+        # quad_max_nodes is the QUADPACK fallback's budget only: below the
+        # rule's 3K nodes the same v reach QUADPACK as at the default budget
         p, f = OperatorParams(20, 1, 0.0), get_function("exp-neg")
         v = np.arange(1, 12)
-        kernels.kernel_expectations(p, f, v, EvalConfig(quad_max_nodes=3 * kernels._GL_K - 1),
-                                    magnitude_bound(p, f, v))
-        assert fallbacks == v.tolist()
+        for budget in (3 * kernels._GL_K - 1, EvalConfig().quad_max_nodes):
+            fallbacks.clear()
+            kernels.kernel_expectations(p, f, v, EvalConfig(quad_max_nodes=budget),
+                                        magnitude_bound(p, f, v))
+            assert fallbacks == [1, 2, 3, 4, 5]
 
     def test_log_density_matches_high_precision(self):
         # the log density at the mode and the step away from it, each to a
