@@ -13,10 +13,31 @@ basis in v:
 
 The v-series is summed in blocks of v (:func:`block_schedule`), each
 block as numpy arrays with one exactly rounded ``math.fsum``.  Summation
-stops only once a geometric majorant of the remaining terms
-(growth-corrected for unbounded f) drops below
+stops only once a certified bound on the remaining terms drops below
 ``tail_eps * (1 + |value|) * gcf`` *and* the accumulated basis mass passes
-:func:`mass_saturated`.  The mass is only needed for that decision,
+:func:`mass_saturated`.
+
+The bound is a geometric majorant of sum_{v>V} w(v) mbound(v), V the last
+index of the block and mbound the a-priori bound on |f(v/n)| or |E_v[f]|.
+The weight ratio is
+
+    w(v+1)/w(v) = (m/(v+1)) (1 + beta/m)^v e^-beta,   m = nx + v beta,
+
+at most rho(v) = (m/(v+1)) exp(v beta/m - beta), as 1 + y <= e^y.  The
+derivative of log rho has the sign of 2 beta nx + v beta^2 - nx^2, which
+is linear and rising in v, so rho falls and then rises towards its limit
+beta e^(1-beta) (for beta = 0 it is nx/(v+1), falling to 0): its supremum
+over v >= V is max(rho(V), beta e^(1-beta)).  Both magnitude bounds grow
+by at most (1 + 1/v)^d per step, d the growth degree: M(1 + (v/n)^d) for
+Jain, and M(1 + E_v[t^d]) for the hybrid and King operators, whose
+E_v[t^d] steps by (v+d)/v.  So with
+q = max(rho(V), beta e^(1-beta)) (1 + 1/V)^d every later term is at most q
+times the one before, and for q < 1 the tail is at most
+w(V) mbound(V) q/(1-q) (inf otherwise), with q rounded up and w(V)
+inflated by the log-space rounding of its computed value.  The rounding
+of the summed weights themselves is not in the bound.
+
+The mass is only needed for that decision,
 so it is kept as plain ``np.sum`` block sums with their rounding bound
 (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 4.2);
 only when that bracket straddles a threshold are the exact block sums
@@ -245,11 +266,53 @@ class _BlockMass:
         return mass_saturated(math.fsum(parts), parts[-1], tail_eps)
 
 
-def _series_eval(params, basis_x, provider, gcf, cfg, x_report):
+def _ratio_sup(nx, beta, v, d):
+    """An upper bound, rounded up, on the term ratio b(u+1)/b(u) over u >= v.
+
+    b(u) = w(u) mbound(u) with mbound growing by at most (1 + 1/u)^d per
+    step; the weight ratio is bounded as in the module docstring.
+    """
+    m = nx + v * beta
+    log_ratio = math.log(m / (v + 1.0)) + v * beta / m - beta  # log rho(v)
+    if beta > 0.0:
+        log_ratio = max(log_ratio, math.log(beta) + 1.0 - beta)  # its limit
+    # log_ratio is computed to within 16 eps (1 + |log_ratio|) of its value
+    return math.exp(log_ratio + d * math.log1p(1.0 / v) + 16.0 * _EPS * (1.0 + abs(log_ratio)))
+
+
+def _tail_bound(nx, beta, v, w_last, mb_last, d):
+    """Certified bound on sum_{u>v} w(u) mbound(u) from w(v) and mbound(v).
+
+    With q = :func:`_ratio_sup` the tail is at most w(v) mbound(v) q/(1-q),
+    or inf when q is not below 1.  The computed w(v) is inflated by the
+    rounding of its log-space evaluation, and by the least subnormal in
+    case exp rounded it below the normal range.
+    """
+    q = _ratio_sup(nx, beta, v, d)
+    if q >= 1.0:
+        return math.inf
+    # the computed log w(v) is within a few eps of the sizes of its terms,
+    # mbound and the products here within d + 4 roundings: 8 eps of both is
+    # about twice that
+    m = nx + v * beta
+    rounding = 8.0 * _EPS * (abs(math.log(nx)) + v * (1.0 + abs(math.log(m))) + m
+                             + math.lgamma(v + 1.0) + d + 4.0)
+    scale = mb_last * math.exp(rounding) * q / (1.0 - q)
+    # one step up covers the rounding of the last product, subnormal or not
+    return math.nextafter((w_last + 2.0**-1074) * scale, math.inf)
+
+
+def _series_eval(params, basis_x, provider, degree, gcf, cfg, x_report):
     """Adaptive blockwise summation over the basis index v.
 
     ``provider(v0, w, running_value)`` returns per-block
-    (values, magnitude_bounds, skipped_tail_increment, quad_error_increment).
+    (values, magnitude_bounds, skipped_tail_increment, quad_error_increment);
+    the magnitude bounds grow by at most (1 + 1/v)^degree from v to v + 1.
+    After each block, terms past its last index V are bounded by
+    :func:`_tail_bound`: every weight ratio past V is at most the larger of
+    rho(V) = (m/(V+1)) exp(V beta/m - beta) and its limit beta e^(1-beta)
+    (log rho is quasi-convex in v; module docstring), so with the growth
+    factor (1 + 1/V)^degree the tail is a geometric series.
     """
     nx = params.n * basis_x
     beta = params.beta
@@ -272,15 +335,11 @@ def _series_eval(params, basis_x, provider, gcf, cfg, x_report):
         qerr_parts.append(qerr_inc)
         skipped += sk_inc
 
-        bounds_tail = w[-2:] * mbound[-2:]
-        b_prev, b_last = float(bounds_tail[0]), float(bounds_tail[1])
-        if b_last == 0.0:
+        if w[-1] * mbound[-1] == 0.0:
             tail_geo = 0.0
-        elif 0.0 < b_last < b_prev:
-            r = b_last / b_prev
-            tail_geo = b_last * r / (1.0 - r) if r < 0.95 else math.inf
         else:
-            tail_geo = math.inf
+            tail_geo = _tail_bound(nx, beta, v0 + block - 1, float(w[-1]),
+                                   float(mbound[-1]), degree)
         tail_est = tail_geo + skipped
 
         if tail_est <= cfg.tail_eps * (1.0 + abs(val_run)) * gcf and mass.saturated(
@@ -327,7 +386,7 @@ def basis_mass(params: OperatorParams, x: float, cfg: EvalConfig | None = None) 
     cfg = cfg or EvalConfig()
     if x == 0:
         return 1.0  # only v = 0 survives
-    return min(_series_eval(params, x, _unit_provider, 1.0, cfg, x).value, 1.0)
+    return min(_series_eval(params, x, _unit_provider, 0, 1.0, cfg, x).value, 1.0)
 
 
 def _atom_result(x, f):
@@ -358,7 +417,7 @@ def eval_jain(
         return vals, mbound, 0.0, 0.0
 
     gcf = _growth_correction(params, f, x, hybrid=False)
-    return _series_eval(params, x, provider, gcf, cfg, x_report=x)
+    return _series_eval(params, x, provider, d, gcf, cfg, x_report=x)
 
 
 def _eval_hybrid(params, f, x, basis_x, cfg, cache):
@@ -387,7 +446,7 @@ def _eval_hybrid(params, f, x, basis_x, cfg, cache):
         vals[keep] = values
         return vals, mbound, sk, math.fsum((w[keep] * errors).tolist())
 
-    return _series_eval(params, basis_x, provider, gcf, cfg, x_report=x)
+    return _series_eval(params, basis_x, provider, d, gcf, cfg, x_report=x)
 
 
 def eval_jain_baskakov(
