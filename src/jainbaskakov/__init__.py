@@ -19,7 +19,6 @@ from .analysis import (
 from .errors import (
     ConvergenceError,
     DomainError,
-    GridEvalError,
     IntegrabilityError,
     ThresholdError,
     UnboundedFunctionError,
@@ -44,9 +43,7 @@ from .moments import (
 )
 from .operators import (
     EvalResult,
-    KernelIntegralCache,
     basis_mass,
-    eval_grid,
     eval_jain,
     eval_jain_baskakov,
     eval_king,
@@ -62,9 +59,7 @@ __all__ = [
     "DomainError",
     "EvalConfig",
     "EvalResult",
-    "GridEvalError",
     "IntegrabilityError",
-    "KernelIntegralCache",
     "OperatorKind",
     "OperatorParams",
     "REGISTRY",
@@ -79,7 +74,6 @@ __all__ = [
     "d_central_moment",
     "d_moment_display",
     "d_moment_exact",
-    "eval_grid",
     "eval_jain",
     "eval_jain_baskakov",
     "eval_king",

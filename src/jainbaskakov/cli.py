@@ -2,8 +2,9 @@
 
 Subcommands: eval, moments, converge, voronovskaja, bound, weighted.
 Each writes `<output>.csv` (or `.json`) plus a two-column `<output>.plot.dat`
-and prints a one-line summary.  Exit codes: 0 ok, 2 invalid configuration,
-3 domain/threshold/convergence error, 4 violated bound or trend assertion.
+and prints a one-line summary.  Exit codes: 0 ok, 2 invalid configuration
+(such as a repeated sweep n), 3 domain, threshold, convergence or
+unbounded-function error, 4 violated bound or trend assertion.
 
 Every option (`_OPTIONS`) is both a flag and a --config file key.  Values
 resolve in precedence order: explicit flag > --config file entry >
@@ -203,7 +204,7 @@ _OPTIONS = {
 _CONFIG_FLAG = _Option(None, str, help="JSON file with defaults for any option")
 
 # The flags of every subcommand, after its own options.
-_COMMON = ("config", "seed", "format", "output", *_TOLERANCES)
+_COMMON = ("config", "format", "output", *_TOLERANCES)
 
 
 def _flag(name) -> str:
@@ -283,6 +284,8 @@ def _n_values(cfg):
     vals = sorted(_cast("n_values", v, int) for v in _parse_floats(cfg["n_values"]))
     if len(vals) < 2:
         raise ConfigError("sweeps need at least two n values")
+    if len(set(vals)) < len(vals):
+        raise ConfigError(f"bad value for 'n_values': {cfg['n_values']!r} repeats an n")
     return vals
 
 
@@ -465,7 +468,7 @@ _COMMANDS = {
     "voronovskaja": ("scaled-error asymptotics sweep", _cmd_voronovskaja,
                      ("operator", "function", "x", "l", "n_values", "c")),
     "bound": ("pointwise theorem-bound checks", _cmd_bound,
-              ("theorem", "function", "a", "m_const", "n", "c", "beta")),
+              ("theorem", "function", "a", "m_const", "n", "c", "beta", "seed")),
     "weighted": ("weighted sup-norm convergence sweep", _cmd_weighted,
                  ("function", "lam", "n_values", "beta_schedule", "l", "c")),
 }

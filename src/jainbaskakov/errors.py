@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, under two roots: DomainError
+(input outside the domain) and ConvergenceError (a tolerance missed within
+its budget)."""
 
 
 class DomainError(ValueError):
@@ -17,19 +19,6 @@ class ConvergenceError(RuntimeError):
     """Adaptive series or quadrature failed to reach its tolerance in budget."""
 
 
-class UnboundedFunctionError(ValueError):
+class UnboundedFunctionError(DomainError):
     """A sup-norm computation was requested for a function without a bound."""
 
-
-class GridEvalError(RuntimeError):
-    """One or more points of a grid evaluation failed.
-
-    Carries ``failures``, a list of ``(index, exception)`` pairs, so callers
-    can report which points were bad.
-    """
-
-    def __init__(self, failures):
-        self.failures = list(failures)
-        idx = ", ".join(str(i) for i, _ in self.failures)
-        first = self.failures[0][1] if self.failures else None
-        super().__init__(f"evaluation failed at point indices [{idx}]: {first}")

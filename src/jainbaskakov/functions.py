@@ -32,9 +32,6 @@ class TestFunction:
     bounded: bool = False
     sup_bound: Optional[float] = None
 
-    def __call__(self, t):
-        return self.fn(t)
-
 
 def _check_growth(f: TestFunction, cap: float = 50.0) -> None:
     t = np.linspace(0.0, cap, 401)

@@ -100,6 +100,18 @@ def expectation_moments(params: OperatorParams, v, j: int) -> np.ndarray:
     return rising / denom
 
 
+def require_integrable(params: OperatorParams, f) -> None:
+    """Raise IntegrabilityError unless n > (d+1)c, d the growth degree of
+    ``f``: the condition for its kernel integrals (and so for the hybrid and
+    King operators on it) to be finite."""
+    d = f.growth_degree
+    if not (params.n > (d + 1) * params.c):
+        raise IntegrabilityError(
+            f"growth-degree-{d} functions need n > {d + 1}c "
+            f"(n={params.n}, c={params.c})"
+        )
+
+
 def magnitude_bound(params: OperatorParams, f, v) -> np.ndarray:
     """A-priori bound on |E_v[f]|, elementwise over the integer(s) ``v``.
 
@@ -395,15 +407,7 @@ def kernel_integral(
     cfg = cfg or EvalConfig()
     if v < 1:
         raise DomainError(f"kernel index v must be >= 1, got {v}")
-    n, c = params.n, params.c
-    if not (n > c):
-        raise ThresholdError(f"kernel needs n > c (n={n}, c={c})")
-    d = f.growth_degree
-    if not (n > (d + 1) * c):
-        raise IntegrabilityError(
-            f"integrating growth-degree-{d} functions needs n > {d + 1}c "
-            f"(n={n}, c={c})"
-        )
+    require_integrable(params, f)
     vs = np.array([v])
     val, _ = kernel_expectations(params, f, vs, cfg, magnitude_bound(params, f, vs))
-    return c / (n - c) * float(val[0])
+    return params.c / (params.n - params.c) * float(val[0])

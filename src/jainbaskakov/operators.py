@@ -66,15 +66,9 @@ from typing import Optional
 import numpy as np
 
 from . import _core
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    GridEvalError,
-    IntegrabilityError,
-    ThresholdError,
-)
+from .errors import ConvergenceError, ThresholdError
 from .functions import TestFunction
-from .kernels import _EPS, kernel_expectations, magnitude_bound
+from .kernels import _EPS, kernel_expectations, magnitude_bound, require_integrable
 from .moments import d_moment_exact, jain_moment, king_transform
 from .params import EvalConfig, OperatorKind, OperatorParams, check_point
 
@@ -165,7 +159,7 @@ class KernelIntegralCache:
     keeps using one table keeps it however many others pass through.
 
     Tables grow in place and are not safe to fill from several threads at
-    once; give each thread its own cache.
+    once.
     """
 
     def __init__(self):
@@ -313,9 +307,15 @@ def _series_eval(params, basis_x, provider, degree, gcf, cfg, x_report):
     rho(V) = (m/(V+1)) exp(V beta/m - beta) and its limit beta e^(1-beta)
     (log rho is quasi-convex in v; module docstring), so with the growth
     factor (1 + 1/V)^degree the tail is a geometric series.
+
+    A law whose mean nx/(1 - beta) is not below V_MAX (or is not finite)
+    keeps about half its mass past the cap, more than any useful tail_eps
+    allows, so it raises before summing.
     """
     nx = params.n * basis_x
     beta = params.beta
+    if not nx / (1.0 - beta) < V_MAX:
+        raise _cap_error(beta, nx)
     val_run = 0.0
     val_parts: list[float] = []
     qerr_parts: list[float] = []
@@ -352,7 +352,11 @@ def _series_eval(params, basis_x, provider, degree, gcf, cfg, x_report):
                 est_tail_bound=tail_est,
                 quad_error_est=math.fsum(qerr_parts),
             )
-    raise ConvergenceError(
+    raise _cap_error(beta, nx)
+
+
+def _cap_error(beta, nx):
+    return ConvergenceError(
         f"v-series did not satisfy the tail criterion within v <= {V_MAX} "
         f"(beta={beta}, n*x={nx})"
     )
@@ -420,17 +424,11 @@ def eval_jain(
     return _series_eval(params, x, provider, d, gcf, cfg, x_report=x)
 
 
-def _eval_hybrid(params, f, x, basis_x, cfg, cache):
-    d = f.growth_degree
-    n, c = params.n, params.c
-    if not (n > (d + 1) * c):
-        raise IntegrabilityError(
-            f"operator on growth-degree-{d} functions needs n > {d + 1}c "
-            f"(n={n}, c={c})"
-        )
+def _eval_hybrid(params, f, x, basis_x, cfg):
+    require_integrable(params, f)
     if basis_x == 0:
         return _atom_result(x, f)
-    table = (cache or DEFAULT_CACHE).table(params, f, cfg)
+    table = DEFAULT_CACHE.table(params, f, cfg)
     gcf = _growth_correction(params, f, basis_x, hybrid=True)
     skip_eps = cfg.tail_eps * _SKIP_FACTOR * gcf
 
@@ -446,7 +444,7 @@ def _eval_hybrid(params, f, x, basis_x, cfg, cache):
         vals[keep] = values
         return vals, mbound, sk, math.fsum((w[keep] * errors).tolist())
 
-    return _series_eval(params, basis_x, provider, d, gcf, cfg, x_report=x)
+    return _series_eval(params, basis_x, provider, f.growth_degree, gcf, cfg, x_report=x)
 
 
 def eval_jain_baskakov(
@@ -454,12 +452,11 @@ def eval_jain_baskakov(
     f: TestFunction,
     x: float,
     cfg: Optional[EvalConfig] = None,
-    cache: Optional[KernelIntegralCache] = None,
 ) -> EvalResult:
     """Jain-Baskakov operator value; exactly f(0) at x = 0."""
     cfg = cfg or EvalConfig()
     check_point(x)
-    return _eval_hybrid(params, f, x, x, cfg, cache)
+    return _eval_hybrid(params, f, x, x, cfg)
 
 
 def eval_king(
@@ -467,7 +464,6 @@ def eval_king(
     f: TestFunction,
     x: float,
     cfg: Optional[EvalConfig] = None,
-    cache: Optional[KernelIntegralCache] = None,
 ) -> EvalResult:
     """King-type operator value: the hybrid sum with basis point r_n(x)."""
     cfg = cfg or EvalConfig()
@@ -477,7 +473,7 @@ def eval_king(
             f"king operator needs n > 3c (n={params.n}, c={params.c})"
         )
     r = king_transform(params, x)
-    return _eval_hybrid(params, f, x, r, cfg, cache)
+    return _eval_hybrid(params, f, x, r, cfg)
 
 
 def eval_operator(
@@ -486,32 +482,11 @@ def eval_operator(
     f: TestFunction,
     x: float,
     cfg: Optional[EvalConfig] = None,
-    cache: Optional[KernelIntegralCache] = None,
 ) -> EvalResult:
     kind = OperatorKind(kind)
     if kind is OperatorKind.JAIN:
         return eval_jain(params, f, x, cfg)
     if kind is OperatorKind.JAIN_BASKAKOV:
-        return eval_jain_baskakov(params, f, x, cfg, cache)
-    return eval_king(params, f, x, cfg, cache)
+        return eval_jain_baskakov(params, f, x, cfg)
+    return eval_king(params, f, x, cfg)
 
-
-def eval_grid(
-    kind: OperatorKind,
-    params: OperatorParams,
-    f: TestFunction,
-    xs,
-    cfg: Optional[EvalConfig] = None,
-    cache: Optional[KernelIntegralCache] = None,
-) -> list[EvalResult]:
-    """Elementwise evaluation; failures are aggregated with point indices."""
-    results = []
-    failures = []
-    for i, x in enumerate(xs):
-        try:
-            results.append(eval_operator(kind, params, f, float(x), cfg, cache))
-        except (DomainError, ConvergenceError) as exc:  # re-raised with indices
-            failures.append((i, exc))
-    if failures:
-        raise GridEvalError(failures)
-    return results

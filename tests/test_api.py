@@ -13,6 +13,22 @@ def test_all_names_resolve():
         assert getattr(jainbaskakov, name) is not None, name
 
 
+def test_public_names_are_pinned():
+    # adding or removing a public name is a change to this list
+    assert sorted(jainbaskakov.__all__) == [
+        "BoundCheck", "ConvergenceError", "DomainError", "EvalConfig", "EvalResult",
+        "IntegrabilityError", "OperatorKind", "OperatorParams", "REGISTRY",
+        "TestFunction", "ThresholdError", "UnboundedFunctionError",
+        "VoronovskajaRecord", "WeightedNormEstimate", "__version__", "basis_mass",
+        "baskakov_kernel_log", "check_direct_bound", "d_central_moment",
+        "d_moment_display", "d_moment_exact", "eval_jain", "eval_jain_baskakov",
+        "eval_king", "eval_operator", "get_function", "jain_basis_log", "jain_moment",
+        "jain_moment_display", "kernel_integral", "kernel_moment_exact",
+        "king_central_moment", "king_moment", "king_moment_display", "king_transform",
+        "modulus1", "modulus2", "voronovskaja_sweep", "weighted_norm_error",
+    ]
+
+
 def test_star_import():
     namespace = {}
     exec("from jainbaskakov import *", namespace)

@@ -218,7 +218,7 @@ def test_env_tolerance_override(tmp_path):
 def test_determinism_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
-        cp = run_cli(*GOLDEN_ARGS["voronovskaja"], "--output", str(out), "--seed", "7")
+        cp = run_cli(*GOLDEN_ARGS["voronovskaja"], "--output", str(out))
         assert cp.returncode == 0, cp.stderr
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     assert (tmp_path / "a.plot.dat").read_bytes() == (tmp_path / "b.plot.dat").read_bytes()
@@ -383,6 +383,31 @@ def test_fractional_n_values_exit_2(tmp_path, source):
     assert repr("n_values") in err["error"]["message"]
 
 
+@pytest.mark.parametrize("command", ["converge", "voronovskaja", "weighted"])
+def test_repeated_n_values_exit_2(tmp_path, command):
+    # a typo, not a stalled trend (exit 4)
+    code, err = run_main(command, "--n-values", "16,16,32", "--output", str(tmp_path / "r"))
+    assert code == 2
+    assert err["error"]["type"] == "ConfigError"
+    assert repr("n_values") in err["error"]["message"]
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_direct_bound_on_unbounded_function_exits_3(tmp_path):
+    code, err = run_main("bound", "--theorem", "direct", "--function", "e1", "--n", "25",
+                         "--grid-points", "5", "--output", str(tmp_path / "b"))
+    assert code == 3
+    assert (err["error"]["type"], err["error"]["exit_code"]) == ("UnboundedFunctionError", 3)
+
+
+def test_series_mean_past_the_cap_exits_3_at_once(tmp_path):
+    # n x = inf: raised before summing, so no numpy warning reaches stderr
+    cp = run_cli("moments", "--n", "10", "--x", "1e308", "--output", str(tmp_path / "m"))
+    assert cp.returncode == 3, cp.stderr
+    assert "Warning" not in cp.stderr
+    assert json.loads(cp.stderr)["error"]["type"] == "ConvergenceError"
+
+
 def test_integral_n_values_accepted():
     from jainbaskakov import cli
 
@@ -447,12 +472,23 @@ def test_config_key_for_another_subcommand_accepted(tmp_path):
 def _command_options():
     from jainbaskakov import cli
 
+    # seed is a flag of bound alone, but a config key of every subcommand
     return [
         (command, name)
         for command, (_, _, names) in cli._COMMANDS.items()
-        for name in (*names, *cli._COMMON)
+        for name in dict.fromkeys((*names, *cli._COMMON, "seed"))
         if name != "config"
     ]
+
+
+@pytest.mark.parametrize("command", ["eval", "moments", "converge", "voronovskaja", "weighted"])
+def test_seed_flag_only_where_read(command):
+    # only bound --theorem direct reads the seed
+    from jainbaskakov import cli
+
+    with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(io.StringIO()):
+        cli.build_parser().parse_args([command, "--seed", "3"])
+    assert exc.value.code == 2
 
 
 def _other_value(opt):
@@ -473,7 +509,10 @@ def test_every_option_resolves_from_flag_and_config(tmp_path, command, name):
     cfgfile = tmp_path / "run.json"
     cfgfile.write_text(json.dumps({name: value}))
     parser = cli.build_parser()
-    for argv in ([command, cli._flag(name), str(value)], [command, "--config", str(cfgfile)]):
+    argvs = [[command, "--config", str(cfgfile)]]
+    if name in (*cli._COMMANDS[command][2], *cli._COMMON):
+        argvs.append([command, cli._flag(name), str(value)])
+    for argv in argvs:
         cfg = cli._resolve(parser.parse_args(argv), command)
         assert cfg[name] == value and type(cfg[name]) is opt.type
         for other, other_opt in cli._OPTIONS.items():

@@ -6,6 +6,7 @@ import functools
 import math
 import random
 import types
+import warnings
 
 import mpmath
 import numpy as np
@@ -22,13 +23,10 @@ from jainbaskakov import (
     ConvergenceError,
     DomainError,
     EvalConfig,
-    GridEvalError,
     IntegrabilityError,
-    KernelIntegralCache,
     OperatorKind,
     OperatorParams,
     ThresholdError,
-    eval_grid,
     eval_jain,
     eval_jain_baskakov,
     eval_king,
@@ -130,52 +128,6 @@ class TestEvalKing:
     def test_threshold(self, cfg):
         with pytest.raises(ThresholdError):
             eval_king(OperatorParams(5.0, 2.0, 0.0), get_function("e0"), 1.0, cfg)
-
-
-class TestEvalGrid:
-    def test_constant_rows(self, cfg):
-        p = OperatorParams(10, 1, 0.1)
-        res = eval_grid(OperatorKind.JAIN, p, get_function("e0"), [0.0, 1.0, 2.0], cfg)
-        assert [r.value for r in res] == pytest.approx([1, 1, 1], abs=1e-10)
-
-    def test_hybrid_identity_at_origin(self, cfg):
-        p = OperatorParams(10, 1, 0.1)
-        res = eval_grid(OperatorKind.JAIN_BASKAKOV, p, get_function("e1"), [0.0], cfg)
-        assert res[0].value == 0.0
-
-    def test_king_identity_on_grid(self, cfg):
-        p = OperatorParams(13, 1, 0.2)
-        xs = [0.0, 0.5, 1.0, 2.0, 4.0]
-        res = eval_grid(OperatorKind.KING, p, get_function("e1"), xs, cfg)
-        np.testing.assert_allclose([r.value for r in res], xs, rtol=1e-9, atol=1e-12)
-
-    def test_order_independence(self, cfg):
-        p = OperatorParams(20, 1, 0.3)
-        xs = [0.3, 2.0, 0.9, 4.2]
-        f = get_function("e2")
-        forward = eval_grid(OperatorKind.JAIN_BASKAKOV, p, f, xs, cfg)
-        shuffled_idx = [2, 0, 3, 1]
-        backward = eval_grid(
-            OperatorKind.JAIN_BASKAKOV, p, f, [xs[i] for i in shuffled_idx], cfg
-        )
-        for j, i in enumerate(shuffled_idx):
-            assert backward[j].value == forward[i].value  # bitwise: same code path
-
-    def test_error_aggregation_carries_indices(self, cfg):
-        p = OperatorParams(10, 1, 0.1)
-        with pytest.raises(GridEvalError) as exc:
-            eval_grid(OperatorKind.JAIN, p, get_function("e1"), [1.0, -2.0, -3.0], cfg)
-        assert [i for i, _ in exc.value.failures] == [1, 2]
-
-    def test_program_errors_propagate_unwrapped(self, cfg):
-        # only the package's domain and convergence errors are collected
-        def fn(t):
-            raise TypeError("bad test function")
-
-        f = TestFunction("raises", fn=fn, growth_degree=0, m_bound=1.0,
-                         bounded=True, sup_bound=1.0)
-        with pytest.raises(TypeError, match="bad test function"):
-            eval_grid(OperatorKind.JAIN, OperatorParams(10, 1, 0.1), f, [1.0], cfg)
 
 
 class TestOperatorProperties:
@@ -306,38 +258,43 @@ class TestOperatorPropertySearch:
         eval_jain_baskakov(OperatorParams(7.0, 1.0, 0.2), get_function("sin"), 2.0)
 
 
+@pytest.fixture
+def table_cache():
+    """The package's table cache, emptied first."""
+    ops.DEFAULT_CACHE.clear()
+    return ops.DEFAULT_CACHE
+
+
 class TestCacheAndLimits:
-    def test_kernel_integrals_shared_across_x_and_beta(self, cfg):
-        cache = KernelIntegralCache()
+    def test_kernel_integrals_shared_across_x_and_beta(self, cfg, table_cache):
         f = get_function("exp-neg")
         pa = OperatorParams(20, 1, 0.1)
-        eval_jain_baskakov(pa, f, 1.0, cfg, cache=cache)
-        tab = cache.table(pa, f, cfg)
+        eval_jain_baskakov(pa, f, 1.0, cfg)
+        tab = table_cache.table(pa, f, cfg)
         filled = len(tab)
         assert filled > 0
         # another x reuses the same table; more entries may be added
-        eval_jain_baskakov(pa, f, 0.8, cfg, cache=cache)
-        assert cache.table(pa, f, cfg) is tab
+        eval_jain_baskakov(pa, f, 0.8, cfg)
+        assert table_cache.table(pa, f, cfg) is tab
         # beta does not enter the kernel integrals at all
         pb = OperatorParams(20, 1, 0.35)
-        eval_jain_baskakov(pb, f, 1.0, cfg, cache=cache)
-        assert cache.table(pb, f, cfg) is tab
+        eval_jain_baskakov(pb, f, 1.0, cfg)
+        assert table_cache.table(pb, f, cfg) is tab
         assert len(tab) >= filled
 
-    def test_cache_keeps_at_most_its_bound(self, cfg):
-        cache = KernelIntegralCache()
+    def test_cache_keeps_at_most_its_bound(self, cfg, table_cache):
         p = OperatorParams(20, 1, 0.1)
         e0, e1 = get_function("e0"), get_function("e1")
         for i in range(200):
             f = combine(f"lin{i}", 1.0, e0, 0.5 + i / 400, e1)
-            eval_jain_baskakov(p, f, 0.5, cfg, cache=cache)
-            assert len(cache._tables) <= ops.CACHE_TABLES
-        assert len(cache._tables) == ops.CACHE_TABLES
+            eval_jain_baskakov(p, f, 0.5, cfg)
+            assert len(table_cache._tables) <= ops.CACHE_TABLES
+        assert len(table_cache._tables) == ops.CACHE_TABLES
         # the survivors are the most recently used
-        assert [t.f.name for t in cache._tables.values()] == [
+        assert [t.f.name for t in table_cache._tables.values()] == [
             f"lin{i}" for i in range(200 - ops.CACHE_TABLES, 200)]
 
-    def test_table_in_use_survives_churn(self, cfg, monkeypatch):
+    def test_table_in_use_survives_churn(self, cfg, table_cache, monkeypatch):
         computed = []
         real = ops.kernel_expectations
 
@@ -346,30 +303,30 @@ class TestCacheAndLimits:
             return real(params, f, v, cfg_, mag)
 
         monkeypatch.setattr(ops, "kernel_expectations", spy)
-        cache = KernelIntegralCache()
         p = OperatorParams(20, 1, 0.1)
         f, e0 = get_function("exp-neg"), get_function("e0")
         clean = [eval_jain_baskakov(p, f, x, cfg) for x in (0.3, 0.6, 0.9)]
+        table_cache.clear()  # the sweep starts on an empty cache
         computed.clear()
         # a sweep over x keeps its table while more than a cache's worth of
         # other tables pass through between its points
         xs = np.linspace(0.3, 3.0, 2 * ops.CACHE_TABLES)
         for i, x in enumerate(xs):
-            eval_jain_baskakov(p, f, float(x), cfg, cache=cache)
-            cache.table(p, combine(f"churn{i}", 1.0, e0, 0.0, e0), cfg)
+            eval_jain_baskakov(p, f, float(x), cfg)
+            table_cache.table(p, combine(f"churn{i}", 1.0, e0, 0.0, e0), cfg)
         mine = [vi for name, vi in computed if name == f.name]
         assert len(mine) == len(set(mine))  # no v of the sweep computed twice
 
         # churn from inside a running series: the series holds its table
         def churning(t):
             for j in range(ops.CACHE_TABLES + 8):
-                cache.table(p, combine(f"inner{j}", 1.0, e0, 0.0, e0), cfg)
+                table_cache.table(p, combine(f"inner{j}", 1.0, e0, 0.0, e0), cfg)
             return f.fn(t)
 
         g = TestFunction("exp-neg-churn", churning, growth_degree=0, m_bound=1.0,
                          bounded=True, sup_bound=1.0)
         for x, want in zip((0.3, 0.6, 0.9), clean):
-            got = eval_jain_baskakov(p, g, x, cfg, cache=cache)
+            got = eval_jain_baskakov(p, g, x, cfg)
             assert (got.value, got.v_terms_used) == (want.value, want.v_terms_used)
 
     def test_series_cap_raises(self, cfg, monkeypatch):
@@ -377,6 +334,40 @@ class TestCacheAndLimits:
         p = OperatorParams(300, 1, 0.0)
         with pytest.raises(ConvergenceError):
             eval_jain(p, get_function("e1"), 2.0, cfg)
+
+    def test_series_cap_reached_with_the_mean_below_it(self, cfg, monkeypatch):
+        # nx = 200 passes the mean check against a cap of 256, then sums
+        # up to the cap without meeting the tail rule
+        monkeypatch.setattr(ops, "V_MAX", 256)
+        blocks = []
+        real = core.jain_weights
+
+        def counted(nx, beta, v0, count):
+            blocks.append(v0)
+            return real(nx, beta, v0, count)
+
+        monkeypatch.setattr(core, "jain_weights", counted)
+        with pytest.raises(ConvergenceError):
+            eval_jain(OperatorParams(300, 1, 0.0), get_function("e1"), 200.0 / 300.0, cfg)
+        assert blocks == [0]
+
+    @pytest.mark.parametrize("kind, n, beta, x", [
+        ("jain", 10, 0.0, 1e6), ("jain", 10, 0.0, 1e308),  # the second: nx = inf
+        ("jain-baskakov", 300, 0.95, 200.0), ("king", 300, 0.95, 4000.0)])
+    def test_mean_past_the_cap_raises_before_summing(self, cfg, monkeypatch, kind, n, beta, x):
+        # a law whose mean nx/(1 - beta) is at least V_MAX keeps about half
+        # its mass past the cap; the last two have nx below V_MAX
+        def no_weights(*args):
+            raise AssertionError("a weight block was computed")
+
+        monkeypatch.setattr(core, "jain_weights", no_weights)
+        p = OperatorParams(n, 1, beta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match="within v <= 1000000"):
+                ops.eval_operator(kind, p, get_function("e0"), x, cfg)
+            with pytest.raises(ConvergenceError, match="within v <= 1000000"):
+                ops.basis_mass(p, x, cfg)
 
     def test_negative_x_rejected(self, cfg):
         p = OperatorParams(10, 1, 0.0)
@@ -585,8 +576,8 @@ def _summed_tail(nx, beta, v_from, mbound):
 
 
 @pytest.fixture(scope="module")
-def tail_cache():
-    return KernelIntegralCache()
+def cleared_cache():
+    ops.DEFAULT_CACHE.clear()
 
 
 class TestTailCertificate:
@@ -622,14 +613,15 @@ class TestTailCertificate:
 
     @pytest.mark.parametrize("kind", [OperatorKind.JAIN_BASKAKOV, OperatorKind.KING])
     @pytest.mark.parametrize("name", _TAIL_FUNCTIONS)
-    def test_hybrid_tail_bound_covers_the_summed_tail(self, kind, name, tail_cache):
+    @pytest.mark.usefixtures("cleared_cache")
+    def test_hybrid_tail_bound_covers_the_summed_tail(self, kind, name):
         f = get_function(name)
         for beta, x in ((0.1, 0.5), (0.1, 2.0), (0.1, 5000.0 / 300.0), (0.8, 0.5),
                         (0.8, 2.0), (0.95, 0.5), (0.95, 2.0)):
             if name == "sin" and beta > 0.1:
                 continue  # sin at large v goes to QUADPACK and takes seconds
             p = OperatorParams(_JAIN_N, 1.0, beta)
-            res = ops.eval_operator(kind, p, f, x, cache=tail_cache)
+            res = ops.eval_operator(kind, p, f, x)
             basis_x = king_transform(p, x) if kind is OperatorKind.KING else x
             tail = _summed_tail(_JAIN_N * basis_x, beta, res.v_terms_used,
                                 lambda v: kernels.magnitude_bound(p, f, v))

@@ -27,8 +27,8 @@ from pathlib import Path
 
 import pytest
 
+import jainbaskakov.operators as ops
 from jainbaskakov import (
-    KernelIntegralCache,
     OperatorParams,
     basis_mass,
     eval_jain,
@@ -57,7 +57,7 @@ def _fields(res):
 
 
 def compute_rows() -> dict:
-    cache = KernelIntegralCache()
+    ops.DEFAULT_CACHE.clear()
     p = OperatorParams(*HYBRID_PARAMS)
     rows = []
     for op, ev in (("jain-baskakov", eval_jain_baskakov), ("king", eval_king)):
@@ -65,7 +65,7 @@ def compute_rows() -> dict:
             f = get_function(fname)
             for x in HYBRID_X:
                 rows.append({"operator": op, "function": fname, "n": p.n, "beta": p.beta,
-                             **_fields(ev(p, f, x, cache=cache))})
+                             **_fields(ev(p, f, x))})
     e4 = get_function("e4")
     for beta, x in JAIN_CASES:
         pj = OperatorParams(300.0, 1.0, beta)
