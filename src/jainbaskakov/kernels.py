@@ -40,14 +40,20 @@ from .errors import ConvergenceError, DomainError, IntegrabilityError, Threshold
 from .params import EvalConfig, OperatorParams, check_point
 
 
+def _as_index(v, least: int) -> int:
+    """``v`` as an int; DomainError unless it is an integral value >= ``least``."""
+    if not (math.isfinite(v) and v == math.floor(v) and v >= least):
+        raise DomainError(f"v must be an integer >= {least}, got {v}")
+    return int(v)
+
+
 def jain_basis_log(params: OperatorParams, x: float, v: int) -> float:
     """log w_b(v, nx); -inf where the weight is exactly zero.
 
     At x = 0 only v = 0 carries weight (weight 1, by continuity).
     """
     check_point(x)
-    if v < 0:
-        raise DomainError(f"v must be a nonnegative integer, got {v}")
+    v = _as_index(v, 0)
     if x == 0:
         return 0.0 if v == 0 else -math.inf
     return float(_core.jain_log_weights(params.n * x, params.beta, v, 1)[0])
@@ -59,8 +65,7 @@ def baskakov_kernel_log(params: OperatorParams, v: int, t: float) -> float:
     Limits at t = 0: finite (log c) for v = 1, -inf for v >= 2.
     """
     n, c = params.n, params.c
-    if v < 1:
-        raise DomainError(f"kernel index v must be >= 1, got {v}")
+    v = _as_index(v, 1)
     if t < 0:
         raise DomainError(f"t must be nonnegative, got {t}")
     if not (n > c):
@@ -76,8 +81,7 @@ def baskakov_kernel_log(params: OperatorParams, v: int, t: float) -> float:
 
 def kernel_moment_exact(params: OperatorParams, v: int, j: int) -> float:
     """Exact monomial kernel integral int t^j p(t) dt; needs n > (j+1)c."""
-    if v < 1:
-        raise DomainError(f"kernel index v must be >= 1, got {v}")
+    v = _as_index(v, 1)
     if j < 0:
         raise DomainError(f"moment order must be nonnegative, got {j}")
     n, c = params.n, params.c
@@ -405,8 +409,7 @@ def kernel_integral(
     operators' integral tables (:func:`kernel_expectations`).
     """
     cfg = cfg or EvalConfig()
-    if v < 1:
-        raise DomainError(f"kernel index v must be >= 1, got {v}")
+    v = _as_index(v, 1)
     require_integrable(params, f)
     vs = np.array([v])
     val, _ = kernel_expectations(params, f, vs, cfg, magnitude_bound(params, f, vs))

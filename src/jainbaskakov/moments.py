@@ -53,25 +53,35 @@ def _check_order(m: int, top: int = 4) -> None:
 
 
 def jain_moment(params: OperatorParams, m: int, x: float) -> float:
-    """Exact raw moment P(t^m, x) of the Jain operator, m = 0..4."""
+    """Exact raw moment P(t^m, x) of the Jain operator, m = 0..4.
+
+    Raises DomainError where the moment overflows the float range.
+    """
     _check_order(m)
     check_point(x)
     n, b = params.n, params.beta
     a = 1.0 / (1.0 - b)
-    if m == 0:
-        return 1.0
-    if m == 1:
-        return a * x
-    if m == 2:
-        return a * a * x * x + a**3 * x / n
-    if m == 3:
-        return a**3 * x**3 + 3 * a**4 * x**2 / n + (1 + 2 * b) * a**5 * x / n**2
-    return (
-        a**4 * x**4
-        + 6 * a**5 * x**3 / n
-        + (7 + 8 * b) * a**6 * x**2 / n**2
-        + (1 + 8 * b + 6 * b * b) * a**7 * x / n**3
-    )
+    try:
+        if m == 0:
+            mom = 1.0
+        elif m == 1:
+            mom = a * x
+        elif m == 2:
+            mom = a * a * x * x + a**3 * x / n
+        elif m == 3:
+            mom = a**3 * x**3 + 3 * a**4 * x**2 / n + (1 + 2 * b) * a**5 * x / n**2
+        else:
+            mom = (
+                a**4 * x**4
+                + 6 * a**5 * x**3 / n
+                + (7 + 8 * b) * a**6 * x**2 / n**2
+                + (1 + 8 * b + 6 * b * b) * a**7 * x / n**3
+            )
+    except OverflowError:  # float ** raises where * and / give inf
+        mom = math.inf
+    if mom == math.inf:
+        raise DomainError(f"Jain moment P(t^{m}, x) overflows at x={x} (n={n}, beta={b})")
+    return mom
 
 
 def jain_moment_display(params: OperatorParams, m: int, x: float) -> float:

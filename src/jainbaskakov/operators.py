@@ -38,12 +38,9 @@ inflated by the log-space rounding of its computed value.  The rounding
 of the summed weights themselves is not in the bound.
 
 The mass is only needed for that decision,
-so it is kept as plain ``np.sum`` block sums with their rounding bound
-(Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 4.2);
-only when that bracket straddles a threshold are the exact block sums
-recomputed, so the decision is the exact-sum one.  :func:`basis_mass` is
-the same series for f = 1 with zero magnitude bounds, which it stops on the
-mass rule alone.
+so it is kept as a running total of plain ``np.sum`` block sums.
+:func:`basis_mass` is the same series for f = 1 with zero magnitude bounds,
+which it stops on the mass rule alone.
 
 Kernel integrals are cached per (n, c, f) since they depend on neither beta
 nor x; grid and parameter sweeps reuse them heavily.  A table holds E_v[f],
@@ -60,14 +57,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 from typing import Optional
 
 import numpy as np
 
 from . import _core
 from .errors import ConvergenceError, ThresholdError
-from .functions import TestFunction
+from .functions import TestFunction, get_function
 from .kernels import _EPS, kernel_expectations, magnitude_bound, require_integrable
 from .moments import d_moment_exact, jain_moment, king_transform
 from .params import EvalConfig, OperatorKind, OperatorParams, check_point
@@ -208,56 +204,8 @@ def mass_saturated(mass: float, last: float, tail_eps: float) -> bool:
     weights round; once block contributions sit at rounding level (and the
     bulk of the mass has been collected, so this is the right tail and not
     the pre-mode left tail) the mass is taken as complete.
-
-    The rule only grows truer as ``mass`` grows and as ``last`` shrinks (each
-    float operation in it is monotone), which lets a caller decide it from
-    bounds on the two inputs.
     """
     return (1.0 - mass) <= tail_eps or (mass >= 0.5 and last <= 2e-16 * (1.0 + mass))
-
-
-# _EPS (from kernels) is machine epsilon, twice the unit roundoff u.  For
-# nonnegative w, np.sum(w) lies within gamma_{len-1} * sum(w), about
-# (len-1) u sum(w), of the exact sum whatever the order of the additions
-# (Higham, 4.2), and fsum(w) within u of it, so len(w) * _EPS * np.sum(w)
-# bounds their distance with a factor two to spare; the spare covers the
-# rounding of that bound and of the running totals in _BlockMass.
-
-
-class _BlockMass:
-    """Basis mass of a series so far, for :func:`mass_saturated`.
-
-    Keeps ``np.sum`` block sums and a rigorous bound on how far their total
-    and the last block's sum may lie from the exact (fsum-of-fsums) values
-    the rule is defined on.  The rule is monotone in both inputs, so it is
-    decided at the ends of those brackets; only when they disagree are the
-    exact block sums computed, by ``exact_parts()``.
-    """
-
-    def __init__(self):
-        self.total = 0.0
-        self.radius = 0.0
-        self.blocks = 0
-        self.last = 0.0
-        self.last_radius = 0.0
-
-    def add(self, w: np.ndarray) -> None:
-        self.last = float(np.sum(w))
-        self.last_radius = len(w) * _EPS * self.last
-        self.total += self.last
-        self.radius += self.last_radius
-        self.blocks += 1
-
-    def saturated(self, tail_eps: float, exact_parts) -> bool:
-        # the running total rounds once per block, the fsum of the exact
-        # block sums and each end of the bracket once more
-        r = self.radius + (self.blocks + 2) * _EPS * self.total
-        if mass_saturated(self.total - r, self.last + self.last_radius, tail_eps):
-            return True
-        if not mass_saturated(self.total + r, self.last - self.last_radius, tail_eps):
-            return False
-        parts = exact_parts()
-        return mass_saturated(math.fsum(parts), parts[-1], tail_eps)
 
 
 def _ratio_sup(nx, beta, v, d):
@@ -296,40 +244,40 @@ def _tail_bound(nx, beta, v, w_last, mb_last, d):
     return math.nextafter((w_last + 2.0**-1074) * scale, math.inf)
 
 
-def _series_eval(params, basis_x, provider, degree, gcf, cfg, x_report):
+def _series_eval(params, basis_x, provider, f, hybrid, cfg, x_report):
     """Adaptive blockwise summation over the basis index v.
 
-    ``provider(v0, w, running_value)`` returns per-block
-    (values, magnitude_bounds, skipped_tail_increment, quad_error_increment);
-    the magnitude bounds grow by at most (1 + 1/v)^degree from v to v + 1.
+    ``provider(v0, w, running_value, gcf)``, gcf the threshold scale of
+    :func:`_growth_correction`, returns per-block (values, magnitude_bounds,
+    skipped_tail_increment, quad_error_increment); the magnitude bounds grow
+    by at most (1 + 1/v)^d from v to v + 1, d the growth degree of ``f``.
     After each block, terms past its last index V are bounded by
     :func:`_tail_bound`: every weight ratio past V is at most the larger of
     rho(V) = (m/(V+1)) exp(V beta/m - beta) and its limit beta e^(1-beta)
     (log rho is quasi-convex in v; module docstring), so with the growth
-    factor (1 + 1/V)^degree the tail is a geometric series.
+    factor (1 + 1/V)^d the tail is a geometric series.
 
     A law whose mean nx/(1 - beta) is not below V_MAX (or is not finite)
     keeps about half its mass past the cap, more than any useful tail_eps
-    allows, so it raises before summing.
+    allows, so it raises before summing, and before the growth correction,
+    whose moment can overflow at such points.
     """
     nx = params.n * basis_x
     beta = params.beta
     if not nx / (1.0 - beta) < V_MAX:
         raise _cap_error(beta, nx)
+    gcf = _growth_correction(params, f, basis_x, hybrid)
     val_run = 0.0
     val_parts: list[float] = []
     qerr_parts: list[float] = []
     skipped = 0.0
-    mass = _BlockMass()
+    mass = 0.0
 
-    def exact_parts(k):
-        return [math.fsum(_core.jain_weights(nx, beta, v0, count).tolist())
-                for v0, count in islice(block_schedule(V_MAX), k)]
-
-    for k, (v0, block) in enumerate(block_schedule(V_MAX), 1):
+    for v0, block in block_schedule(V_MAX):
         w = _core.jain_weights(nx, beta, v0, block)
-        vals, mbound, sk_inc, qerr_inc = provider(v0, w, val_run)
-        mass.add(w)
+        vals, mbound, sk_inc, qerr_inc = provider(v0, w, val_run, gcf)
+        last = float(np.sum(w))
+        mass += last
         val_parts.append(math.fsum((w * vals).tolist()))
         val_run += val_parts[-1]
         qerr_parts.append(qerr_inc)
@@ -339,11 +287,11 @@ def _series_eval(params, basis_x, provider, degree, gcf, cfg, x_report):
             tail_geo = 0.0
         else:
             tail_geo = _tail_bound(nx, beta, v0 + block - 1, float(w[-1]),
-                                   float(mbound[-1]), degree)
+                                   float(mbound[-1]), f.growth_degree)
         tail_est = tail_geo + skipped
 
-        if tail_est <= cfg.tail_eps * (1.0 + abs(val_run)) * gcf and mass.saturated(
-            cfg.tail_eps, lambda: exact_parts(k)
+        if tail_est <= cfg.tail_eps * (1.0 + abs(val_run)) * gcf and mass_saturated(
+            mass, last, cfg.tail_eps
         ):
             return EvalResult(
                 x=x_report,
@@ -372,9 +320,9 @@ def _growth_correction(params, f, basis_x, hybrid: bool) -> float:
     return 1.0 + abs(mom)
 
 
-def _unit_provider(v0, w, _val_run):
-    # f = 1 with zero magnitude bounds: the geometric tail is 0, so the
-    # series stops on the mass rule alone
+def _unit_provider(v0, w, _val_run, _gcf):
+    # f = 1 (e0) with zero magnitude bounds: the geometric tail is 0, so
+    # the series stops on the mass rule alone
     return np.ones_like(w), np.zeros_like(w), 0.0, 0.0
 
 
@@ -390,7 +338,8 @@ def basis_mass(params: OperatorParams, x: float, cfg: EvalConfig | None = None) 
     cfg = cfg or EvalConfig()
     if x == 0:
         return 1.0  # only v = 0 survives
-    return min(_series_eval(params, x, _unit_provider, 0, 1.0, cfg, x).value, 1.0)
+    res = _series_eval(params, x, _unit_provider, get_function("e0"), False, cfg, x)
+    return min(res.value, 1.0)
 
 
 def _atom_result(x, f):
@@ -414,14 +363,13 @@ def eval_jain(
     n = params.n
     d = f.growth_degree
 
-    def provider(v0, w, _val_run):
+    def provider(v0, w, _val_run, _gcf):
         t = np.arange(v0, v0 + len(w), dtype=np.float64) / n
         vals = np.asarray(f.fn(t), dtype=np.float64)
         mbound = np.full_like(w, f.sup_bound) if f.bounded else f.m_bound * (1.0 + t**d)
         return vals, mbound, 0.0, 0.0
 
-    gcf = _growth_correction(params, f, x, hybrid=False)
-    return _series_eval(params, x, provider, d, gcf, cfg, x_report=x)
+    return _series_eval(params, x, provider, f, False, cfg, x_report=x)
 
 
 def _eval_hybrid(params, f, x, basis_x, cfg):
@@ -429,13 +377,11 @@ def _eval_hybrid(params, f, x, basis_x, cfg):
     if basis_x == 0:
         return _atom_result(x, f)
     table = DEFAULT_CACHE.table(params, f, cfg)
-    gcf = _growth_correction(params, f, basis_x, hybrid=True)
-    skip_eps = cfg.tail_eps * _SKIP_FACTOR * gcf
 
-    def provider(v0, w, val_run):
+    def provider(v0, w, val_run, gcf):
         v_arr = np.arange(v0, v0 + len(w))
         mbound = table.mag(v0, len(w))
-        cutoff = skip_eps * (1.0 + abs(val_run))
+        cutoff = cfg.tail_eps * _SKIP_FACTOR * gcf * (1.0 + abs(val_run))
         contrib_bound = w * mbound
         keep = (contrib_bound > cutoff) | (v_arr == 0)
         sk = float(np.sum(contrib_bound[~keep]))
@@ -444,7 +390,7 @@ def _eval_hybrid(params, f, x, basis_x, cfg):
         vals[keep] = values
         return vals, mbound, sk, math.fsum((w[keep] * errors).tolist())
 
-    return _series_eval(params, basis_x, provider, f.growth_degree, gcf, cfg, x_report=x)
+    return _series_eval(params, basis_x, provider, f, True, cfg, x_report=x)
 
 
 def eval_jain_baskakov(

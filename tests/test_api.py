@@ -1,10 +1,12 @@
-"""The package's public surface: every exported name resolves, and no
-module imports a name it never uses."""
+"""The package's public surface: every exported name resolves, no module
+imports a name it never uses, and the README's quick tour runs."""
 
 import ast
 from pathlib import Path
 
 import jainbaskakov
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_all_names_resolve():
@@ -57,3 +59,10 @@ def test_no_module_imports_a_name_it_never_uses():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in used]
     assert not unused, unused
+
+
+def test_readme_quick_tour_runs():
+    # the documented API cannot drift from the code
+    tour = README.read_text().split("## Library quick tour", 1)[1]
+    code = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, str(README), "exec"), {})

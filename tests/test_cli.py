@@ -408,6 +408,15 @@ def test_series_mean_past_the_cap_exits_3_at_once(tmp_path):
     assert json.loads(cp.stderr)["error"]["type"] == "ConvergenceError"
 
 
+def test_growth_moment_past_the_cap_exits_3(tmp_path):
+    # the e4 growth correction would overflow at x = 1e308; the cap check
+    # runs before it
+    code, err = run_main("eval", "--operator", "jain-baskakov", "--function", "e4",
+                         "--n", "10", "--points", "1e308", "--output", str(tmp_path / "e"))
+    assert code == 3
+    assert (err["error"]["type"], err["error"]["exit_code"]) == ("ConvergenceError", 3)
+
+
 def test_integral_n_values_accepted():
     from jainbaskakov import cli
 

@@ -108,6 +108,24 @@ class TestJainBasis:
             assert math.isfinite(lw)
 
 
+class TestIndexChecks:
+    @pytest.mark.parametrize("v", [2.5, math.nan, math.inf])
+    @pytest.mark.parametrize("call", [
+        lambda p, v: jain_basis_log(p, 1.0, v),
+        lambda p, v: baskakov_kernel_log(p, v, 1.0),
+        lambda p, v: kernel_moment_exact(p, v, 1),
+        lambda p, v: kernel_integral(p, v, get_function("exp-neg")),
+    ], ids=["jain_basis_log", "baskakov_kernel_log", "kernel_moment_exact",
+            "kernel_integral"])
+    def test_non_integral_v_rejected(self, call, v):
+        with pytest.raises(DomainError, match="v must be an integer"):
+            call(OperatorParams(40, 1, 0.2), v)
+
+    def test_integral_float_v_accepted(self):
+        p = OperatorParams(40, 1, 0.2)
+        assert jain_basis_log(p, 1.0, 3.0) == jain_basis_log(p, 1.0, 3)
+
+
 class TestBasisMass:
     def test_x_zero(self):
         assert basis_mass(OperatorParams(7, 1, 0.4), 0.0) == 1.0

@@ -69,6 +69,12 @@ class TestJainMoments:
                 got = eval_jain(p, f, x, cfg).value
                 assert got == pytest.approx(closed, rel=1e-8)
 
+    @pytest.mark.parametrize("m, n, x", [(4, 1e-80, 1e85), (2, 1e-150, 1e155)])
+    def test_overflow_is_a_domain_error(self, m, n, x):
+        # x**4 raises OverflowError, x * x rounds to inf
+        with pytest.raises(DomainError, match=rf"P\(t\^{m}, x\) overflows"):
+            jain_moment(OperatorParams(n, 1, 0.0), m, x)
+
     def test_display_equals_exact_at_beta_zero(self):
         p = OperatorParams(17, 1, 0.0)
         for m in (3, 4):

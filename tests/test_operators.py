@@ -369,6 +369,15 @@ class TestCacheAndLimits:
             with pytest.raises(ConvergenceError, match="within v <= 1000000"):
                 ops.basis_mass(p, x, cfg)
 
+    def test_huge_x_raises_typed_errors(self, cfg):
+        # the growth correction's moment x^4 overflows; the cap check runs
+        # first, and below the cap the overflow is a domain error
+        e4 = get_function("e4")
+        with pytest.raises(ConvergenceError, match="within v <= 1000000"):
+            eval_jain(OperatorParams(10, 1, 0), e4, 2e77, cfg)
+        with pytest.raises(DomainError, match=r"moment P\(t\^4, x\) overflows"):
+            eval_jain(OperatorParams(1e-80, 1, 0), e4, 1e85, cfg)  # nx = 1e5
+
     def test_negative_x_rejected(self, cfg):
         p = OperatorParams(10, 1, 0.0)
         for fn in (eval_jain, eval_jain_baskakov, eval_king):
@@ -447,73 +456,19 @@ class TestIntegralTable:
         assert set(ops._IntegralTable(p, sin, cfg).mag(0, 50).tolist()) == {sin.sup_bound}
 
 
-def _blocks_near_threshold(mass, last, lengths, rng):
-    """Nonnegative blocks whose sums are about ``mass - last`` in total and
-    ``last`` for the final block (which has a power-of-two length, so its sum
-    is exact)."""
-    head = rng.dirichlet(np.ones(sum(lengths[:-1]))) * (mass - last)
-    blocks = np.split(head, np.cumsum(lengths[:-2]))
-    blocks.append(np.full(lengths[-1], last / lengths[-1]))
-    return [b for b in blocks if len(b)]
+def test_each_weight_block_is_computed_once(monkeypatch):
+    # the mass is decided on the block sums the series already has
+    blocks = []
+    real = core.jain_weights
 
+    def counted(nx, beta, v0, count):
+        blocks.append(v0)
+        return real(nx, beta, v0, count)
 
-def _decide(blocks, tail_eps):
-    """(certified decision, exact decision, whether the fallback ran)."""
-    mass = ops._BlockMass()
-    for b in blocks:
-        mass.add(b)
-    exact = [math.fsum(b.tolist()) for b in blocks]
-    ran = []
-
-    def exact_parts():
-        ran.append(True)
-        return exact
-
-    got = mass.saturated(tail_eps, exact_parts)
-    return got, ops.mass_saturated(math.fsum(exact), exact[-1], tail_eps), bool(ran)
-
-
-class TestMassDecision:
-    @given(
-        tail_eps=st.sampled_from([1e-14, 1e-12, 1e-10]),
-        deficit=st.floats(0.0, 2.0),
-        last_ulps=st.integers(-64, 64),
-        near_last=st.booleans(),
-        lengths=st.lists(st.sampled_from([1, 3, 256, 1000, 8192]), min_size=1, max_size=6),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_certified_equals_exact(self, tail_eps, deficit, last_ulps, near_last,
-                                    lengths, seed):
-        # 1 - mass is about deficit * tail_eps; the last block sits within a
-        # few ulps of the saturation level 2e-16 (1 + mass), or well above it
-        mass = 1.0 - deficit * tail_eps
-        if near_last:
-            last = 2e-16 * (1.0 + mass) * (1.0 + last_ulps * 2.0**-52)
-        else:
-            last = min(1e-3, mass / 2)
-        lengths = lengths + [64]
-        blocks = _blocks_near_threshold(mass, last, lengths, np.random.default_rng(seed))
-        got, want, _ = _decide(blocks, tail_eps)
-        assert got == want
-
-    def test_fallback_runs_on_a_straddle(self):
-        rng = np.random.default_rng(7)
-        # mass deficit at the threshold, bracket of ~8192 ulps
-        blocks = _blocks_near_threshold(1.0 - 1e-12, 1e-3, [8192, 8192, 64], rng)
-        got, want, ran = _decide(blocks, 1e-12)
-        assert ran and got == want
-        # last block on the saturation level
-        last = 2e-16 * (1.0 + 0.75)
-        blocks = _blocks_near_threshold(0.75, last, [1000, 64], rng)
-        got, want, ran = _decide(blocks, 1e-12)
-        assert ran and got == want
-
-    def test_clear_cases_skip_the_fallback(self):
-        rng = np.random.default_rng(3)
-        for mass, last, want in ((1.0, 1e-20, True), (0.9, 1e-3, False)):
-            got, exact, ran = _decide(_blocks_near_threshold(mass, last, [4096, 64], rng), 1e-12)
-            assert (got, exact, ran) == (want, want, False)
+    monkeypatch.setattr(core, "jain_weights", counted)
+    got = ops.basis_mass(OperatorParams(1000.0, 1.0, 0.0), 3.0)
+    assert blocks == [0, 256, 768, 1792]
+    assert got == float.fromhex("0x1.fffffffffe702p-1")  # as in series_bitwise.json
 
 
 # The right-tail certificate of the v-series (operators module docstring):
