@@ -40,10 +40,16 @@ from .errors import ConvergenceError, DomainError, IntegrabilityError, Threshold
 from .params import EvalConfig, OperatorParams, check_point
 
 
+# Largest index v accepted: every integer up to 2^53 is a float, and the
+# float arithmetic of the weights and kernel rules holds no larger one.
+_V_INDEX_MAX = 2**53
+
+
 def _as_index(v, least: int) -> int:
-    """``v`` as an int; DomainError unless it is an integral value >= ``least``."""
-    if not (math.isfinite(v) and v == math.floor(v) and v >= least):
-        raise DomainError(f"v must be an integer >= {least}, got {v}")
+    """``v`` as an int; DomainError unless it is an integral value in
+    [``least``, 2^53]."""
+    if not (math.isfinite(v) and v == math.floor(v) and least <= v <= _V_INDEX_MAX):
+        raise DomainError(f"v must be an integer in [{least}, 2^53], got {v}")
     return int(v)
 
 

@@ -108,31 +108,38 @@ def jain_moment_display(params: OperatorParams, m: int, x: float) -> float:
     )
 
 
-def _d_prefactor(params: OperatorParams, m: int) -> float:
-    n, c = params.n, params.c
-    denom = 1.0
-    for i in range(2, m + 2):
-        denom *= n - i * c
-    return float(n**m / denom)
-
-
 def d_moment_exact(params: OperatorParams, m: int, x: float) -> float:
     """Exact raw moment D(t^m, x) of the hybrid operator via recombination.
 
     Authoritative oracle for the operator's monomial values; needs
-    n > (m+1)c.
+    n > (m+1)c.  Raises DomainError where the moment overflows the float
+    range.
     """
     _check_order(m)
     check_point(x)
     if m == 0:
         return 1.0
     params.require_order(m)
-    n = params.n
-    terms = [
-        coef * jain_moment(params, k, x) / n ** (m - k)
-        for k, coef in RISING_COEF[m].items()
-    ]
-    return _d_prefactor(params, m) * math.fsum(terms)
+    n, c = params.n, params.c
+    # n and every n - ic scaled by one power of two, which is exact, so that
+    # n^m does not overflow where the moment is finite (n = 1e80, x = 1);
+    # below 2^255, where n^4 is finite, the scale is 1
+    e = max(0, math.frexp(n)[1] - 255)
+    ns = math.ldexp(n, -e)
+    denom = 1.0
+    for i in range(2, m + 2):
+        denom *= math.ldexp(n - i * c, -e)
+    try:
+        terms = [
+            coef * math.ldexp(jain_moment(params, k, x), -e * (m - k)) / ns ** (m - k)
+            for k, coef in RISING_COEF[m].items()
+        ]
+        mom = ns**m / denom * math.fsum(terms)
+    except OverflowError:  # in fsum
+        mom = math.inf
+    if mom == math.inf:
+        raise DomainError(f"hybrid moment D(t^{m}, x) overflows at x={x} (n={n}, c={c})")
+    return mom
 
 
 def d_moment_display(params: OperatorParams, m: int, x: float) -> float:

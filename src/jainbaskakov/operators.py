@@ -11,17 +11,22 @@ basis in v:
   r_n(x) = (n-2c)(1-beta)x/n (kernel integrals unchanged), which restores
   exact reproduction of constants and of the identity.
 
-The v-series is summed in blocks of v (:func:`block_schedule`), each
-block as numpy arrays with one exactly rounded ``math.fsum``.  Summation
-stops only once a certified bound on the remaining terms drops below
-``tail_eps * (1 + |value|) * gcf`` *and* the accumulated basis mass passes
-:func:`mass_saturated`.
+The v-series is summed over a window of v in blocks (:func:`block_schedule`),
+each block as numpy arrays with one exactly rounded ``math.fsum``.  The
+window starts at v_lo >= 0 (:func:`_left_window`); its first block runs to
+about mean + k spread of the law, mean nx/(1-beta) and spread
+sqrt(nx)/(1-beta)^1.5, k = sqrt(-2 log(tail_eps 2^-26)), and is never
+shorter than ``_BLOCK_START`` nor longer than ``_BLOCK_MAX``; later blocks
+double up to ``_BLOCK_MAX``.  (Longer blocks measured slower per term.)
+Summation stops only once a certified bound on the terms left out on both
+sides drops below ``tail_eps * (1 + |value|) * gcf`` *and* the basis mass
+passes :func:`mass_saturated`.  ``v_terms_used`` counts the terms summed.
 
-The bound is a geometric majorant of sum_{v>V} w(v) mbound(v), V the last
-index of the block and mbound the a-priori bound on |f(v/n)| or |E_v[f]|.
-The weight ratio is
+The right bound is a geometric majorant of sum_{v>V} w(v) mbound(v), V the
+last index of the block and mbound the a-priori bound on |f(v/n)| or
+|E_v[f]|.  The weight ratio is
 
-    w(v+1)/w(v) = (m/(v+1)) (1 + beta/m)^v e^-beta,   m = nx + v beta,
+    r(v) = w(v+1)/w(v) = (m/(v+1)) (1 + beta/m)^v e^-beta,   m = nx + v beta,
 
 at most rho(v) = (m/(v+1)) exp(v beta/m - beta), as 1 + y <= e^y.  The
 derivative of log rho has the sign of 2 beta nx + v beta^2 - nx^2, which
@@ -37,7 +42,32 @@ w(V) mbound(V) q/(1-q) (inf otherwise), with q rounded up and w(V)
 inflated by the log-space rounding of its computed value.  The rounding
 of the summed weights themselves is not in the bound.
 
-The mass is only needed for that decision,
+The left bound covers sum_{u<v_lo} w(u) mbound(u).  With g(v) = log r(v)
+over real v >= 0,
+
+    g'(v) = beta/m + log(1 + beta/m) - v beta^2/(m(m+beta)) - 1/(v+1),
+
+and log(1+y) <= y(2+y)/(2(1+y)) for y >= 0 (the difference vanishes at 0
+and has derivative (1 - 1/(1+y))^2/2), so
+
+    g'(v) <= -(2 nx (nx - beta) - 3 beta^2 (v+1)) / (2 m (m+beta) (v+1)).
+
+Hence r falls on 0 <= v <= v_lo - 1 whenever
+3 beta^2 v_lo <= 2 nx (nx - beta) (always for beta = 0).  The exact r is
+not monotone everywhere: at nx = 3, beta = 0.5 the condition allows
+v <= 19, and r(20) > r(19) (past the mean 6), so it is tight there.  On
+that domain every ratio below v_lo is at least r(v_lo - 1), so
+w(u) <= w(v_lo) q^(v_lo-u) with q = 1/r(v_lo - 1); every mbound above does
+not decrease in v (E_0[t^d] = 0 at the atom), so the left tail is at most
+w(v_lo) mbound(v_lo) q/(1-q), rounded like the right one.  v_lo falls back
+to 0 where the domain condition fails, where q >= 1, or where this bound is
+not below the skip budget ``tail_eps * 2^-26 * gcf`` (or the same bound
+with mbound = 1 not below ``tail_eps * 2^-26``).  v_lo is about the largest
+start that passes, found by Newton's method from mean - k spread on the
+log of the bound.  The bound joins ``est_tail_bound``, and the one with
+mbound = 1 joins the mass.
+
+The mass is only needed for the stopping decision,
 so it is kept as a running total of plain ``np.sum`` block sums.
 :func:`basis_mass` is the same series for f = 1 with zero magnitude bounds,
 which it stops on the mass rule alone.
@@ -182,14 +212,15 @@ DEFAULT_CACHE = KernelIntegralCache()
 # silently truncate a heavy-tail case (beta near 1).
 V_MAX = 10**6
 
-# Every v-series sums the same blocks: 256 terms, doubling up to 8192.
+# A v-series' first block holds 256 to 8192 terms; later blocks double up
+# to 8192.
 _BLOCK_START = 256
 _BLOCK_MAX = 8192
 
 
-def block_schedule(v_max: int):
-    """(v0, count) of the summation blocks, while v0 < v_max."""
-    v0, block = 0, _BLOCK_START
+def block_schedule(v_max: int, v0: int, block: int):
+    """(v0, count) of the summation blocks from ``v0``, the first ``block``
+    long, while v0 < v_max."""
     while v0 < v_max:
         yield v0, block
         v0 += block
@@ -222,15 +253,15 @@ def _ratio_sup(nx, beta, v, d):
     return math.exp(log_ratio + d * math.log1p(1.0 / v) + 16.0 * _EPS * (1.0 + abs(log_ratio)))
 
 
-def _tail_bound(nx, beta, v, w_last, mb_last, d):
-    """Certified bound on sum_{u>v} w(u) mbound(u) from w(v) and mbound(v).
+def _tail_bound(nx, beta, v, w_v, mb_v, d, q):
+    """Certified bound on the geometric majorant w(v) mbound(v) q/(1-q).
 
-    With q = :func:`_ratio_sup` the tail is at most w(v) mbound(v) q/(1-q),
-    or inf when q is not below 1.  The computed w(v) is inflated by the
-    rounding of its log-space evaluation, and by the least subnormal in
+    ``q`` is a ratio bound, rounded up, on the terms walking away from v:
+    :func:`_ratio_sup` for the right tail, 1/r(v-1) for the left one.  The
+    bound is inf when q is not below 1.  The computed w(v) is inflated by
+    the rounding of its log-space evaluation, and by the least subnormal in
     case exp rounded it below the normal range.
     """
-    q = _ratio_sup(nx, beta, v, d)
     if q >= 1.0:
         return math.inf
     # the computed log w(v) is within a few eps of the sizes of its terms,
@@ -239,23 +270,113 @@ def _tail_bound(nx, beta, v, w_last, mb_last, d):
     m = nx + v * beta
     rounding = 8.0 * _EPS * (abs(math.log(nx)) + v * (1.0 + abs(math.log(m))) + m
                              + math.lgamma(v + 1.0) + d + 4.0)
-    scale = mb_last * math.exp(rounding) * q / (1.0 - q)
+    scale = mb_v * math.exp(rounding) * q / (1.0 - q)
     # one step up covers the rounding of the last product, subnormal or not
-    return math.nextafter((w_last + 2.0**-1074) * scale, math.inf)
+    return math.nextafter((w_v + 2.0**-1074) * scale, math.inf)
 
 
-def _series_eval(params, basis_x, provider, f, hybrid, cfg, x_report):
-    """Adaptive blockwise summation over the basis index v.
+def _log_ratio(nx, beta, v):
+    """log r(v) = log(w(v+1)/w(v)) and its leading term log(m/(v+1))."""
+    m = nx + v * beta
+    head = math.log(m / (v + 1.0))
+    return head + v * math.log1p(beta / m) - beta, head
 
-    ``provider(v0, w, running_value, gcf)``, gcf the threshold scale of
-    :func:`_growth_correction`, returns per-block (values, magnitude_bounds,
-    skipped_tail_increment, quad_error_increment); the magnitude bounds grow
-    by at most (1 + 1/v)^d from v to v + 1, d the growth degree of ``f``.
+
+def _log_weight(nx, beta, v):
+    """log w(v) = log nx + (v-1) log m - m - log v!, m = nx + v beta."""
+    m = nx + v * beta
+    return math.log(nx) + (v - 1.0) * math.log(m) - m - math.lgamma(v + 1.0)
+
+
+def _left_start(nx, beta, v, top, target):
+    """About the largest v in [1, top] with log(w(v)/(r(v-1) - 1)) <= target,
+    floored, or 0 if there is none: Newton's method from ``v``.
+
+    The function grows with v below the mode, with slope about log r(v-1).
+    The caller certifies the result, so a poor step costs speed only.
+    """
+    v = min(max(1.0, v), top)
+    for _ in range(16):
+        log_r, _ = _log_ratio(nx, beta, v - 1.0)
+        if not log_r > 0.0:
+            return 0
+        step = (target - _log_weight(nx, beta, v) + math.log(math.expm1(log_r))) / log_r
+        if v == 1.0 and step < 0.0:
+            return 0
+        v = min(max(1.0, v + step), top)
+        if abs(step) < 0.5:
+            break
+    return math.floor(v)
+
+
+def _left_bounds(nx, beta, v_lo, d, mb_lo):
+    """(bound on sum_{u<v_lo} w(u), bound on sum_{u<v_lo} w(u) mbound(u)),
+    mbound(v_lo) = ``mb_lo``, by the module docstring's left certificate;
+    (inf, inf) outside its domain or past the mode."""
+    if not 3.0 * beta * beta * v_lo <= 2.0 * nx * (nx - beta) * (1.0 - 16.0 * _EPS):
+        return math.inf, math.inf
+    # log r(v_lo - 1), rounded down: each of its three terms is within 4 eps
+    # of its size, and (v_lo - 1) log1p(beta/m) < 1
+    log_r, head = _log_ratio(nx, beta, v_lo - 1.0)
+    log_r -= 16.0 * _EPS * (2.0 + abs(head))
+    if not log_r > 0.0:
+        return math.inf, math.inf
+    q = math.nextafter(math.exp(-log_r), math.inf)
+    w_lo = math.exp(_log_weight(nx, beta, v_lo))
+    return (_tail_bound(nx, beta, v_lo, w_lo, 1.0, d, q),
+            _tail_bound(nx, beta, v_lo, w_lo, mb_lo, d, q))
+
+
+def _left_window(nx, beta, d, tail_eps, gcf, mag):
+    """Where a v-series starts, and certified bounds on what lies below.
+
+    Returns (v_lo, first, left_mass, left_tail): the series sums from v_lo,
+    its first block ``first`` long; left_mass bounds sum_{u<v_lo} w(u) and
+    left_tail bounds sum_{u<v_lo} w(u) mbound(u), mbound(v) = mag(v, 1).
+    v_lo is about the largest start whose left bounds stay below the skip
+    budgets, ``tail_eps * 2^-26`` times gcf for left_tail and times 1 for
+    left_mass; where none does, v_lo = 0 and both bounds are 0.
+    """
+    mean = nx / (1.0 - beta)
+    spread = math.sqrt(nx) / (1.0 - beta) ** 1.5
+    budget = tail_eps * _SKIP_FACTOR
+    # in logs, as budget may underflow to 0 and mag be inf
+    log_budget = math.log(tail_eps) + math.log(_SKIP_FACTOR)
+    k = math.sqrt(-2.0 * log_budget)
+    v_lo = 0
+    top = mean - spread  # below the bulk
+    if top >= 1.0:
+        if 3.0 * beta * beta * top > 2.0 * nx * (nx - beta):
+            top = 2.0 * nx * (nx - beta) / (3.0 * beta * beta)  # where r falls
+        mb_top = float(mag(math.floor(top), 1)[0])
+        # a factor 2 of room for the rounding of the certificate
+        target = log_budget + math.log(gcf) - math.log(max(gcf, mb_top)) - math.log(2.0)
+        v_lo = _left_start(nx, beta, mean - k * spread, top, target)
+    left_mass = left_tail = math.inf
+    if v_lo > 0:
+        left_mass, left_tail = _left_bounds(nx, beta, v_lo, d, float(mag(v_lo, 1)[0]))
+    if not (left_mass < budget and left_tail < budget * gcf):
+        v_lo, left_mass, left_tail = 0, 0.0, 0.0
+    first = min(max(math.ceil(mean + k * spread) - v_lo, _BLOCK_START), _BLOCK_MAX)
+    return v_lo, first, left_mass, left_tail
+
+
+def _series_eval(params, basis_x, provider, mag, f, hybrid, cfg, x_report):
+    """Adaptive blockwise summation over a window of the basis index v.
+
+    ``mag(v0, count)`` gives the a-priori bounds mbound(v) on the terms'
+    values for v = v0 .. v0+count-1; they do not decrease in v and grow by
+    at most (1 + 1/v)^d from v to v + 1, d the growth degree of ``f``.
+    ``provider(v0, w, mbound, running_value, gcf)``, gcf the threshold scale
+    of :func:`_growth_correction`, returns per-block (values,
+    skipped_tail_increment, quad_error_increment).  Summation starts at
+    :func:`_left_window`'s v_lo, whose left bound joins the skipped tail.
     After each block, terms past its last index V are bounded by
-    :func:`_tail_bound`: every weight ratio past V is at most the larger of
-    rho(V) = (m/(V+1)) exp(V beta/m - beta) and its limit beta e^(1-beta)
-    (log rho is quasi-convex in v; module docstring), so with the growth
-    factor (1 + 1/V)^d the tail is a geometric series.
+    :func:`_tail_bound` with q = :func:`_ratio_sup`: every weight ratio past
+    V is at most the larger of rho(V) = (m/(V+1)) exp(V beta/m - beta) and
+    its limit beta e^(1-beta) (log rho is quasi-convex in v; module
+    docstring), so with the growth factor (1 + 1/V)^d the tail is a
+    geometric series.
 
     A law whose mean nx/(1 - beta) is not below V_MAX (or is not finite)
     keeps about half its mass past the cap, more than any useful tail_eps
@@ -267,27 +388,33 @@ def _series_eval(params, basis_x, provider, f, hybrid, cfg, x_report):
     if not nx / (1.0 - beta) < V_MAX:
         raise _cap_error(beta, nx)
     gcf = _growth_correction(params, f, basis_x, hybrid)
+    d = f.growth_degree
+    v_lo, first, mass, skipped = _left_window(nx, beta, d, cfg.tail_eps, gcf, mag)
     val_run = 0.0
     val_parts: list[float] = []
     qerr_parts: list[float] = []
-    skipped = 0.0
-    mass = 0.0
 
-    for v0, block in block_schedule(V_MAX):
+    for v0, block in block_schedule(V_MAX, v_lo, first):
         w = _core.jain_weights(nx, beta, v0, block)
-        vals, mbound, sk_inc, qerr_inc = provider(v0, w, val_run, gcf)
+        mbound = mag(v0, block)
+        vals, sk_inc, qerr_inc = provider(v0, w, mbound, val_run, gcf)
         last = float(np.sum(w))
         mass += last
-        val_parts.append(math.fsum((w * vals).tolist()))
+        # fsum's result does not depend on the order of the terms, but it runs
+        # several times faster on terms falling in size: go out from the peak
+        terms = w * vals
+        peak = int(np.argmax(w))
+        val_parts.append(math.fsum(terms[peak:].tolist() + terms[:peak][::-1].tolist()))
         val_run += val_parts[-1]
         qerr_parts.append(qerr_inc)
         skipped += sk_inc
 
+        big_v = v0 + block - 1
         if w[-1] * mbound[-1] == 0.0:
             tail_geo = 0.0
         else:
-            tail_geo = _tail_bound(nx, beta, v0 + block - 1, float(w[-1]),
-                                   float(mbound[-1]), f.growth_degree)
+            tail_geo = _tail_bound(nx, beta, big_v, float(w[-1]), float(mbound[-1]), d,
+                                   _ratio_sup(nx, beta, big_v, d))
         tail_est = tail_geo + skipped
 
         if tail_est <= cfg.tail_eps * (1.0 + abs(val_run)) * gcf and mass_saturated(
@@ -296,7 +423,7 @@ def _series_eval(params, basis_x, provider, f, hybrid, cfg, x_report):
             return EvalResult(
                 x=x_report,
                 value=math.fsum(val_parts),
-                v_terms_used=v0 + block,
+                v_terms_used=v0 + block - v_lo,
                 est_tail_bound=tail_est,
                 quad_error_est=math.fsum(qerr_parts),
             )
@@ -320,10 +447,14 @@ def _growth_correction(params, f, basis_x, hybrid: bool) -> float:
     return 1.0 + abs(mom)
 
 
-def _unit_provider(v0, w, _val_run, _gcf):
-    # f = 1 (e0) with zero magnitude bounds: the geometric tail is 0, so
-    # the series stops on the mass rule alone
-    return np.ones_like(w), np.zeros_like(w), 0.0, 0.0
+def _unit_provider(v0, w, _mbound, _val_run, _gcf):
+    return np.ones_like(w), 0.0, 0.0
+
+
+def _zero_mag(v0, count):
+    # f = 1 (e0) with zero magnitude bounds: the series stops on the mass
+    # rule alone, and its window on the left mass share alone
+    return np.zeros(count)
 
 
 def basis_mass(params: OperatorParams, x: float, cfg: EvalConfig | None = None) -> float:
@@ -338,7 +469,7 @@ def basis_mass(params: OperatorParams, x: float, cfg: EvalConfig | None = None) 
     cfg = cfg or EvalConfig()
     if x == 0:
         return 1.0  # only v = 0 survives
-    res = _series_eval(params, x, _unit_provider, get_function("e0"), False, cfg, x)
+    res = _series_eval(params, x, _unit_provider, _zero_mag, get_function("e0"), False, cfg, x)
     return min(res.value, 1.0)
 
 
@@ -346,6 +477,18 @@ def _atom_result(x, f):
     return EvalResult(
         x=x, value=float(f.fn(0.0)), v_terms_used=1, est_tail_bound=0.0, quad_error_est=0.0
     )
+
+
+def _jain_mag(f, n):
+    """mbound(v) of the Jain series: sup|f|, or M(1 + (v/n)^d)."""
+    d = f.growth_degree
+
+    def mag(v0, count):
+        if f.bounded:
+            return np.full(count, f.sup_bound)
+        return f.m_bound * (1.0 + (np.arange(v0, v0 + count, dtype=np.float64) / n) ** d)
+
+    return mag
 
 
 def eval_jain(
@@ -361,15 +504,12 @@ def eval_jain(
         return _atom_result(x, f)
 
     n = params.n
-    d = f.growth_degree
 
-    def provider(v0, w, _val_run, _gcf):
+    def provider(v0, w, _mbound, _val_run, _gcf):
         t = np.arange(v0, v0 + len(w), dtype=np.float64) / n
-        vals = np.asarray(f.fn(t), dtype=np.float64)
-        mbound = np.full_like(w, f.sup_bound) if f.bounded else f.m_bound * (1.0 + t**d)
-        return vals, mbound, 0.0, 0.0
+        return np.asarray(f.fn(t), dtype=np.float64), 0.0, 0.0
 
-    return _series_eval(params, x, provider, f, False, cfg, x_report=x)
+    return _series_eval(params, x, provider, _jain_mag(f, n), f, False, cfg, x_report=x)
 
 
 def _eval_hybrid(params, f, x, basis_x, cfg):
@@ -378,9 +518,8 @@ def _eval_hybrid(params, f, x, basis_x, cfg):
         return _atom_result(x, f)
     table = DEFAULT_CACHE.table(params, f, cfg)
 
-    def provider(v0, w, val_run, gcf):
+    def provider(v0, w, mbound, val_run, gcf):
         v_arr = np.arange(v0, v0 + len(w))
-        mbound = table.mag(v0, len(w))
         cutoff = cfg.tail_eps * _SKIP_FACTOR * gcf * (1.0 + abs(val_run))
         contrib_bound = w * mbound
         keep = (contrib_bound > cutoff) | (v_arr == 0)
@@ -388,9 +527,9 @@ def _eval_hybrid(params, f, x, basis_x, cfg):
         vals = np.zeros_like(w)
         values, errors = table.get(v_arr[keep])
         vals[keep] = values
-        return vals, mbound, sk, math.fsum((w[keep] * errors).tolist())
+        return vals, sk, math.fsum((w[keep] * errors).tolist())
 
-    return _series_eval(params, basis_x, provider, f, True, cfg, x_report=x)
+    return _series_eval(params, basis_x, provider, table.mag, f, True, cfg, x_report=x)
 
 
 def eval_jain_baskakov(

@@ -1,8 +1,21 @@
 """Test-only helpers shared by several test modules."""
 
+import math
+
 import numpy as np
 
+from jainbaskakov._core import jain_weights
 from jainbaskakov.functions import TestFunction
+
+
+def prefix_sum(nx: float, beta: float, stop: int, values) -> float:
+    """math.fsum of w(v) values(v) over 0 <= v < stop, in one block.
+
+    The reference for the windowed v-series, which leaves out v < v_lo:
+    ``values`` maps an index array to f(v/n) or E_v[f].
+    """
+    w = jain_weights(nx, beta, 0, stop)
+    return math.fsum((w * values(np.arange(stop))).tolist())
 
 
 def combine(

@@ -6,6 +6,7 @@ hypergeometric route for the exponential kernel integral).
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -109,7 +110,7 @@ class TestJainBasis:
 
 
 class TestIndexChecks:
-    @pytest.mark.parametrize("v", [2.5, math.nan, math.inf])
+    @pytest.mark.parametrize("v", [2.5, math.nan, math.inf, 1e300])
     @pytest.mark.parametrize("call", [
         lambda p, v: jain_basis_log(p, 1.0, v),
         lambda p, v: baskakov_kernel_log(p, v, 1.0),
@@ -120,6 +121,13 @@ class TestIndexChecks:
     def test_non_integral_v_rejected(self, call, v):
         with pytest.raises(DomainError, match="v must be an integer"):
             call(OperatorParams(40, 1, 0.2), v)
+
+    def test_index_up_to_2_53_accepted(self):
+        p = OperatorParams(40, 1, 0.2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert kernel_integral(p, 2**53, get_function("exp-neg")) == 0.0
+            assert -math.inf < jain_basis_log(p, 1.0, 2**53) < 0.0
 
     def test_integral_float_v_accepted(self):
         p = OperatorParams(40, 1, 0.2)
@@ -441,7 +449,7 @@ class TestBlockSchedule:
     def test_schedule_doubles_then_holds(self):
         from jainbaskakov.operators import block_schedule
 
-        blocks = list(block_schedule(40_000))
+        blocks = list(block_schedule(40_000, 0, 256))
         assert [c for _, c in blocks[:6]] == [256, 512, 1024, 2048, 4096, 8192]
         assert all(c == 8192 for _, c in blocks[5:])
         assert all(a + c == b for (a, c), (b, _) in zip(blocks, blocks[1:]))

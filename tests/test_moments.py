@@ -138,6 +138,22 @@ class TestHybridMoments:
     def test_display_t3_vanishes_at_origin(self):
         assert d_moment_display(OperatorParams(20, 1, 0.2), 3, 0.0) == 0.0
 
+    def test_large_n_evaluates(self):
+        # n^4 overflows at n = 1e80, the moments do not: D(t^m, x) tends to
+        # x^m as n grows, and n^m/((n-2c)...) rounds to 1
+        p = OperatorParams(1e80, 1, 0.0)
+        assert d_moment_exact(p, 4, 1.0) == 1.0
+        assert d_moment_exact(OperatorParams(1e80, 1, 0.5), 3, 2.0) == 64.0
+        res = eval_jain_baskakov(p, get_function("e4"), 1e-79)  # nx = 10
+        assert res.value == pytest.approx(d_moment_exact(p, 4, 1e-79), abs=1e-300)
+
+    @pytest.mark.parametrize("n, x", [(10.0, 1e77), (1e80, 1e80)])
+    def test_overflow_is_a_domain_error(self, n, x):
+        # the first overflows in the recombination (it returned inf), the
+        # second in the Jain moment it recombines
+        with pytest.raises(DomainError, match=r"moment [DP]\(t\^4, x\) overflows"):
+            d_moment_exact(OperatorParams(n, 1, 0.0), 4, x)
+
     def test_display_t4_gap_shrinks(self):
         # n * |display - exact| decreasing for the fourth moment
         p0 = dict(c=1.0, b=0.25, x=1.0)

@@ -27,16 +27,18 @@ from jainbaskakov import (
     OperatorKind,
     OperatorParams,
     ThresholdError,
+    d_moment_exact,
     eval_jain,
     eval_jain_baskakov,
     eval_king,
     get_function,
     jain_moment,
+    king_moment,
     king_transform,
 )
 from jainbaskakov.functions import TestFunction
 
-from helpers import combine
+from helpers import combine, prefix_sum
 
 
 class TestEvalJain:
@@ -336,9 +338,10 @@ class TestCacheAndLimits:
             eval_jain(p, get_function("e1"), 2.0, cfg)
 
     def test_series_cap_reached_with_the_mean_below_it(self, cfg, monkeypatch):
-        # nx = 200 passes the mean check against a cap of 256, then sums
-        # up to the cap without meeting the tail rule
-        monkeypatch.setattr(ops, "V_MAX", 256)
+        # nx = 600 at beta = 0.95 (mean 12,000) passes the mean check against
+        # a cap of 20,000; its heavy right tail needs about 41,000 terms, so
+        # the series sums from the window's start up to the cap and raises
+        monkeypatch.setattr(ops, "V_MAX", 20_000)
         blocks = []
         real = core.jain_weights
 
@@ -347,9 +350,13 @@ class TestCacheAndLimits:
             return real(nx, beta, v0, count)
 
         monkeypatch.setattr(core, "jain_weights", counted)
-        with pytest.raises(ConvergenceError):
-            eval_jain(OperatorParams(300, 1, 0.0), get_function("e1"), 200.0 / 300.0, cfg)
-        assert blocks == [0]
+        p, f = OperatorParams(300, 1, 0.95), get_function("e1")
+        with pytest.raises(ConvergenceError, match="within v <= 20000"):
+            eval_jain(p, f, 2.0, cfg)
+        v_lo = _window(OperatorKind.JAIN, p, f, 2.0)[1]
+        assert v_lo > 0
+        assert blocks == [v_lo, v_lo + 8192, v_lo + 16384]
+        assert blocks[-1] < 20_000 <= blocks[-1] + 8192
 
     @pytest.mark.parametrize("kind, n, beta, x", [
         ("jain", 10, 0.0, 1e6), ("jain", 10, 0.0, 1e308),  # the second: nx = inf
@@ -457,22 +464,27 @@ class TestIntegralTable:
 
 
 def test_each_weight_block_is_computed_once(monkeypatch):
-    # the mass is decided on the block sums the series already has
+    # the mass is decided on the block sums the series already has, and the
+    # window [v_lo, mean + k spread) of the Poisson law with mean 3000 holds
+    # all of it in one block
     blocks = []
     real = core.jain_weights
 
     def counted(nx, beta, v0, count):
-        blocks.append(v0)
+        blocks.append((v0, count))
         return real(nx, beta, v0, count)
 
     monkeypatch.setattr(core, "jain_weights", counted)
     got = ops.basis_mass(OperatorParams(1000.0, 1.0, 0.0), 3.0)
-    assert blocks == [0, 256, 768, 1792]
+    v_lo, first, _, _ = ops._left_window(3000.0, 0.0, 0, EvalConfig().tail_eps, 1.0, ops._zero_mag)
+    assert 2000 < v_lo < 3000 < v_lo + first < 4000
+    assert blocks == [(v_lo, first)]
     assert got == float.fromhex("0x1.fffffffffe702p-1")  # as in series_bitwise.json
 
 
-# The right-tail certificate of the v-series (operators module docstring):
-# the weight ratio bound rho, its supremum past V, and the geometric tail.
+# The certificates of the v-series (operators module docstring): the weight
+# ratio bound rho, its supremum past V, the geometric right tail, the fall of
+# the exact ratio below the window's start v_lo, and the left tail.
 
 def _mp_ratio(nx, beta, v):
     """w(v+1)/w(v) at 40 digits: (m_{v+1}^v / m_v^(v-1)) e^-beta / (v+1)."""
@@ -519,6 +531,23 @@ def _jain_mbound(f, n):
     return lambda v: f.m_bound * (1.0 + (v / n) ** f.growth_degree)
 
 
+def _window(kind, p, f, x, tail_eps=EvalConfig().tail_eps):
+    """(nx at the basis point, v_lo, left_mass, left_tail) of an evaluation,
+    from the helper the series calls."""
+    hybrid = kind is not OperatorKind.JAIN
+    basis_x = king_transform(p, x) if kind is OperatorKind.KING else x
+    if hybrid:
+        def mag(v0, count):
+            return kernels.magnitude_bound(p, f, np.arange(v0, v0 + count))
+    else:
+        mag = ops._jain_mag(f, p.n)
+    gcf = ops._growth_correction(p, f, basis_x, hybrid)
+    nx = p.n * basis_x
+    v_lo, _, left_mass, left_tail = ops._left_window(nx, p.beta, f.growth_degree, tail_eps,
+                                                     gcf, mag)
+    return nx, v_lo, left_mass, left_tail
+
+
 def _summed_tail(nx, beta, v_from, mbound):
     """fsum of w(v) mbound(v) over v >= v_from, until the weights underflow."""
     parts = []
@@ -528,6 +557,26 @@ def _summed_tail(nx, beta, v_from, mbound):
             return math.fsum(parts)
         parts.append(math.fsum((w * mbound(np.arange(v0, v0 + 8192.0))).tolist()))
     raise AssertionError("weights did not underflow")
+
+
+def _summed_head(nx, beta, v_lo, mbound):
+    """fsum of w(v) mbound(v) over v < v_lo."""
+    if v_lo == 0:
+        return 0.0
+    w = core.jain_weights(nx, beta, 0, v_lo)
+    return math.fsum((w * mbound(np.arange(float(v_lo)))).tolist())
+
+
+def _left_out(kind, p, f, x, res):
+    """fsum of w(v) mbound(v) over the v an evaluation did not sum, both sides."""
+    nx, v_lo, _, _ = _window(kind, p, f, x)
+    if kind is OperatorKind.JAIN:
+        mbound = _jain_mbound(f, p.n)
+    else:
+        def mbound(v):
+            return kernels.magnitude_bound(p, f, v)
+    return (_summed_head(nx, p.beta, v_lo, mbound)
+            + _summed_tail(nx, p.beta, v_lo + res.v_terms_used, mbound))
 
 
 @pytest.fixture(scope="module")
@@ -556,15 +605,38 @@ class TestTailCertificate:
                 for v in list(range(big_v, big_v + 200, 7)) + far:
                     assert sup >= _mp_rho(nx, beta, v)
 
+    @pytest.mark.parametrize("beta", [0.1, 0.5, 0.8, 0.95])
+    @pytest.mark.parametrize("nx", [3.0, 30.0, 600.0, 5000.0])
+    def test_ratio_falls_on_the_certified_domain(self, nx, beta):
+        # r falls on 0 <= v <= edge = 2 nx (nx - beta) / (3 beta^2) - 1:
+        # r(v) >= r(v+1) densely near 0 and near the edge, geometrically
+        # between
+        edge = 2.0 * nx * (nx - beta) / (3.0 * beta * beta) - 1.0
+        top = int(min(edge, 1e7))
+        vs = set(range(0, min(top, 300) + 1))
+        vs |= set(range(max(0, top - 300), top + 1))
+        vs |= set(np.geomspace(1, max(top, 1), 60).astype(int).tolist())
+        with mpmath.workdps(40):
+            for v in sorted(u for u in vs if u + 1 <= edge):
+                assert _mp_ratio(nx, beta, v) >= _mp_ratio(nx, beta, v + 1)
+
+    def test_ratio_rises_past_the_domain(self):
+        # the exact ratio is not monotone everywhere: at nx = 3, beta = 0.5
+        # the certified domain ends at v = 19, where r turns: r(20) > r(19)
+        with mpmath.workdps(40):
+            r = [_mp_ratio(3.0, 0.5, v) for v in range(0, 21)]
+        assert all(a >= b for a, b in zip(r[:19], r[1:20]))
+        assert r[20] > r[19]
+
     @pytest.mark.parametrize("name", _TAIL_FUNCTIONS)
     def test_jain_tail_bound_covers_the_summed_tail(self, name):
         f = get_function(name)
-        mbound = _jain_mbound(f, _JAIN_N)
         for beta in _JAIN_BETAS:
             for x in _JAIN_XS:
                 res = _jain(beta, x, name)
-                tail = _summed_tail(_JAIN_N * x, beta, res.v_terms_used, mbound)
-                assert tail <= res.est_tail_bound < math.inf
+                left_out = _left_out(OperatorKind.JAIN, OperatorParams(_JAIN_N, 1.0, beta), f,
+                                     x, res)
+                assert left_out <= res.est_tail_bound < math.inf
 
     @pytest.mark.parametrize("kind", [OperatorKind.JAIN_BASKAKOV, OperatorKind.KING])
     @pytest.mark.parametrize("name", _TAIL_FUNCTIONS)
@@ -577,10 +649,7 @@ class TestTailCertificate:
                 continue  # sin at large v goes to QUADPACK and takes seconds
             p = OperatorParams(_JAIN_N, 1.0, beta)
             res = ops.eval_operator(kind, p, f, x)
-            basis_x = king_transform(p, x) if kind is OperatorKind.KING else x
-            tail = _summed_tail(_JAIN_N * basis_x, beta, res.v_terms_used,
-                                lambda v: kernels.magnitude_bound(p, f, v))
-            assert tail <= res.est_tail_bound < math.inf
+            assert _left_out(kind, p, f, x, res) <= res.est_tail_bound < math.inf
 
     @pytest.mark.parametrize("name", _TAIL_FUNCTIONS)
     def test_jain_tail_bound_covers_the_exact_majorant(self, name):
@@ -592,7 +661,9 @@ class TestTailCertificate:
             for beta in _JAIN_BETAS:
                 for x in _JAIN_XS:
                     res = _jain(beta, x, name)
-                    big_v = res.v_terms_used - 1
+                    _, v_lo, _, _ = _window(OperatorKind.JAIN, OperatorParams(_JAIN_N, 1.0, beta),
+                                            f, x)
+                    big_v = v_lo + res.v_terms_used - 1
                     nx = _JAIN_N * x
                     limit = beta * mpmath.exp(1 - mpmath.mpf(beta))
                     q = max(_mp_rho(nx, beta, big_v), limit) * (1 + mpmath.mpf(1) / big_v) ** d
@@ -601,6 +672,53 @@ class TestTailCertificate:
                     # a last term that underflows reports a tail of 0
                     assert res.est_tail_bound >= exact or exact < mpmath.ldexp(1, -1075)
 
+    def test_left_bound_covers_the_exact_majorant(self):
+        # w(v_lo) mbound(v_lo) / (r(v_lo - 1) - 1) from 40-digit weights, and
+        # the same with mbound = 1, against the bounds the series adds
+        x_cases = (1.0,) + _JAIN_XS  # nx 300 to 5000
+        cases = [(OperatorKind.JAIN, beta, x) for beta in _JAIN_BETAS for x in x_cases]
+        cases += [(kind, beta, x) for kind in (OperatorKind.JAIN_BASKAKOV, OperatorKind.KING)
+                  for beta in (0.0, 0.1, 0.5, 0.8, 0.95) for x in x_cases]
+        windowed = 0
+        for kind, beta, x in cases:
+            p = OperatorParams(_JAIN_N, 1.0, beta)
+            for name in _TAIL_FUNCTIONS:
+                f = get_function(name)
+                nx, v_lo, left_mass, left_tail = _window(kind, p, f, x)
+                if v_lo == 0:
+                    assert left_mass == left_tail == 0.0
+                    continue
+                windowed += 1
+                if kind is OperatorKind.JAIN:
+                    mb = _jain_mbound(f, _JAIN_N)(np.array([float(v_lo)]))[0]
+                else:
+                    mb = kernels.magnitude_bound(p, f, np.array([v_lo]))[0]
+                with mpmath.workdps(40):
+                    mass = _mp_weight(nx, beta, v_lo) / (_mp_ratio(nx, beta, v_lo - 1) - 1)
+                    assert left_mass >= mass
+                    assert left_tail >= mass * mpmath.mpf(float(mb))
+                assert left_mass < EvalConfig().tail_eps * ops._SKIP_FACTOR
+        assert windowed >= 0.9 * len(cases) * len(_TAIL_FUNCTIONS)
+
+    def test_left_bounds_refuse_outside_the_certificate(self):
+        # past the mode q = 1/r(v_lo - 1) >= 1, and past the domain r need
+        # not fall: no bound, so the window falls back to v = 0
+        assert ops._left_bounds(600.0, 0.5, 1300, 0, 1.0) == (math.inf, math.inf)
+        assert ops._left_bounds(3.0, 0.5, 20, 0, 1.0) == (math.inf, math.inf)
+        assert ops._left_bounds(3.0, 0.5, 2, 0, 1.0)[0] < math.inf
+
+    @pytest.mark.parametrize("kind", list(OperatorKind))
+    def test_subnormal_tail_eps(self, kind):
+        # the skip budget tail_eps 2^-26 underflows to 0: no window, and the
+        # series runs until the weights underflow
+        p, e1 = OperatorParams(50, 1, 0.2), get_function("e1")
+        res = ops.eval_operator(kind, p, e1, 1.0, EvalConfig(tail_eps=5e-324))
+        assert _window(kind, p, e1, 1.0, 5e-324)[1] == 0
+        assert res.est_tail_bound == 0.0
+        exact = {OperatorKind.JAIN: jain_moment, OperatorKind.JAIN_BASKAKOV: d_moment_exact,
+                 OperatorKind.KING: king_moment}[kind](p, 1, 1.0)
+        assert res.value == pytest.approx(exact, rel=1e-12)
+
     @pytest.mark.parametrize("x", [2.0, 5000.0 / 300.0])
     def test_heavy_tail_stops_early(self, x):
         # at beta = 0.95 the term ratio tends to 0.9987; summing until the
@@ -608,6 +726,29 @@ class TestTailCertificate:
         res = _jain(0.95, x, "e4")
         assert res.v_terms_used <= 200_000
         assert 0.0 < res.est_tail_bound < math.inf
+
+    @given(kind=_KINDS, n=st.floats(50.0, 400.0), beta=st.floats(0.0, 0.95),
+           x=st.floats(0.2, 6.0), name=st.sampled_from(["e1", "e2", "e4", "exp-neg"]),
+           tail_eps=st.floats(-15.0, -9.0).map(lambda e: 10.0**e))
+    @settings(max_examples=25, deadline=None)
+    def test_window_matches_the_full_sum(self, kind, n, beta, x, name, tail_eps):
+        # the same weights and values summed from v = 0 up to the same last
+        # index differ from the windowed value by the left-out head, the
+        # skipped terms and the rounding of the sums
+        p, f = OperatorParams(n, 1.0, beta), get_function(name)
+        cfg = EvalConfig(tail_eps=tail_eps)
+        res = ops.eval_operator(kind, p, f, x, cfg)
+        nx, v_lo, _, _ = _window(kind, p, f, x, tail_eps)
+        stop = v_lo + res.v_terms_used
+        if kind is OperatorKind.JAIN:
+            def values(v):
+                return np.asarray(f.fn(v / n), dtype=np.float64)
+        else:
+            def values(v):
+                return ops.DEFAULT_CACHE.table(p, f, cfg).get(v)[0]
+        full = prefix_sum(nx, beta, stop, values)
+        rounding = 8 * _EPS * (1.0 + nx) * math.log(2.0 + nx) * abs(res.value)
+        assert abs(res.value - full) <= _reported(res) + rounding
 
 
 def _mp_jain_moment(beta, m, x):

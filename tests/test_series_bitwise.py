@@ -12,9 +12,33 @@ at 40,704 and 155,392 terms instead of 589,568 and 761,600, and moved by
 less than their new ``est_tail_bound``; elsewhere only ``est_tail_bound``
 moved.  A truncated sum can land farther from the exact value than one run
 to underflow: at x = 2 the new value is 3.5e-5 from the 40-digit closed
-form, the old one 1.6e-5 (both within the bound of 5.2e-5).  Any change to
-summation order, stopping rule, quadrature or cache layout that moves a
-single bit fails here.
+form, the old one 1.6e-5 (both within the bound of 5.2e-5).
+
+The evaluation rows were re-recorded again when the series began to sum
+over a certified window [v_lo, ...) instead of from v = 0: ``v_terms_used``
+now counts the terms summed, and ``est_tail_bound`` holds the left bound
+too.  The basis-mass rows and the rows at x = 0 and 0.013 (v_lo = 0, one
+block of 256) did not change.  The values that moved, against the previous
+recording (parent) and the 40-digit value (exact: the closed-form moment,
+or for exp-neg the series of Tricomi-U kernel expectations), with the new
+``est_tail_bound + quad_error_est`` (bound):
+
+    row                      |new - parent|  |new - exact|  |parent - exact|  bound
+    jain-baskakov e2 1.7         3.4e-12        6.6e-13        2.7e-12       1.1e-13
+    jain-baskakov e2 2.95        1.8e-15        4.3e-12        4.3e-12       3.5e-13
+    jain-baskakov exp-neg 1.7    3.8e-14        2.8e-14        1.0e-14       4.6e-15
+    king e2 2.95                 1.8e-15        1.5e-12        1.5e-12       2.8e-13
+    king exp-neg 0.5             1.1e-16        3.5e-14        3.5e-14       1.9e-14
+    jain e4 beta 0.95 x 2        4.8e-5         1.3e-5         3.5e-5        2.7e-6
+    jain e4 beta 0.95 x 16.7     0.10           0.69           0.79          0.15
+
+The two moves larger than their new bound (jain-baskakov at x = 1.7, jain
+at x = 2) are within the parent's own bound (4.1e-12, 5.2e-5), which was
+larger because the parent stopped on a wider tail.  The distance to the
+exact value beyond the bound is the log-space rounding of the weights,
+about eps nx log(nx) |value|, which no reported bound holds (CHANGES.md).
+Any change to summation order, stopping rule, quadrature or cache layout
+that moves a single bit fails here.
 
 Re-record only when a change is meant to move results:
 
