@@ -138,7 +138,9 @@ def _kernel_expectation(params, v, fn, cfg, scale):
 
     ``scale`` is an a-priori magnitude bound for the expectation, used to set
     the absolute tolerance (_MAG_FLOOR of it) so that near-zero integrals
-    terminate.  ``quad_max_nodes`` is the integrand-evaluation budget.
+    terminate.  QUADPACK may split [0, 1] into at most _QUAD_LIMIT
+    subintervals; an integral it cannot bring within tolerance, having used
+    them up or having detected roundoff first, raises ConvergenceError.
     Returns (value, error_estimate).
     """
     n, c = params.n, params.c
@@ -174,9 +176,6 @@ def _kernel_expectation(params, v, fn, cfg, scale):
 
     pts = sorted(set(pts))
     epsabs = cfg.quad_rel_tol * max(scale, 1e-300) * _MAG_FLOOR
-    # each panel refinement costs ~42 evaluations; QUADPACK needs the
-    # subinterval limit to exceed the number of break points
-    limit = max(len(pts) + 2, cfg.quad_max_nodes // 42)
     val, err, info, *tail = quad(
         integrand,
         0.0,
@@ -184,14 +183,14 @@ def _kernel_expectation(params, v, fn, cfg, scale):
         points=pts or None,
         epsabs=epsabs,
         epsrel=cfg.quad_rel_tol,
-        limit=limit,
+        limit=_QUAD_LIMIT,
         full_output=1,
     )
     ok = err <= max(epsabs, cfg.quad_rel_tol * abs(val)) * 10.0
     if tail and not ok:  # tail non-empty means QUADPACK reported a failure
         raise ConvergenceError(
-            f"kernel integral (v={v}) did not converge within "
-            f"{cfg.quad_max_nodes} nodes: est. error {err:.3e} for value {val:.6e}"
+            f"kernel integral (v={v}) did not converge ({info['last']} of "
+            f"{_QUAD_LIMIT} subintervals used): est. error {err:.3e} for value {val:.6e}"
         )
     return val, err
 
@@ -208,6 +207,11 @@ _GL_CHUNK = 32
 # error by up to 2.4x (n = (d + 1.3)c, checked against mpmath), so a
 # fallback value reports this multiple of it.
 _QUAD_SAFETY = 10.0
+# QUADPACK's subinterval budget per fallback integral (21 integrand values
+# each); the benchmark workloads use at most 8.  Where sin used it up, a
+# larger one only moved the failure to a larger v at a growing cost (n = 16,
+# c = 2, beta = 0.9: v = 211 at 100, v = 689 at 300).
+_QUAD_LIMIT = 100
 # A kernel integral is accurate enough once its error is within quad_rel_tol
 # of its value or of this fraction of the a-priori bound on its magnitude,
 # so that integrals near zero need no relative accuracy.

@@ -52,6 +52,13 @@ def _check_order(m: int, top: int = 4) -> None:
         raise DomainError(f"moment order must be in 0..{top}, got {m}")
 
 
+def _scaled(n: float) -> tuple[int, float]:
+    """(e, n 2^-e), e >= 0 the least that brings n below 2^255, where n^4 is
+    finite.  The scaling is exact, and below 2^255 e is 0."""
+    e = max(0, math.frexp(n)[1] - 255)
+    return e, math.ldexp(n, -e)
+
+
 def jain_moment(params: OperatorParams, m: int, x: float) -> float:
     """Exact raw moment P(t^m, x) of the Jain operator, m = 0..4.
 
@@ -61,21 +68,26 @@ def jain_moment(params: OperatorParams, m: int, x: float) -> float:
     check_point(x)
     n, b = params.n, params.beta
     a = 1.0 / (1.0 - b)
+    e, ns = _scaled(n)
+
+    def over(t, k):  # t / n^k, as n^k may overflow where the moment does not
+        return math.ldexp(t / ns**k, -e * k)
+
     try:
         if m == 0:
             mom = 1.0
         elif m == 1:
             mom = a * x
         elif m == 2:
-            mom = a * a * x * x + a**3 * x / n
+            mom = a * a * x * x + over(a**3 * x, 1)
         elif m == 3:
-            mom = a**3 * x**3 + 3 * a**4 * x**2 / n + (1 + 2 * b) * a**5 * x / n**2
+            mom = a**3 * x**3 + over(3 * a**4 * x**2, 1) + over((1 + 2 * b) * a**5 * x, 2)
         else:
             mom = (
                 a**4 * x**4
-                + 6 * a**5 * x**3 / n
-                + (7 + 8 * b) * a**6 * x**2 / n**2
-                + (1 + 8 * b + 6 * b * b) * a**7 * x / n**3
+                + over(6 * a**5 * x**3, 1)
+                + over((7 + 8 * b) * a**6 * x**2, 2)
+                + over((1 + 8 * b + 6 * b * b) * a**7 * x, 3)
             )
     except OverflowError:  # float ** raises where * and / give inf
         mom = math.inf
@@ -121,11 +133,9 @@ def d_moment_exact(params: OperatorParams, m: int, x: float) -> float:
         return 1.0
     params.require_order(m)
     n, c = params.n, params.c
-    # n and every n - ic scaled by one power of two, which is exact, so that
-    # n^m does not overflow where the moment is finite (n = 1e80, x = 1);
-    # below 2^255, where n^4 is finite, the scale is 1
-    e = max(0, math.frexp(n)[1] - 255)
-    ns = math.ldexp(n, -e)
+    # n and every n - ic scaled alike, as n^m may overflow where the moment
+    # does not (n = 1e80, x = 1)
+    e, ns = _scaled(n)
     denom = 1.0
     for i in range(2, m + 2):
         denom *= math.ldexp(n - i * c, -e)

@@ -69,8 +69,7 @@ mbound = 1 joins the mass.
 
 The mass is only needed for the stopping decision,
 so it is kept as a running total of plain ``np.sum`` block sums.
-:func:`basis_mass` is the same series for f = 1 with zero magnitude bounds,
-which it stops on the mass rule alone.
+:func:`basis_mass` is the Jain series of f = 1.
 
 Kernel integrals are cached per (n, c, f) since they depend on neither beta
 nor x; grid and parameter sweeps reuse them heavily.  A table holds E_v[f],
@@ -192,7 +191,7 @@ class KernelIntegralCache:
         self._tables: dict[tuple, _IntegralTable] = {}
 
     def table(self, params: OperatorParams, f: TestFunction, cfg: EvalConfig) -> _IntegralTable:
-        key = (params.n, params.c, cfg.quad_key(), f.name, id(f))
+        key = (params.n, params.c, cfg.quad_rel_tol, f.name, id(f))
         tab = self._tables.pop(key, None)
         if tab is None:
             tab = _IntegralTable(params, f, cfg)
@@ -447,30 +446,14 @@ def _growth_correction(params, f, basis_x, hybrid: bool) -> float:
     return 1.0 + abs(mom)
 
 
-def _unit_provider(v0, w, _mbound, _val_run, _gcf):
-    return np.ones_like(w), 0.0, 0.0
-
-
-def _zero_mag(v0, count):
-    # f = 1 (e0) with zero magnitude bounds: the series stops on the mass
-    # rule alone, and its window on the left mass share alone
-    return np.zeros(count)
-
-
 def basis_mass(params: OperatorParams, x: float, cfg: EvalConfig | None = None) -> float:
-    """Total basis mass sum_v w_b(v, nx): the v-series of f = 1.
+    """Total basis mass sum_v w_b(v, nx): the Jain series of f = 1.
 
-    It stops once the unaccounted mass drops below ``cfg.tail_eps`` (or the
-    float sum saturates).  Summation is blockwise-``fsum`` exact, but the
-    individual weights carry log-space rounding of order nx*eps, so the raw
-    sum can overshoot 1 by a few ulps; the result is clamped to [0, 1].
+    Summation is blockwise-``fsum`` exact, but the individual weights carry
+    log-space rounding of order nx*eps, so the raw sum can overshoot 1 by a
+    few ulps; the result is clamped to [0, 1].
     """
-    check_point(x)
-    cfg = cfg or EvalConfig()
-    if x == 0:
-        return 1.0  # only v = 0 survives
-    res = _series_eval(params, x, _unit_provider, _zero_mag, get_function("e0"), False, cfg, x)
-    return min(res.value, 1.0)
+    return min(eval_jain(params, get_function("e0"), x, cfg).value, 1.0)
 
 
 def _atom_result(x, f):

@@ -77,15 +77,12 @@ class EvalConfig:
 
     tail_eps        unaccounted basis mass at which the v-series may stop
     quad_rel_tol    target relative error of each kernel integral
-    quad_max_nodes  integrand-evaluation budget of the QUADPACK fallback for
-                    a kernel integral the Gauss-Legendre rule refuses
     grid_points     base grid resolution for moduli / sup computations
     domain_cap      right endpoint standing in for +inf in sup computations
     """
 
     tail_eps: float = 1e-12
     quad_rel_tol: float = 1e-10
-    quad_max_nodes: int = 4200
     grid_points: int = 257
     domain_cap: float = 40.0
 
@@ -94,12 +91,7 @@ class EvalConfig:
             raise DomainError(f"tail_eps must be in (0,1), got {self.tail_eps}")
         if not (0 < self.quad_rel_tol < math.inf):
             raise DomainError(f"quad_rel_tol must be positive and finite, got {self.quad_rel_tol}")
-        if self.quad_max_nodes < 21:
-            raise DomainError("quad_max_nodes must allow at least one panel (21)")
         if self.grid_points < 2:
             raise DomainError("grid_points must be at least 2")
         if not (0 < self.domain_cap < math.inf):
             raise DomainError(f"domain_cap must be positive and finite, got {self.domain_cap}")
-
-    def quad_key(self) -> tuple:
-        return (self.quad_rel_tol, self.quad_max_nodes)

@@ -31,6 +31,22 @@ def test_public_names_are_pinned():
     ]
 
 
+def test_settings_are_pinned():
+    # adding or removing a tolerance or a CLI option is a change to these lists
+    import dataclasses
+
+    from jainbaskakov import cli
+
+    assert [f.name for f in dataclasses.fields(jainbaskakov.EvalConfig)] == [
+        "tail_eps", "quad_rel_tol", "grid_points", "domain_cap",
+    ]
+    assert sorted(cli._OPTIONS) == [
+        "a", "beta", "beta_schedule", "c", "domain_cap", "format", "function",
+        "grid_points", "interval", "l", "lam", "m_const", "n", "n_values", "operator",
+        "output", "points", "quad_rel_tol", "seed", "tail_eps", "theorem", "x",
+    ]
+
+
 def test_star_import():
     namespace = {}
     exec("from jainbaskakov import *", namespace)

@@ -261,14 +261,14 @@ def test_golden_files_bit_exact(command, tmp_path):
     [
         (None, {"JAINBASKAKOV_TAIL_EPS": "abc"}, "tail_eps"),
         ({"n": "fifty"}, None, "n"),
-        ({"quad_max_nodes": "1e3"}, None, "quad_max_nodes"),
+        ({"grid_points": "1e3"}, None, "grid_points"),
         # integer options: no truncation of fractions, no booleans as 0/1
         ({"grid_points": 33.9}, None, "grid_points"),
-        ({"quad_max_nodes": True}, None, "quad_max_nodes"),
+        ({"grid_points": True}, None, "grid_points"),
         ({"seed": 2.5}, None, "seed"),
         ({"seed": False}, None, "seed"),
         (None, {"JAINBASKAKOV_GRID_POINTS": "33.9"}, "grid_points"),
-        (None, {"JAINBASKAKOV_QUAD_MAX_NODES": "true"}, "quad_max_nodes"),
+        (None, {"JAINBASKAKOV_GRID_POINTS": "true"}, "grid_points"),
         # a key that names no option, and values outside an option's choices
         ({"tail_esp": 1e-3}, None, "tail_esp"),
         ({"operator": "baskakov"}, None, "operator"),
@@ -294,17 +294,15 @@ def test_integral_float_accepted_for_integer_options(tmp_path):
     from jainbaskakov import cli
 
     cfgfile = tmp_path / "run.json"
-    cfgfile.write_text(json.dumps({"grid_points": 33.0, "quad_max_nodes": 2100.0, "seed": 7.0}))
+    cfgfile.write_text(json.dumps({"grid_points": 33.0, "seed": 7.0}))
     cfg = cli._resolve(cli.build_parser().parse_args(["eval", "--config", str(cfgfile)]), "eval")
-    assert [(cfg[k], type(cfg[k])) for k in ("grid_points", "quad_max_nodes", "seed")] == [
-        (33, int), (2100, int), (7, int)]
+    assert [(cfg[k], type(cfg[k])) for k in ("grid_points", "seed")] == [(33, int), (7, int)]
 
 
 # one non-default value per EvalConfig field, as the CLI would receive it
 _TOLERANCE_VALUES = {
     "tail_eps": 1e-9,
     "quad_rel_tol": 1e-8,
-    "quad_max_nodes": 2100,
     "grid_points": 65,
     "domain_cap": 12.5,
 }

@@ -244,10 +244,13 @@ class TestKernelMoments:
         with pytest.raises(IntegrabilityError):
             kernel_integral(OperatorParams(4, 1, 0.0), 1, get_function("e4"), cfg)
 
-    def test_quadrature_convergence_error(self):
-        # a kink plus an absurdly tight tolerance and a one-panel budget
-        tight = EvalConfig(quad_rel_tol=1e-14, quad_max_nodes=42)
-        with pytest.raises(ConvergenceError):
+    def test_quadrature_convergence_error(self, monkeypatch):
+        # a kink plus an absurdly tight tolerance, with QUADPACK held to 4
+        # subintervals: the 3 its break points (mode and mean) make, and one
+        # bisection
+        monkeypatch.setattr(kernels, "_QUAD_LIMIT", 4)
+        tight = EvalConfig(quad_rel_tol=1e-14)
+        with pytest.raises(ConvergenceError, match="4 of 4 subintervals used"):
             kernel_integral(OperatorParams(50, 1, 0.0), 30, get_function("abs-shift"), tight)
 
 
@@ -376,15 +379,12 @@ class TestGaussLegendreRule:
         kernel_integral(OperatorParams(2.3, 1, 0.0), 250, f, cfg)
 
     def test_node_budget_leaves_the_rule_first(self, fallbacks):
-        # quad_max_nodes is the QUADPACK fallback's budget only: below the
-        # rule's 3K nodes the same v reach QUADPACK as at the default budget
+        # QUADPACK's budget is its own: every v is tried by the rule first,
+        # and only those whose estimate misses the tolerance reach QUADPACK
         p, f = OperatorParams(20, 1, 0.0), get_function("exp-neg")
         v = np.arange(1, 12)
-        for budget in (3 * kernels._GL_K - 1, EvalConfig().quad_max_nodes):
-            fallbacks.clear()
-            kernels.kernel_expectations(p, f, v, EvalConfig(quad_max_nodes=budget),
-                                        magnitude_bound(p, f, v))
-            assert fallbacks == [1, 2, 3, 4, 5]
+        kernels.kernel_expectations(p, f, v, EvalConfig(), magnitude_bound(p, f, v))
+        assert fallbacks == [1, 2, 3, 4, 5]
 
     def test_log_density_matches_high_precision(self):
         # the log density at the mode and the step away from it, each to a

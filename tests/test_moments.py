@@ -75,6 +75,16 @@ class TestJainMoments:
         with pytest.raises(DomainError, match=rf"P\(t\^{m}, x\) overflows"):
             jain_moment(OperatorParams(n, 1, 0.0), m, x)
 
+    def test_large_n_evaluates(self):
+        # n^2 and n^3 overflow at these n, the moments do not: P(t^m, x)
+        # tends to (a x)^m as n grows
+        assert jain_moment(OperatorParams(1e200, 1, 0.0), 3, 1.0) == 1.0
+        assert jain_moment(OperatorParams(1e160, 1, 0.0), 4, 1.0) == 1.0
+        assert jain_moment(OperatorParams(1e200, 1, 0.5), 4, 1.0) == 16.0
+        p = OperatorParams(1e200, 1, 0.0)
+        res = eval_jain(p, get_function("e4"), 1e-199)  # nx = 10
+        assert res.value == pytest.approx(jain_moment(p, 4, 1e-199), abs=1e-300)
+
     def test_display_equals_exact_at_beta_zero(self):
         p = OperatorParams(17, 1, 0.0)
         for m in (3, 4):
@@ -146,6 +156,11 @@ class TestHybridMoments:
         assert d_moment_exact(OperatorParams(1e80, 1, 0.5), 3, 2.0) == 64.0
         res = eval_jain_baskakov(p, get_function("e4"), 1e-79)  # nx = 10
         assert res.value == pytest.approx(d_moment_exact(p, 4, 1e-79), abs=1e-300)
+
+    def test_moment_past_the_jain_overflow_evaluates(self):
+        # n^3 in the Jain moments it recombines overflows at n = 1e200
+        assert d_moment_exact(OperatorParams(1e200, 1, 0.0), 4, 1.0) == 1.0
+        assert d_moment_exact(OperatorParams(1e200, 1, 0.5), 4, 1.0) == 16.0
 
     @pytest.mark.parametrize("n, x", [(10.0, 1e77), (1e80, 1e80)])
     def test_overflow_is_a_domain_error(self, n, x):
