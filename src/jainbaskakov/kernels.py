@@ -262,7 +262,10 @@ def _stirling_rest(x):
     x = np.asarray(x, dtype=np.float64)
     small = x < 8.0
     xs = np.where(small, 8.0, x)
-    r2 = 1.0 / (xs * xs)
+    # capped where xs * xs would overflow: past 1e150, r2 is far below the
+    # rounding of the leading 1/12
+    xc = np.minimum(xs, 1e150)
+    r2 = 1.0 / (xc * xc)
     series = np.zeros_like(xs)
     for coef in reversed(_STIRLING):
         series = series * r2 + coef

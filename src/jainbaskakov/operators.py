@@ -12,9 +12,9 @@ basis in v:
   exact reproduction of constants and of the identity.
 
 The v-series is summed over a window of v in blocks (:func:`block_schedule`),
-each block as numpy arrays with one exactly rounded ``math.fsum``.  The
-window starts at v_lo >= 0 (:func:`_left_window`); its first block runs to
-about mean + k spread of the law, mean nx/(1-beta) and spread
+each block as numpy arrays with one pairwise ``np.sum``.  The window
+starts at v_lo >= 0 (:func:`_left_window`); its first block runs to about
+mean + k spread of the law, mean nx/(1-beta) and spread
 sqrt(nx)/(1-beta)^1.5, k = sqrt(-2 log(tail_eps 2^-26)), and is never
 shorter than ``_BLOCK_START`` nor longer than ``_BLOCK_MAX``; later blocks
 double up to ``_BLOCK_MAX``.  (Longer blocks measured slower per term.)
@@ -40,7 +40,7 @@ q = max(rho(V), beta e^(1-beta)) (1 + 1/V)^d every later term is at most q
 times the one before, and for q < 1 the tail is at most
 w(V) mbound(V) q/(1-q) (inf otherwise), with q rounded up and w(V)
 inflated by the log-space rounding of its computed value.  The rounding
-of the summed weights themselves is not in the bound.
+of the summed terms is reported apart, in ``rounding_est`` (below).
 
 The left bound covers sum_{u<v_lo} w(u) mbound(u).  With g(v) = log r(v)
 over real v >= 0,
@@ -71,6 +71,33 @@ The mass is only needed for the stopping decision,
 so it is kept as a running total of plain ``np.sum`` block sums.
 :func:`basis_mass` is the Jain series of f = 1.
 
+``rounding_est`` bounds the floating-point error of ``value`` given the
+computed values f(v/n) or E_v[f] (whose quadrature error is
+``quad_error_est``): the rounding of the weights and of the sums.  A block's
+value is ``np.sum(w * vals)``, and numpy sums a contiguous float64 array
+pairwise.  A part of p <= 128 terms, p = 8q + r, goes into 8 accumulators,
+each a chain of q - 1 additions, joined by a tree of depth 3; the r < 8
+terms left over are then added one by one.  So no term passes more than
+(q - 1) + 3 + r <= 24 additions (q <= 15 when r > 0; p < 8 takes p - 1).
+A longer part is split in two, one more addition: the first half holds
+floor(p/2) less its remainder mod 8 terms, the second at most p/2 + 8.  After
+j = ceil(log2(n/128)) splits of a block of n terms every part is below
+n/2^j + 16 <= 144 terms, and one above 128 splits once more into parts of
+at most 79, depth at most 18.  So each term passes through at most
+k = 24 + ceil(log2(n/128))^+ additions, one more rounding for the product
+w*f, and the block value is within gamma_(k+1) sum|w f| of the exact sum
+of the computed terms, gamma_j = j u/(1 - j u), u = 2^-53 (Higham, Accuracy
+and Stability of Numerical Algorithms, 2nd ed., 2002, sec. 4.2).  Each
+computed weight is off by a factor exp(delta), |delta| at most 8 eps times
+the sizes of the terms of its logarithm, as in the tail bound; over a block
+those sizes are largest at its last index, but for |log m|, which is
+quasi-convex in m and so largest at one of the block's ends.  That adds
+expm1(|delta|) sum|w f|, and weights or products below the normal range
+add at most 2^-1075 (1 + mbound) each.  Adding the block to the running
+total rounds once more, by at most u times the new total.  The
+quadrature errors are summed by ``np.sum`` too; their terms are
+nonnegative, so scaling the sum by 1 + 2 gamma keeps it an upper bound.
+
 Kernel integrals are cached per (n, c, f) since they depend on neither beta
 nor x; grid and parameter sweeps reuse them heavily.  A table holds E_v[f],
 its error estimate and the a-priori bound on |E_v[f]| in arrays indexed by
@@ -97,6 +124,9 @@ from .kernels import _EPS, kernel_expectations, magnitude_bound, require_integra
 from .moments import d_moment_exact, jain_moment, king_transform
 from .params import EvalConfig, OperatorKind, OperatorParams, check_point
 
+# Unit roundoff of float64.
+_U = 2.0**-53
+
 # Per-term skip threshold factor: a term whose a-priori bound is below
 # tail_eps * 2^-26 * (scale) is dropped without computing its integral; the
 # dropped mass is tracked and folded into the reported tail bound.
@@ -105,13 +135,20 @@ _SKIP_FACTOR = 2.0**-26
 
 @dataclass(frozen=True)
 class EvalResult:
-    """One operator evaluation with accuracy accounting."""
+    """One operator evaluation with accuracy accounting.
+
+    ``est_tail_bound`` bounds the terms left out, ``quad_error_est``
+    estimates the quadrature error of the kernel integrals summed, and
+    ``rounding_est`` bounds the floating-point error of the summation
+    (module docstring).
+    """
 
     x: float
     value: float
     v_terms_used: int
     est_tail_bound: float
     quad_error_est: float
+    rounding_est: float
 
 
 class _IntegralTable:
@@ -252,6 +289,24 @@ def _ratio_sup(nx, beta, v, d):
     return math.exp(log_ratio + d * math.log1p(1.0 / v) + 16.0 * _EPS * (1.0 + abs(log_ratio)))
 
 
+def _sum_gamma(count):
+    """gamma_k for ``np.sum`` of ``count`` products w*f (module docstring):
+    k = 24 + ceil(log2(count/128))^+ additions, one rounding for the
+    product and two more for forming sum|w f| and the bound in floats."""
+    k = 27 + ((count - 1) // 128).bit_length()
+    return k * _U / (1.0 - k * _U)
+
+
+def _log_weight_rounding(nx, beta, v_first, v_last, d):
+    """8 eps times the sizes of the terms of the computed log w(v), and of
+    d + 4 more roundings, for every v in [v_first, v_last]: the sizes rise
+    with v, but for |log m|, quasi-convex in m and so largest at an end."""
+    log_m = max(abs(math.log(nx + v_first * beta)), abs(math.log(nx + v_last * beta)))
+    m = nx + v_last * beta
+    return 8.0 * _EPS * (abs(math.log(nx)) + v_last * (1.0 + log_m) + m
+                         + math.lgamma(v_last + 1.0) + d + 4.0)
+
+
 def _tail_bound(nx, beta, v, w_v, mb_v, d, q):
     """Certified bound on the geometric majorant w(v) mbound(v) q/(1-q).
 
@@ -266,9 +321,7 @@ def _tail_bound(nx, beta, v, w_v, mb_v, d, q):
     # the computed log w(v) is within a few eps of the sizes of its terms,
     # mbound and the products here within d + 4 roundings: 8 eps of both is
     # about twice that
-    m = nx + v * beta
-    rounding = 8.0 * _EPS * (abs(math.log(nx)) + v * (1.0 + abs(math.log(m))) + m
-                             + math.lgamma(v + 1.0) + d + 4.0)
+    rounding = _log_weight_rounding(nx, beta, v, v, d)
     scale = mb_v * math.exp(rounding) * q / (1.0 - q)
     # one step up covers the rounding of the last product, subnormal or not
     return math.nextafter((w_v + 2.0**-1074) * scale, math.inf)
@@ -368,7 +421,8 @@ def _series_eval(params, basis_x, provider, mag, f, hybrid, cfg, x_report):
     at most (1 + 1/v)^d from v to v + 1, d the growth degree of ``f``.
     ``provider(v0, w, mbound, running_value, gcf)``, gcf the threshold scale
     of :func:`_growth_correction`, returns per-block (values,
-    skipped_tail_increment, quad_error_increment).  Summation starts at
+    skipped_tail_increment, quad_error_increment).  Each block adds its
+    rounding bound to ``rounding_est`` (module docstring).  Summation starts at
     :func:`_left_window`'s v_lo, whose left bound joins the skipped tail.
     After each block, terms past its last index V are bounded by
     :func:`_tail_bound` with q = :func:`_ratio_sup`: every weight ratio past
@@ -389,9 +443,7 @@ def _series_eval(params, basis_x, provider, mag, f, hybrid, cfg, x_report):
     gcf = _growth_correction(params, f, basis_x, hybrid)
     d = f.growth_degree
     v_lo, first, mass, skipped = _left_window(nx, beta, d, cfg.tail_eps, gcf, mag)
-    val_run = 0.0
-    val_parts: list[float] = []
-    qerr_parts: list[float] = []
+    val_run = quad_err = rounding = 0.0
 
     for v0, block in block_schedule(V_MAX, v_lo, first):
         w = _core.jain_weights(nx, beta, v0, block)
@@ -399,20 +451,20 @@ def _series_eval(params, basis_x, provider, mag, f, hybrid, cfg, x_report):
         vals, sk_inc, qerr_inc = provider(v0, w, mbound, val_run, gcf)
         last = float(np.sum(w))
         mass += last
-        # fsum's result does not depend on the order of the terms, but it runs
-        # several times faster on terms falling in size: go out from the peak
         terms = w * vals
-        peak = int(np.argmax(w))
-        val_parts.append(math.fsum(terms[peak:].tolist() + terms[:peak][::-1].tolist()))
-        val_run += val_parts[-1]
-        qerr_parts.append(qerr_inc)
+        val_run += float(np.sum(terms))
+        quad_err += qerr_inc
         skipped += sk_inc
 
         big_v = v0 + block - 1
+        mb_last = float(mbound[-1])
+        factor = _sum_gamma(block) + math.expm1(_log_weight_rounding(nx, beta, v0, big_v, d))
+        rounding += (factor * float(np.sum(np.abs(terms, out=terms)))
+                     + block * 2.0**-1074 * max(1.0, mb_last) + _U * abs(val_run))
         if w[-1] * mbound[-1] == 0.0:
             tail_geo = 0.0
         else:
-            tail_geo = _tail_bound(nx, beta, big_v, float(w[-1]), float(mbound[-1]), d,
+            tail_geo = _tail_bound(nx, beta, big_v, float(w[-1]), mb_last, d,
                                    _ratio_sup(nx, beta, big_v, d))
         tail_est = tail_geo + skipped
 
@@ -421,10 +473,11 @@ def _series_eval(params, basis_x, provider, mag, f, hybrid, cfg, x_report):
         ):
             return EvalResult(
                 x=x_report,
-                value=math.fsum(val_parts),
+                value=val_run,
                 v_terms_used=v0 + block - v_lo,
                 est_tail_bound=tail_est,
-                quad_error_est=math.fsum(qerr_parts),
+                quad_error_est=quad_err,
+                rounding_est=rounding,
             )
     raise _cap_error(beta, nx)
 
@@ -449,16 +502,17 @@ def _growth_correction(params, f, basis_x, hybrid: bool) -> float:
 def basis_mass(params: OperatorParams, x: float, cfg: EvalConfig | None = None) -> float:
     """Total basis mass sum_v w_b(v, nx): the Jain series of f = 1.
 
-    Summation is blockwise-``fsum`` exact, but the individual weights carry
-    log-space rounding of order nx*eps, so the raw sum can overshoot 1 by a
-    few ulps; the result is clamped to [0, 1].
+    The weights carry log-space rounding of order nx*eps and the pairwise
+    block sums a few ulps more, so the raw sum can overshoot 1 by a few ulps;
+    the result is clamped to [0, 1].
     """
     return min(eval_jain(params, get_function("e0"), x, cfg).value, 1.0)
 
 
 def _atom_result(x, f):
     return EvalResult(
-        x=x, value=float(f.fn(0.0)), v_terms_used=1, est_tail_bound=0.0, quad_error_est=0.0
+        x=x, value=float(f.fn(0.0)), v_terms_used=1, est_tail_bound=0.0, quad_error_est=0.0,
+        rounding_est=0.0,
     )
 
 
@@ -510,7 +564,9 @@ def _eval_hybrid(params, f, x, basis_x, cfg):
         vals = np.zeros_like(w)
         values, errors = table.get(v_arr[keep])
         vals[keep] = values
-        return vals, sk, math.fsum((w[keep] * errors).tolist())
+        # a sum of nonnegative terms: 1 + 2 gamma_k undoes its rounding down
+        qerr = float(np.sum(w[keep] * errors)) * (1.0 + 2.0 * _sum_gamma(len(errors)))
+        return vals, sk, qerr
 
     return _series_eval(params, basis_x, provider, table.mag, f, True, cfg, x_report=x)
 

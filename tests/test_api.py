@@ -47,6 +47,14 @@ def test_settings_are_pinned():
     ]
 
 
+def test_eval_result_fields_are_pinned():
+    import dataclasses
+
+    assert [f.name for f in dataclasses.fields(jainbaskakov.EvalResult)] == [
+        "x", "value", "v_terms_used", "est_tail_bound", "quad_error_est", "rounding_est",
+    ]
+
+
 def test_star_import():
     namespace = {}
     exec("from jainbaskakov import *", namespace)

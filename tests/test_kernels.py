@@ -25,6 +25,8 @@ from jainbaskakov import (
     ThresholdError,
     basis_mass,
     baskakov_kernel_log,
+    eval_jain_baskakov,
+    eval_king,
     get_function,
     jain_basis_log,
     kernel_integral,
@@ -409,6 +411,15 @@ class TestGaussLegendreRule:
                     want = float(phi(u0 + delta) - peak)
                     step, size = kernels._log_step(np.float64(delta), np.float64(v), b)
                     assert abs(step - want) <= 4 * np.finfo(float).eps * size
+
+    def test_stirling_rest_at_huge_arguments(self):
+        # x * x overflowed past about 1e154, a RuntimeWarning (an error in
+        # this suite) from every hybrid evaluation at such n/c
+        x = np.array([1e150, 1e160, 1e300, 1.7e308])
+        np.testing.assert_allclose(kernels._stirling_rest(x), (1.0 / 12.0) / x, rtol=1e-15)
+        p = OperatorParams(1e200, 1, 0)
+        for evaluate, name in ((eval_jain_baskakov, "e4"), (eval_king, "e2")):
+            assert evaluate(p, get_function(name), 1e-199).value == 0.0
 
 
 class TestWeightBlocks:

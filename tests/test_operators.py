@@ -482,7 +482,7 @@ def test_each_weight_block_is_computed_once(monkeypatch):
     v_lo, first, _, _ = ops._left_window(3000.0, 0.0, 0, EvalConfig().tail_eps, 1.0, mag)
     assert 2000 < v_lo < 3000 < v_lo + first < 4000
     assert blocks == [(v_lo, first)]
-    assert got == float.fromhex("0x1.fffffffffe702p-1")  # as in series_bitwise.json
+    assert got == float.fromhex("0x1.fffffffffe704p-1")  # as in series_bitwise.json
 
 
 # The certificates of the v-series (operators module docstring): the weight
@@ -764,7 +764,7 @@ def _mp_jain_moment(beta, m, x):
 @pytest.mark.parametrize("beta, x", [
     pytest.param(beta, x, marks=pytest.mark.xfail(
         strict=True, reason="at beta near 1 the log-space rounding of the weights grows "
-                            "with the series length, which no reported bound holds"))
+                            "with the series length, past this test's allowance"))
     if (beta, x) == (0.95, 9.0) else (beta, x)
     for beta in _JAIN_BETAS for x in _JAIN_XS])
 def test_jain_monomials_match_mpmath(beta, x):
@@ -777,3 +777,121 @@ def test_jain_monomials_match_mpmath(beta, x):
             err = abs(res.value - _mp_jain_moment(beta, m, x))
         rounding = 8 * _EPS * (1.0 + nx) * math.log(2.0 + nx) * abs(res.value)
         assert err <= res.est_tail_bound + rounding
+
+
+# The rounding bound of the v-series (operators module docstring): numpy's
+# pairwise summation, its depth, and rounding_est against the actual error.
+
+def _pairwise_model(a):
+    """numpy's pairwise summation of the float list ``a``, as the operators
+    module docstring describes it."""
+    n = len(a)
+    if n < 8:
+        total = 0.0
+        for t in a:
+            total += t
+        return total
+    if n <= 128:
+        acc, i = a[:8], 8
+        while i < n - n % 8:
+            acc = [r + t for r, t in zip(acc, a[i:i + 8])]
+            i += 8
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        for t in a[i:]:
+            total += t
+        return total
+    half = n // 2 - n // 2 % 8
+    return _pairwise_model(a[:half]) + _pairwise_model(a[half:])
+
+
+@functools.lru_cache(maxsize=None)
+def _pairwise_depth(n):
+    """The most additions a term passes through in :func:`_pairwise_model`."""
+    if n < 8:
+        return max(n - 1, 0)
+    if n <= 128:
+        return (n // 8 - 1) + 3 + n % 8
+    half = n // 2 - n // 2 % 8
+    return 1 + max(_pairwise_depth(half), _pairwise_depth(n - half))
+
+
+def _summed_blocks(monkeypatch, evaluate):
+    """An evaluation's result and the products w * vals its series summed,
+    one array per block."""
+    blocks = []
+    real = ops._series_eval
+
+    def series(params, basis_x, provider, *args, **kwargs):
+        def recording(v0, w, mbound, val_run, gcf):
+            out = provider(v0, w, mbound, val_run, gcf)
+            blocks.append(w * out[0])
+            return out
+
+        return real(params, basis_x, recording, *args, **kwargs)
+
+    monkeypatch.setattr(ops, "_series_eval", series)
+    return evaluate(), blocks
+
+
+class TestRoundingBound:
+    def test_np_sum_is_the_pairwise_scheme(self):
+        # the bound rests on this: np.sum of a contiguous float64 array is
+        # numpy's pairwise sum, bit for bit
+        rng = np.random.default_rng(5)
+        for n in [*range(1, 300), 1000, 4097, 8191, ops._BLOCK_MAX]:
+            a = rng.standard_normal(n) * np.exp(rng.uniform(-30.0, 30.0, n))
+            assert float(np.sum(a)) == _pairwise_model(a.tolist())
+
+    def test_pairwise_depth_is_within_the_bound(self):
+        for n in range(1, ops._BLOCK_MAX + 1):
+            k = 24 + max(0, math.ceil(math.log2(n / 128)))
+            assert _pairwise_depth(n) <= k
+            # one rounding more for the product, two for the bound itself
+            assert ops._sum_gamma(n) == (k + 3) * ops._U / (1.0 - (k + 3) * ops._U)
+        assert max(map(_pairwise_depth, range(1, ops._BLOCK_MAX + 1))) == 30
+
+    @pytest.mark.parametrize("kind, beta, x, name", [
+        (OperatorKind.JAIN, 0.95, 5000.0 / 300.0, "e4"),
+        (OperatorKind.JAIN_BASKAKOV, 0.1, 3.0, "sin"),
+        (OperatorKind.KING, 0.1, 2.95, "e2"),
+    ])
+    def test_bound_covers_the_summation(self, monkeypatch, kind, beta, x, name):
+        # against the exactly rounded sum of the same computed terms
+        p = OperatorParams(_JAIN_N, 1.0, beta)
+        res, blocks = _summed_blocks(
+            monkeypatch, lambda: ops.eval_operator(kind, p, get_function(name), x))
+        terms = np.concatenate(blocks)
+        assert len(terms) == res.v_terms_used
+        if kind is OperatorKind.JAIN:
+            assert [len(b) for b in blocks] == [ops._BLOCK_MAX] * 12
+        if name == "sin":
+            assert terms.min() < 0.0 < terms.max()
+        assert abs(res.value - math.fsum(terms.tolist())) <= res.rounding_est
+
+    def test_atoms_report_no_rounding(self):
+        p = OperatorParams(_JAIN_N, 1.0, 0.1)
+        for kind in OperatorKind:
+            assert ops.eval_operator(kind, p, get_function("exp-neg"), 0.0).rounding_est == 0.0
+
+    def test_king_reproduction_within_the_reported_bounds(self):
+        # no test-side allowance: at (47.11, 1, 0.151), x = 4.88 the value is
+        # 3.4e-13 from x, beyond its tail and quadrature bounds alone
+        rng = random.Random(20)
+        cases = [(OperatorParams(47.11, 1.0, 0.151), 1, 4.88)]
+        cases += [(OperatorParams(rng.uniform(8.0, 60.0), 1.0, rng.uniform(0.0, 0.6)),
+                   rng.randint(0, 1), rng.uniform(0.0, 5.0)) for _ in range(300)]
+        for p, m, x in cases:
+            res = eval_king(p, get_function(f"e{m}"), x)
+            bound = res.est_tail_bound + res.quad_error_est + res.rounding_est
+            assert abs(res.value - x**m) <= bound, (p, m, x)
+
+
+@pytest.mark.parametrize("beta, x", [(beta, x) for beta in _JAIN_BETAS for x in _JAIN_XS])
+def test_jain_monomials_within_the_reported_bounds(beta, x):
+    # e1-e4 against the 40-digit closed-form moments, with no test-side
+    # allowance: at (0.95, 9.0) the error is 6.3e-2
+    for m in range(1, 5):
+        res = _jain(beta, x, f"e{m}")
+        with mpmath.workdps(40):
+            err = abs(res.value - _mp_jain_moment(beta, m, x))
+        assert err <= res.est_tail_bound + res.rounding_est

@@ -37,6 +37,28 @@ at x = 2) are within the parent's own bound (4.1e-12, 5.2e-5), which was
 larger because the parent stopped on a wider tail.  The distance to the
 exact value beyond the bound is the log-space rounding of the weights,
 about eps nx log(nx) |value|, which no reported bound holds (CHANGES.md).
+All rows were re-recorded when each block's value moved from an exactly
+rounded ``math.fsum`` to numpy's pairwise ``np.sum`` and the results gained
+``rounding_est``, the certified bound on the rounding of the weights and of
+the sums.  ``v_terms_used`` and ``est_tail_bound`` did not change; the
+hybrid and King ``quad_error_est`` moved in its last bits away from x = 0
+(its sum is now rounded up).  The values that moved, against the previous recording
+(parent) and, where a closed form exists, the 40-digit value (exact), with
+the new ``rounding_est`` and the new ``est_tail_bound + quad_error_est +
+rounding_est`` (bound):
+
+    row                      |new - parent|  rounding_est  |new - exact|  |parent - exact|  bound
+    jain-baskakov e2 0.5         5.6e-17        2.0e-12        1.8e-14        1.8e-14       2.0e-12
+    jain-baskakov exp-neg 0.013  1.1e-16        4.1e-12
+    king e2 1.7                  4.4e-16        5.3e-11        4.3e-13        4.3e-13       5.3e-11
+    king exp-neg 2.95            6.9e-18        1.7e-12
+    jain e4 beta 0.95 x 16.7     3.8e-6         57             0.69           0.69          57
+    jain e4 beta 0.95 x 2        4.7e-10        2.1e-3         1.3e-5         1.3e-5        2.1e-3
+    basis mass (1000, 0, 3)      2 ulp                                   (0x1.fffffffffe704p-1)
+
+Every move lies within the new ``rounding_est``, and the distance to the
+exact value did not change at two digits.
+
 Any change to summation order, stopping rule, quadrature or cache layout
 that moves a single bit fails here.
 
@@ -77,6 +99,7 @@ def _fields(res):
         "v_terms_used": res.v_terms_used,
         "est_tail_bound": float.hex(res.est_tail_bound),
         "quad_error_est": float.hex(res.quad_error_est),
+        "rounding_est": float.hex(res.rounding_est),
     }
 
 
