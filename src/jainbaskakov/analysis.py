@@ -310,7 +310,7 @@ def voronovskaja_sweep(
         res = eval_operator(kind, params, f, x, _tightened(cfg, n))
         scaled = n * (res.value - fx)
         gap = abs(scaled - predicted)
-        noise = n * (res.est_tail_bound + res.quad_error_est)
+        noise = n * (res.est_tail_bound + res.quad_error_est + res.rounding_est)
         if gap > 0 and noise > gap:
             warnings.warn(
                 f"n={n}: numerical noise estimate {noise:.3e} exceeds the "

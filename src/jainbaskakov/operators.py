@@ -102,11 +102,17 @@ Kernel integrals are cached per (n, c, f) since they depend on neither beta
 nor x; grid and parameter sweeps reuse them heavily.  A table holds E_v[f],
 its error estimate and the a-priori bound on |E_v[f]| in arrays indexed by
 v and answers a whole block of v in one lookup.  The v a block finds
-missing are computed in one call of :func:`kernels.kernel_expectations`:
-a vectorised Gauss-Legendre rule in the logit variable, whose reported
-error is its K/2K difference plus a truncation and a rounding bound, with
-QUADPACK for each v where that estimate misses ``quad_rel_tol``.  The cache
-keeps at most CACHE_TABLES tables, dropping the least recently used.
+missing are computed in one call of :func:`kernels.kernel_expectations`,
+together with every other unfilled v >= 1 of the aligned chunks of
+``kernels._GL_CHUNK`` (32) that hold them: a vectorised Gauss-Legendre rule
+in the logit variable, whose reported error is its K/2K difference plus a
+truncation and a rounding bound.  A v asked for whose estimate misses
+``quad_rel_tol`` goes to QUADPACK; a v not asked for is stored only where
+the rule's estimate meets it, and otherwise stays unfilled until a block
+asks for it.  So QUADPACK runs for the same v as if only the v asked for
+were computed, and a rule row depends on no other v of its chunk, so the
+stored values are the same bits too.  The cache keeps at most CACHE_TABLES
+tables, dropping the least recently used.
 """
 
 from __future__ import annotations
@@ -120,7 +126,8 @@ import numpy as np
 from . import _core
 from .errors import ConvergenceError, ThresholdError
 from .functions import TestFunction, get_function
-from .kernels import _EPS, kernel_expectations, magnitude_bound, require_integrable
+from .kernels import (_EPS, _GL_CHUNK, kernel_expectations, magnitude_bound,
+                      require_integrable)
 from .moments import d_moment_exact, jain_moment, king_transform
 from .params import EvalConfig, OperatorKind, OperatorParams, check_point
 
@@ -191,15 +198,25 @@ class _IntegralTable:
         """(E_v[f], error estimates) for the integer array ``v``.
 
         Entries not yet in the table are computed first, all in one call
-        of :func:`kernels.kernel_expectations`.
+        of :func:`kernels.kernel_expectations`, together with every other
+        unfilled v of the _GL_CHUNK-aligned chunks that hold them.  Those
+        others are stored only where the rule's estimate meets the
+        tolerance; QUADPACK runs only for the v asked for.
         """
         self._reserve(int(v.max(initial=0)) + 1)
         missing = v[~self._filled[v]]
         if missing.size:
-            new = np.unique(missing)
-            self._values[new], self._errors[new] = kernel_expectations(
-                self.params, self.f, new, self.cfg, self._mag[new]
+            chunks = np.unique(missing // _GL_CHUNK)
+            span = (chunks[:, None] * _GL_CHUNK + np.arange(_GL_CHUNK)).ravel()
+            self._reserve(int(span[-1]) + 1)
+            span = span[~self._filled[span]]
+            asked = np.isin(span, missing)
+            values, errors = kernel_expectations(
+                self.params, self.f, span, self.cfg, self._mag[span], needed=asked
             )
+            keep = asked | (errors < np.inf)
+            new = span[keep]
+            self._values[new], self._errors[new] = values[keep], errors[keep]
             self._filled[new] = True
         return self._values[v], self._errors[v]
 

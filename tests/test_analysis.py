@@ -1,12 +1,15 @@
 """Analysis harness tests: moduli, bound checks, weighted norms, asymptotics."""
 
 import math
+import warnings
 
 import pytest
 
+from jainbaskakov import analysis
 from jainbaskakov import (
     DomainError,
     EvalConfig,
+    EvalResult,
     OperatorKind,
     OperatorParams,
     UnboundedFunctionError,
@@ -248,6 +251,26 @@ class TestVoronovskaja:
 
             val = 3.0 * king_moment(p, 0, 1.0) + 2.0 * king_moment(p, 1, 1.0)
             assert n * (val - lin_val(p, 1.0)) == pytest.approx(0.0, abs=1e-11)
+
+    def test_noise_warning_counts_the_rounding(self, monkeypatch):
+        # the noise is n times every error the evaluation reports: a rounding
+        # bound alone above gap/n makes the gap unresolved
+        gap = 1e-3
+
+        def evaluated(rounding):
+            def fake(kind, params, f, x, cfg):
+                value = float(f.fn(x)) + (7.0 + gap) / params.n  # 7: the limit
+                return EvalResult(x, value, 1, 0.0, 0.0, rounding / params.n)
+            return fake
+
+        e2 = get_function("e2")
+        monkeypatch.setattr(analysis, "eval_operator", evaluated(2 * gap))
+        with pytest.warns(UserWarning, match="numerical noise estimate"):
+            voronovskaja_sweep(OperatorKind.JAIN_BASKAKOV, 1.0, 0.0, e2, 1.0, [64])
+        monkeypatch.setattr(analysis, "eval_operator", evaluated(gap / 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            voronovskaja_sweep(OperatorKind.JAIN_BASKAKOV, 1.0, 0.0, e2, 1.0, [64])
 
     def test_requires_derivatives_and_interior_point(self, cfg):
         with pytest.raises(DomainError):

@@ -256,6 +256,33 @@ def test_golden_files_bit_exact(command, tmp_path):
         assert got == want, f"{command}{suffix} deviates from the golden file"
 
 
+def test_golden_runs_send_the_same_v_to_quadpack(tmp_path, monkeypatch):
+    # a table fills whole aligned chunks by the Gauss-Legendre rule, but
+    # QUADPACK runs only for the v a series asks for: each golden
+    # configuration on a cold cache makes as many QUADPACK calls as when
+    # tables filled only those v.  A pass of the cli-goldens benchmark runs
+    # weighted three times: 206 + 2 * 14 = 234 calls.
+    from jainbaskakov import kernels, operators
+
+    calls = []
+    real = kernels._kernel_expectation
+
+    def counted(params, v, *args):
+        calls.append(v)
+        return real(params, v, *args)
+
+    monkeypatch.setattr(kernels, "_kernel_expectation", counted)
+    made = {}
+    for command, argv in GOLDEN_ARGS.items():
+        operators.DEFAULT_CACHE.clear()
+        calls.clear()
+        assert run_main(*argv, "--output", str(tmp_path / command)) == (0, None)
+        made[command] = len(calls)
+    operators.DEFAULT_CACHE.clear()
+    assert made == {"eval": 6, "moments": 127, "converge": 25, "voronovskaja": 29,
+                    "bound": 5, "weighted": 14}
+
+
 @pytest.mark.parametrize(
     "file_cfg, env, key",
     [

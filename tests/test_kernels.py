@@ -412,6 +412,50 @@ class TestGaussLegendreRule:
                     step, size = kernels._log_step(np.float64(delta), np.float64(v), b)
                     assert abs(step - want) <= 4 * np.finfo(float).eps * size
 
+    @pytest.mark.parametrize("name", ["e1", "e4", "exp-neg", "sin", "abs-shift", "recip-sq"])
+    @pytest.mark.parametrize("n", [5.5, 16.0, 300.0, 3000.0])
+    def test_rule_rows_do_not_depend_on_their_chunk(self, cfg, name, n):
+        # a table fills whole aligned chunks and keeps a row computed along
+        # with others: each v gets the same bits alone, in its full chunk and
+        # in any part of it
+        p, f = OperatorParams(n, 1, 0.0), get_function(name)
+        rng = np.random.default_rng(int(n) + len(name))
+        for base in (0, 288, 4992, 40000, 10**6):
+            chunk = np.arange(max(base, 1), base + kernels._GL_CHUNK, dtype=np.float64)
+            full = kernels._gauss_legendre(p, f, chunk, cfg)
+            part = np.sort(rng.choice(len(chunk), size=rng.integers(2, len(chunk)),
+                                      replace=False))
+            parted = kernels._gauss_legendre(p, f, chunk[part], cfg)
+            for got, want in zip(parted, full):
+                assert got.tobytes() == want[part].tobytes(), (name, n, base)
+            for i, v in enumerate(chunk):
+                alone = kernels._gauss_legendre(p, f, np.array([v]), cfg)
+                for got, want in zip(alone, full):
+                    assert got.tobytes() == want[i : i + 1].tobytes(), (name, n, v)
+
+    def test_series_helpers_match_high_precision(self):
+        # log1p(y) - y and expm1(-a) + a switch from a series to the closed
+        # form at 1/4; both sides of the switch, the origin and a subnormal
+        # square, to a few ulps of the value, on arrays and on 0-d input
+        eps, quarter = np.finfo(float).eps, 0.25
+        edge = [np.nextafter(quarter, 0.0), quarter, np.nextafter(quarter, 1.0)]
+        cases = (
+            (kernels._log1pmx, lambda y: mpmath.log1p(y) - y,
+             [0.0, 1e-300, -1e-300, 0.1, 0.7] + edge + [-y for y in edge]),
+            (kernels._expm1px, lambda a: mpmath.expm1(-a) + a, [0.0, 1e-300, 0.1, 0.7] + edge),
+        )
+        with mpmath.workdps(40):
+            for helper, exact, points in cases:
+                got = helper(np.array(points)).tolist()
+                got0 = [float(helper(np.float64(p))) for p in points]
+                assert all(np.ndim(helper(np.array(p))) == 0 for p in points)
+                for p, g, g0 in zip(points, got, got0):
+                    want = exact(mpmath.mpf(p))
+                    assert g == g0, (helper.__name__, p)
+                    assert abs(g - float(want)) <= 8 * eps * abs(want) + 2.0**-1074, (
+                        helper.__name__, p)
+                assert helper(np.array([])).shape == (0,)
+
     def test_stirling_rest_at_huge_arguments(self):
         # x * x overflowed past about 1e154, a RuntimeWarning (an error in
         # this suite) from every hybrid evaluation at such n/c

@@ -302,9 +302,11 @@ class TestCacheAndLimits:
         computed = []
         real = ops.kernel_expectations
 
-        def spy(params, f, v, cfg_, mag):
-            computed.extend((f.name, vi) for vi in v.tolist())
-            return real(params, f, v, cfg_, mag)
+        def spy(params, f, v, cfg_, mag, needed):
+            values, errors = real(params, f, v, cfg_, mag, needed)
+            # what the table stores: the v asked for and those the rule answered
+            computed.extend((f.name, vi) for vi in v[needed | (errors < np.inf)].tolist())
+            return values, errors
 
         monkeypatch.setattr(ops, "kernel_expectations", spy)
         p = OperatorParams(20, 1, 0.1)
@@ -319,7 +321,7 @@ class TestCacheAndLimits:
             eval_jain_baskakov(p, f, float(x), cfg)
             table_cache.table(p, combine(f"churn{i}", 1.0, e0, 0.0, e0), cfg)
         mine = [vi for name, vi in computed if name == f.name]
-        assert len(mine) == len(set(mine))  # no v of the sweep computed twice
+        assert len(mine) == len(set(mine))  # no v of the sweep stored twice
 
         # churn from inside a running series: the series holds its table
         def churning(t):
@@ -401,22 +403,36 @@ class TestCacheAndLimits:
 
 
 class TestIntegralTable:
-    def test_batched_get_matches_per_v_quadrature(self, cfg, monkeypatch):
-        # each missing v goes through the Gauss-Legendre rule once, in one
-        # ascending batch; QUADPACK runs only for the v whose estimate misses
-        # the tolerance, and both paths agree within their error estimates
-        p = OperatorParams(20, 1, 0.1)
-        f = get_function("e2")
+    @pytest.fixture
+    def spies(self, monkeypatch):
+        """The v each rule call computes, the v sent to QUADPACK and the two
+        unspied functions."""
         ruled, fallback = [], []
         real_rule, real_quad = kernels._gauss_legendre, kernels._kernel_expectation
 
         def rule(params, f_, v, cfg_):
-            ruled.extend(v.tolist())
+            ruled.extend(v.astype(int).tolist())
             return real_rule(params, f_, v, cfg_)
 
         def quad(params, v, fn, cfg_, scale):
             fallback.append(v)
             return real_quad(params, v, fn, cfg_, scale)
+
+        monkeypatch.setattr(kernels, "_gauss_legendre", rule)
+        monkeypatch.setattr(kernels, "_kernel_expectation", quad)
+        return types.SimpleNamespace(ruled=ruled, fallback=fallback, rule=real_rule,
+                                     quad=real_quad)
+
+    def test_batched_get_matches_per_v_quadrature(self, cfg, spies):
+        # the missing v of a block are computed in one batch, with every
+        # other unfilled v of their aligned chunks of _GL_CHUNK; QUADPACK runs
+        # only for the v asked for whose estimate misses the tolerance, and
+        # the rule's other refusals stay unfilled; both paths agree within
+        # their error estimates
+        p = OperatorParams(20, 1, 0.1)
+        f = get_function("e2")
+        ruled, fallback, real_rule, real_quad = spies.ruled, spies.fallback, spies.rule, spies.quad
+        chunk = kernels._GL_CHUNK
 
         def refused(vs):
             out = []
@@ -427,16 +443,16 @@ class TestIntegralTable:
                     out.append(v)
             return out
 
-        monkeypatch.setattr(kernels, "_gauss_legendre", rule)
-        monkeypatch.setattr(kernels, "_kernel_expectation", quad)
         tab = ops._IntegralTable(p, f, cfg)
         assert len(tab) == 0
         vs = np.array([9, 0, 3, 9, 1, 3])
         values, errors = tab.get(vs)
-        assert ruled == [1, 3, 9]  # ascending, each v once, none for the atom
+        first = list(range(1, chunk))
+        assert ruled == first  # the chunk of 1, 3 and 9, ascending, each v once
         assert fallback == refused([1, 3, 9])
         assert 1 in fallback and 9 not in fallback  # v = 1 decays only like e^u
-        assert len(tab) == 3
+        left_out = [v for v in refused(first) if v not in (1, 3, 9)]
+        assert len(tab) == len(first) - len(left_out)
         for v, val, err in zip(vs.tolist(), values.tolist(), errors.tolist()):
             if v == 0:
                 assert (val, err) == (f.fn(0.0), 0.0)
@@ -445,14 +461,35 @@ class TestIntegralTable:
             ref, ref_err = real_quad(p, v, f.fn, cfg, scale)
             assert abs(val - ref) <= err + ref_err
             assert err <= cfg.quad_rel_tol * max(abs(val), 1e-2 * scale) or v in fallback
-        # a later block reuses what is filled and grows the arrays
+        # a later block reuses what is filled, computes what the first left
+        # out and the next chunk, and grows the arrays
         values2, _ = tab.get(np.arange(0, 40))
-        later = [v for v in range(2, 40) if v not in (3, 9)]
-        assert ruled == [1, 3, 9] + later
-        assert fallback == refused([1, 3, 9]) + refused(later)
-        assert len(tab) == 39
+        second = list(range(chunk, 2 * chunk))
+        assert ruled == first + left_out + second
+        assert fallback == refused([1, 3, 9]) + left_out + refused(range(chunk, 40))
+        assert len(tab) == 2 * chunk - 1 - len(refused(range(40, 2 * chunk)))
         np.testing.assert_array_equal(values2[vs], values)
         assert tab.get(np.array([], dtype=np.int64))[0].shape == (0,)
+
+    def test_chunk_fill_keeps_quadpack_to_the_v_asked_for(self, cfg, spies):
+        # exp-neg at n = 20: the rule refuses v = 1..5 (the left tail decays
+        # like e^(v u)); asking for v = 9 rules its whole chunk but sends
+        # nothing to QUADPACK and leaves the refused v unfilled
+        p, f = OperatorParams(20, 1, 0.0), get_function("exp-neg")
+        ruled, fallback = spies.ruled, spies.fallback
+        tab = ops._IntegralTable(p, f, cfg)
+        tab.get(np.array([9]))
+        assert ruled == list(range(1, kernels._GL_CHUNK))
+        assert fallback == []
+        assert tab._filled[1:6].tolist() == [False] * 5
+        assert len(tab) == kernels._GL_CHUNK - 6
+        ruled.clear()
+        value, err = tab.get(np.array([1]))
+        assert ruled == [1, 2, 3, 4, 5]
+        assert fallback == [1]
+        assert len(tab) == kernels._GL_CHUNK - 5
+        ref, ref_err = spies.quad(p, 1, f.fn, cfg, float(kernels.magnitude_bound(p, f, 1)))
+        assert abs(value[0] - ref) <= err[0] + ref_err
 
     def test_magnitude_bounds(self, cfg):
         p = OperatorParams(20, 1, 0.1)
