@@ -19,7 +19,7 @@ from .errors import DomainError, UnboundedFunctionError
 from .functions import TestFunction
 from .moments import d_central_moment
 from .operators import eval_jain_baskakov, eval_operator
-from .params import EvalConfig, OperatorKind, OperatorParams
+from .params import EvalConfig, OperatorKind, OperatorParams, check_point
 
 # Number of fractional steps per modulus evaluation: the sup over step sizes
 # h <= delta is sampled at delta * j / SUBSTEPS, so the declared step bound
@@ -60,12 +60,6 @@ def _refined_grid(lo: float, hi: float, cfg: EvalConfig) -> np.ndarray:
     return np.linspace(lo, hi, 2 * cfg.grid_points - 1)
 
 
-def check_endpoint(a: float) -> None:
-    """Reject an interval endpoint a that is not positive and finite."""
-    if not (0 < a < math.inf):
-        raise DomainError(f"interval endpoint a must be positive and finite, got {a}")
-
-
 def modulus1(f: TestFunction, a: float, delta: float, cfg: Optional[EvalConfig] = None) -> float:
     """Grid sup of |f(t)-f(x)| over t, x in [0, a] with |t-x| <= delta.
 
@@ -74,7 +68,7 @@ def modulus1(f: TestFunction, a: float, delta: float, cfg: Optional[EvalConfig] 
     Lipschitz slack.
     """
     cfg = cfg or EvalConfig()
-    check_endpoint(a)
+    check_point(a, "interval endpoint a", zero_ok=False)
     if not (0 <= delta <= a):
         raise DomainError(f"delta must lie in [0, a], got delta={delta}, a={a}")
     if delta == 0:
@@ -101,8 +95,7 @@ def modulus2(f: TestFunction, h0: float, cfg: Optional[EvalConfig] = None) -> fl
     [0, domain_cap], justified by the registry's decay/periodicity).
     """
     cfg = cfg or EvalConfig()
-    if h0 < 0:
-        raise DomainError(f"step bound must be nonnegative, got {h0}")
+    check_point(h0, "step bound h0")
     if not f.bounded:
         raise UnboundedFunctionError(
             f"{f.name} declares no bound; the second-order modulus over "
@@ -141,6 +134,7 @@ def check_direct_bound(
     reports the smallest constant that would make this check pass.
     """
     cfg = cfg or EvalConfig()
+    check_point(m_const, "m_const")
     if not f.bounded:
         raise UnboundedFunctionError("the direct bound applies to bounded f")
     params.require_order(2)
@@ -171,7 +165,7 @@ def rate_bound_checks(
     checked at every grid x (the stronger, pointwise reading).
     """
     cfg = cfg or EvalConfig()
-    check_endpoint(a)
+    check_point(a, "interval endpoint a", zero_ok=False)
     if f.growth_degree > 2:
         raise DomainError(
             "the rate bound applies to functions of growth degree <= 2"
@@ -239,8 +233,7 @@ def weighted_norm_error(
     grid sup over [0, domain_cap] plus the analytic tail bound.
     """
     cfg = cfg or EvalConfig()
-    if lam < 0:
-        raise DomainError(f"lambda must be nonnegative, got {lam}")
+    check_point(lam, "lambda")
     if f.growth_degree > 2:
         raise DomainError("weighted norms are defined for growth degree <= 2")
     xs = np.linspace(0.0, cfg.domain_cap, cfg.grid_points)
@@ -291,10 +284,9 @@ def voronovskaja_sweep(
         raise DomainError("the sweep covers the hybrid and King operators")
     if f.deriv1 is None or f.deriv2 is None:
         raise DomainError(f"{f.name} has no declared derivatives at x")
-    if x <= 0:
-        raise DomainError("the asymptotic formula is stated for x > 0")
-    if l < 0:
-        raise DomainError(f"l must be nonnegative, got {l}")
+    # the asymptotic formula is stated for x > 0
+    check_point(x, zero_ok=False)
+    check_point(l, "l")
     d1 = float(f.deriv1(x))
     d2 = float(f.deriv2(x))
     fx = float(f.fn(x))

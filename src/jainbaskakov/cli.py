@@ -37,7 +37,7 @@ from .moments import (
     king_central_moment,
 )
 from .operators import eval_operator
-from .params import EvalConfig, OperatorKind, OperatorParams
+from .params import EvalConfig, OperatorKind, OperatorParams, check_point
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -412,7 +412,7 @@ def _cmd_bound(cfg):
     if cfg["theorem"] == "rate":
         checks = analysis.rate_bound_checks(params, f, a, ecfg)
     else:
-        analysis.check_endpoint(a)
+        check_point(a, "interval endpoint a", zero_ok=False)
         xs = np.linspace(0.0, a, ecfg.grid_points)
         if cfg["seed"] is not None:
             rng = np.random.default_rng(cfg["seed"])

@@ -56,13 +56,16 @@ def _as_index(v, least: int) -> int:
 def jain_basis_log(params: OperatorParams, x: float, v: int) -> float:
     """log w_b(v, nx); -inf where the weight is exactly zero.
 
-    At x = 0 only v = 0 carries weight (weight 1, by continuity).
+    At x = 0 only v = 0 carries weight (weight 1, by continuity); for x > 0
+    n*x must be positive and finite in floats.
     """
     check_point(x)
     v = _as_index(v, 0)
     if x == 0:
         return 0.0 if v == 0 else -math.inf
-    return float(_core.jain_log_weights(params.n * x, params.beta, v, 1)[0])
+    nx = params.n * x
+    check_point(nx, "n*x", zero_ok=False)
+    return float(_core.jain_log_weights(nx, params.beta, v, 1)[0])
 
 
 def baskakov_kernel_log(params: OperatorParams, v: int, t: float) -> float:
@@ -72,8 +75,7 @@ def baskakov_kernel_log(params: OperatorParams, v: int, t: float) -> float:
     """
     n, c = params.n, params.c
     v = _as_index(v, 1)
-    if t < 0:
-        raise DomainError(f"t must be nonnegative, got {t}")
+    check_point(t, "t")
     if not (n > c):
         raise ThresholdError(f"kernel needs n > c (n={n}, c={c})")
     nc = n / c

@@ -32,6 +32,7 @@ r_n(x) = (n-2c)(1-beta)x/n, which preserves constants and the identity.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Optional
 
@@ -57,6 +58,24 @@ def _scaled(n: float) -> tuple[int, float]:
     finite.  The scaling is exact, and below 2^255 e is 0."""
     e = max(0, math.frexp(n)[1] - 255)
     return e, math.ldexp(n, -e)
+
+
+def _display(formula):
+    """A verbatim display formula that raises DomainError where it is not
+    finite: its powers of n overflow first (n = 1e200, x = 1)."""
+
+    @functools.wraps(formula)
+    def checked(params, *args):
+        try:
+            value = formula(params, *args)
+        except OverflowError:  # float ** raises where * and / give inf
+            value = math.inf
+        if not math.isfinite(value):
+            raise DomainError(f"{formula.__name__}({', '.join(map(str, args))}) overflows at "
+                              f"n={params.n}, c={params.c}, beta={params.beta}")
+        return value
+
+    return checked
 
 
 def jain_moment(params: OperatorParams, m: int, x: float) -> float:
@@ -96,6 +115,7 @@ def jain_moment(params: OperatorParams, m: int, x: float) -> float:
     return mom
 
 
+@_display
 def jain_moment_display(params: OperatorParams, m: int, x: float) -> float:
     """The printed third/fourth Jain moment formulas, verbatim (reference only).
 
@@ -152,6 +172,7 @@ def d_moment_exact(params: OperatorParams, m: int, x: float) -> float:
     return mom
 
 
+@_display
 def d_moment_display(params: OperatorParams, m: int, x: float) -> float:
     """The printed asymptotic main terms for D(t^3) and D(t^4), verbatim.
 
@@ -188,14 +209,22 @@ def d_central_moment(params: OperatorParams, k: int, x: float) -> float:
         return x * (n * b + 2 * c * (1 - b)) / ((n - 2 * c) * (1 - b))
     if k == 2:
         params.require_order(2)
+        # n scaled by 2^-e and both sides of each fraction by 2^-2e, as n^2
+        # may overflow where mu2 does not (n = 1e200, x = 1)
+        e, ns = _scaled(n)
+
+        def down(t, j):
+            return math.ldexp(t, -e * j)
+
         num_x2 = (
-            n**2 * b**2
-            + n * (c + 4 * c * b - 5 * c * b**2)
-            + 6 * c**2 - 12 * c**2 * b + 6 * c**2 * b**2
+            ns**2 * b**2
+            + down(ns * (c + 4 * c * b - 5 * c * b**2), 1)
+            + down(6 * c**2, 2) - down(12 * c**2 * b, 2) + down(6 * c**2 * b**2, 2)
         )
+        denom = down(n - 2 * c, 1) * down(n - 3 * c, 1)
         return (
-            x * x * num_x2 / ((n - 2 * c) * (n - 3 * c) * (1 - b) ** 2)
-            + n * x * (2 - 2 * b + b * b) / ((n - 2 * c) * (n - 3 * c) * (1 - b) ** 3)
+            x * x * num_x2 / (denom * (1 - b) ** 2)
+            + down(ns * x * (2 - 2 * b + b * b), 1) / (denom * (1 - b) ** 3)
         )
     if k == 4:
         params.require_order(4)
@@ -206,6 +235,7 @@ def d_central_moment(params: OperatorParams, k: int, x: float) -> float:
     raise DomainError(f"central moments implemented for k in {{1, 2, 4}}, got {k}")
 
 
+@_display
 def d_central_moment4_display(params: OperatorParams, x: float) -> float:
     """The printed asymptotic mu4 main term, verbatim (reference only)."""
     check_point(x)
@@ -256,6 +286,7 @@ def king_moment(params: OperatorParams, m: int, x: float) -> float:
     return d_moment_exact(params, m, king_transform(params, x))
 
 
+@_display
 def king_moment_display(params: OperatorParams, m: int, x: float) -> float:
     """The printed asymptotic King t^3/t^4 main terms, verbatim (reference only)."""
     if m not in (3, 4):

@@ -12,7 +12,7 @@ basis in v:
   exact reproduction of constants and of the identity.
 
 The v-series is summed over a window of v in blocks (:func:`block_schedule`),
-each block as numpy arrays with one pairwise ``np.sum``.  The window
+each block as numpy arrays with one ``np.sum``.  The window
 starts at v_lo >= 0 (:func:`_left_window`); its first block runs to about
 mean + k spread of the law, mean nx/(1-beta) and spread
 sqrt(nx)/(1-beta)^1.5, k = sqrt(-2 log(tail_eps 2^-26)), and is never
@@ -74,20 +74,12 @@ so it is kept as a running total of plain ``np.sum`` block sums.
 ``rounding_est`` bounds the floating-point error of ``value`` given the
 computed values f(v/n) or E_v[f] (whose quadrature error is
 ``quad_error_est``): the rounding of the weights and of the sums.  A block's
-value is ``np.sum(w * vals)``, and numpy sums a contiguous float64 array
-pairwise.  A part of p <= 128 terms, p = 8q + r, goes into 8 accumulators,
-each a chain of q - 1 additions, joined by a tree of depth 3; the r < 8
-terms left over are then added one by one.  So no term passes more than
-(q - 1) + 3 + r <= 24 additions (q <= 15 when r > 0; p < 8 takes p - 1).
-A longer part is split in two, one more addition: the first half holds
-floor(p/2) less its remainder mod 8 terms, the second at most p/2 + 8.  After
-j = ceil(log2(n/128)) splits of a block of n terms every part is below
-n/2^j + 16 <= 144 terms, and one above 128 splits once more into parts of
-at most 79, depth at most 18.  So each term passes through at most
-k = 24 + ceil(log2(n/128))^+ additions, one more rounding for the product
-w*f, and the block value is within gamma_(k+1) sum|w f| of the exact sum
-of the computed terms, gamma_j = j u/(1 - j u), u = 2^-53 (Higham, Accuracy
-and Stability of Numerical Algorithms, 2nd ed., 2002, sec. 4.2).  Each
+value is ``np.sum(w * vals)``.  Whatever order its count terms are added in,
+each passes through at most count - 1 additions and one rounding for the
+product w*f, so the block value is within gamma_(count) sum|w f| of the
+exact sum of the computed terms, gamma_j = j u/(1 - j u), u = 2^-53
+(Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002,
+sec. 4.2); two more roundings cover forming sum|w f| and the bound.  Each
 computed weight is off by a factor exp(delta), |delta| at most 8 eps times
 the sizes of the terms of its logarithm, as in the tail bound; over a block
 those sizes are largest at its last index, but for |log m|, which is
@@ -130,9 +122,6 @@ from .kernels import (_EPS, _GL_CHUNK, kernel_expectations, magnitude_bound,
                       require_integrable)
 from .moments import d_moment_exact, jain_moment, king_transform
 from .params import EvalConfig, OperatorKind, OperatorParams, check_point
-
-# Unit roundoff of float64.
-_U = 2.0**-53
 
 # Per-term skip threshold factor: a term whose a-priori bound is below
 # tail_eps * 2^-26 * (scale) is dropped without computing its integral; the
@@ -307,11 +296,11 @@ def _ratio_sup(nx, beta, v, d):
 
 
 def _sum_gamma(count):
-    """gamma_k for ``np.sum`` of ``count`` products w*f (module docstring):
-    k = 24 + ceil(log2(count/128))^+ additions, one rounding for the
-    product and two more for forming sum|w f| and the bound in floats."""
-    k = 27 + ((count - 1) // 128).bit_length()
-    return k * _U / (1.0 - k * _U)
+    """gamma_(count+2) for a sum of ``count`` products w*f in any order
+    (module docstring): count - 1 additions, one rounding for the product
+    and two more for forming sum|w f| and the bound in floats."""
+    ku = (count + 2) * _EPS / 2.0
+    return ku / (1.0 - ku)
 
 
 def _log_weight_rounding(nx, beta, v_first, v_last, d):
@@ -451,12 +440,14 @@ def _series_eval(params, basis_x, provider, mag, f, hybrid, cfg, x_report):
     A law whose mean nx/(1 - beta) is not below V_MAX (or is not finite)
     keeps about half its mass past the cap, more than any useful tail_eps
     allows, so it raises before summing, and before the growth correction,
-    whose moment can overflow at such points.
+    whose moment can overflow at such points.  An nx that underflows to 0
+    (basis_x > 0) raises DomainError there too.
     """
     nx = params.n * basis_x
     beta = params.beta
     if not nx / (1.0 - beta) < V_MAX:
         raise _cap_error(beta, nx)
+    check_point(nx, "n*x", zero_ok=False)
     gcf = _growth_correction(params, f, basis_x, hybrid)
     d = f.growth_degree
     v_lo, first, mass, skipped = _left_window(nx, beta, d, cfg.tail_eps, gcf, mag)
@@ -477,7 +468,7 @@ def _series_eval(params, basis_x, provider, mag, f, hybrid, cfg, x_report):
         mb_last = float(mbound[-1])
         factor = _sum_gamma(block) + math.expm1(_log_weight_rounding(nx, beta, v0, big_v, d))
         rounding += (factor * float(np.sum(np.abs(terms, out=terms)))
-                     + block * 2.0**-1074 * max(1.0, mb_last) + _U * abs(val_run))
+                     + block * 2.0**-1074 * max(1.0, mb_last) + _EPS / 2.0 * abs(val_run))
         if w[-1] * mbound[-1] == 0.0:
             tail_geo = 0.0
         else:
@@ -519,9 +510,10 @@ def _growth_correction(params, f, basis_x, hybrid: bool) -> float:
 def basis_mass(params: OperatorParams, x: float, cfg: EvalConfig | None = None) -> float:
     """Total basis mass sum_v w_b(v, nx): the Jain series of f = 1.
 
-    The weights carry log-space rounding of order nx*eps and the pairwise
-    block sums a few ulps more, so the raw sum can overshoot 1 by a few ulps;
-    the result is clamped to [0, 1].
+    The weights carry log-space rounding of order nx*eps and each block
+    sum of count terms up to gamma_(count+2) of its size more, so the raw
+    sum can overshoot 1 by a few ulps; the result is clamped to [0, 1].
+    Raises DomainError where n*x underflows to 0 for x > 0.
     """
     return min(eval_jain(params, get_function("e0"), x, cfg).value, 1.0)
 
@@ -614,6 +606,9 @@ def eval_king(
             f"king operator needs n > 3c (n={params.n}, c={params.c})"
         )
     r = king_transform(params, x)
+    if x > 0:
+        # before the atom shortcut, which r = 0 would take
+        check_point(r, "r_n(x)", zero_ok=False)
     return _eval_hybrid(params, f, x, r, cfg)
 
 

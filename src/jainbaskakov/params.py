@@ -34,10 +34,12 @@ class OperatorKind(str, enum.Enum):
 DEFAULT_BETA_GUARD = 0.95
 
 
-def check_point(x: float) -> None:
-    """Reject an evaluation point outside [0, inf): negative, infinite or NaN."""
-    if not (0.0 <= x < math.inf):
-        raise DomainError(f"x must be finite and nonnegative, got {x}")
+def check_point(x: float, name: str = "x", zero_ok: bool = True) -> None:
+    """Reject an argument ``name`` outside [0, inf), or outside (0, inf)
+    unless ``zero_ok``: negative, infinite or NaN."""
+    if not ((0.0 <= x if zero_ok else 0.0 < x) and x < math.inf):
+        sign = "nonnegative" if zero_ok else "positive"
+        raise DomainError(f"{name} must be {sign} and finite, got {x}")
 
 
 @dataclass(frozen=True)

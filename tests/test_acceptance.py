@@ -196,8 +196,10 @@ def test_accept_07_voronovskaja_king():
     # magnitude to spare
     from helpers import combine
 
+    # a gap of about 0 lies inside the noise: the sweep warns
     lin = combine("affine", 0.7, get_function("e0"), 1.3, get_function("e1"))
-    recs = voronovskaja_sweep(OperatorKind.KING, C, 0.0, lin, 1.0, ns, CFG)
+    with pytest.warns(UserWarning, match="numerical noise"):
+        recs = voronovskaja_sweep(OperatorKind.KING, C, 0.0, lin, 1.0, ns, CFG)
     for r in recs:
         assert abs(r.scaled_error) <= 1e-8 * r.n, (r.n, r.scaled_error)
         assert abs(r.scaled_error) <= 1e-10 * r.n  # 100x tighter in practice

@@ -201,7 +201,9 @@ class TestWeightedNorm:
 class TestVoronovskaja:
     def test_affine_king_exact_preservation(self, cfg):
         lin = combine("affine", 1.0, get_function("e0"), -2.0, get_function("e1"))
-        recs = voronovskaja_sweep(OperatorKind.KING, 1.0, 0.0, lin, 1.0, [16, 64, 256], cfg)
+        # a gap of about 0 lies inside the noise: the sweep warns
+        with pytest.warns(UserWarning, match="numerical noise"):
+            recs = voronovskaja_sweep(OperatorKind.KING, 1.0, 0.0, lin, 1.0, [16, 64, 256], cfg)
         for r in recs:
             assert r.predicted_limit == 0.0
             assert abs(r.scaled_error) <= 1e-8
@@ -279,6 +281,36 @@ class TestVoronovskaja:
             voronovskaja_sweep(OperatorKind.JAIN_BASKAKOV, 1.0, 0.0, get_function("e2"), 0.0, [16, 32], cfg)
         with pytest.raises(DomainError):
             voronovskaja_sweep(OperatorKind.JAIN, 1.0, 0.0, get_function("e2"), 1.0, [16, 32], cfg)
+
+
+# Each analysis input, checked for sign and finiteness before anything is
+# evaluated: (call, whether 0 is allowed).
+_INPUT_CHECKS = {
+    "m_const": (lambda v: check_direct_bound(OperatorParams(25, 1, 0.0), get_function("sin"),
+                                             1.0, EvalConfig(grid_points=5), v), True),
+    "lambda": (lambda v: weighted_norm_error([(16, 0.0)], 1.0, get_function("e1"), v), True),
+    "h0": (lambda v: modulus2(get_function("sin"), v), True),
+    "x": (lambda v: voronovskaja_sweep(OperatorKind.KING, 1.0, 0.0, get_function("e2"), v,
+                                       [16]), False),
+    "l": (lambda v: voronovskaja_sweep(OperatorKind.JAIN_BASKAKOV, 1.0, v, get_function("e2"),
+                                       1.0, [16]), True),
+    "a": (lambda v: modulus1(get_function("sin"), v, 0.0), False),
+    "a-rate": (lambda v: rate_bound_checks(OperatorParams(25, 1, 0.0), get_function("sin"),
+                                           v), False),
+}
+
+
+@pytest.mark.parametrize("name, bad", [
+    (name, bad) for name, (_, zero_ok) in sorted(_INPUT_CHECKS.items())
+    for bad in [math.nan, math.inf, -math.inf, -1.0] + ([] if zero_ok else [0.0])])
+def test_bad_inputs_rejected_before_evaluating(monkeypatch, name, bad):
+    def no_eval(*args):
+        raise AssertionError("evaluated before checking the input")
+
+    monkeypatch.setattr(analysis, "eval_jain_baskakov", no_eval)
+    monkeypatch.setattr(analysis, "eval_operator", no_eval)
+    with pytest.raises(DomainError, match=f"{name.split('-')[0]} must be"):
+        _INPUT_CHECKS[name][0](bad)
 
 
 class TestSweepHelpers:

@@ -492,6 +492,28 @@ def test_bound_nonpositive_a_exits_3(tmp_path, monkeypatch, theorem, a):
     assert f"got {float(a)}" in err["error"]["message"]
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["bound", "--theorem", "direct", "--function", "sin", "--n", "25", "--a", "1",
+      "--grid-points", "5", "--m-const", "nan"], "m_const"),
+    (["bound", "--theorem", "direct", "--function", "sin", "--n", "25", "--a", "1",
+      "--grid-points", "5", "--m-const", "-5"], "m_const"),
+    (["weighted", "--function", "e1", "--lambda", "inf", "--n-values", "16,32",
+      "--domain-cap", "8", "--grid-points", "9"], "lambda"),
+    (["weighted", "--function", "e1", "--lambda", "nan", "--n-values", "16,32",
+      "--domain-cap", "8", "--grid-points", "9"], "lambda"),
+    (["eval", "--operator", "jain", "--function", "e1", "--n", "1e-300",
+      "--points", "1e-300"], "n*x"),
+    (["eval", "--operator", "king", "--function", "e1", "--n", "4e-300", "--c", "1e-300",
+      "--beta", "0", "--points", "1e-300"], "r_n(x)"),
+])
+def test_input_outside_its_domain_exits_3(tmp_path, argv, name):
+    code, err = run_main(*argv, "--output", str(tmp_path / "o"))
+    assert code == 3
+    assert err["error"]["type"] == "DomainError"
+    assert err["error"]["message"].startswith(f"{name} must be")
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_config_key_for_another_subcommand_accepted(tmp_path):
     from jainbaskakov import cli
 

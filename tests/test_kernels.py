@@ -77,6 +77,13 @@ class TestJainBasis:
         with pytest.raises(DomainError):
             basis_mass(p, x)
 
+    @pytest.mark.parametrize("n, x", [(1e-300, 1e-300), (1e200, 1e200)])
+    def test_nx_outside_the_float_range_rejected(self, n, x):
+        # n*x underflows to 0 or overflows to inf, where the weight formula
+        # would return nan
+        with pytest.raises(DomainError, match=r"n\*x must be positive and finite"):
+            jain_basis_log(OperatorParams(n, 1, 0), x, 3)
+
     @pytest.mark.parametrize("n, c", [(math.inf, 1.0), (10.0, math.inf), (math.nan, 1.0),
                                       (10.0, math.nan)])
     def test_non_finite_params_rejected(self, n, c):
@@ -189,8 +196,9 @@ class TestBaskakovKernel:
         p = OperatorParams(6, 2, 0.0)
         with pytest.raises(DomainError):
             baskakov_kernel_log(p, 0, 1.0)
-        with pytest.raises(DomainError):
-            baskakov_kernel_log(p, 1, -0.5)
+        for t in (-0.5, math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="t must be"):
+                baskakov_kernel_log(p, 1, t)
         with pytest.raises(ThresholdError):
             baskakov_kernel_log(OperatorParams(1.5, 2, 0.0), 1, 1.0)
 

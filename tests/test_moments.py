@@ -202,6 +202,14 @@ class TestHybridCentralMoments:
             9.0 / 14.0, rel=1e-14
         )
 
+    def test_mu2_at_huge_n_evaluates(self):
+        # n^2 overflows at n = 1e200, mu2 does not: about 3/n at beta = 0,
+        # and about (b/(1-b))^2 above
+        assert d_central_moment(OperatorParams(1e200, 1, 0.0), 2, 1.0) == pytest.approx(
+            3e-200, rel=1e-14)
+        assert d_central_moment(OperatorParams(1e200, 1, 0.1), 2, 1.0) == pytest.approx(
+            0.01 / 0.81, rel=1e-14)
+
     def test_displays_match_recombination_exactly(self):
         # mu1, mu2 printed formulas are exact: compare against the binomial
         # over exact raw moments at 1e-10 (acceptance tolerance; they agree
@@ -263,6 +271,19 @@ class TestHybridCentralMoments:
                     n * abs(d_central_moment4_display(p, 1.0) - d_central_moment(p, 4, 1.0))
                 )
             assert all(u > v for u, v in zip(gaps, gaps[1:])), (b, gaps)
+
+
+@pytest.mark.parametrize("display, args", [
+    (jain_moment_display, (3, 1.0)), (jain_moment_display, (4, 1.0)),
+    (d_moment_display, (3, 1.0)), (d_moment_display, (4, 1.0)),
+    (king_moment_display, (3, 1.0)), (king_moment_display, (4, 1.0)),
+    (d_central_moment4_display, (1.0,)),
+])
+def test_display_overflow_is_a_domain_error(display, args):
+    # the verbatim formulas form powers of n: float ** raises OverflowError
+    # at n = 1e200, and an inf over inf gives nan (King t^3)
+    with pytest.raises(DomainError, match=rf"{display.__name__}\(.*\) overflows"):
+        display(OperatorParams(1e200, 1, 0.1), *args)
 
 
 class TestKingMoments:

@@ -401,6 +401,25 @@ class TestCacheAndLimits:
         with pytest.raises(DomainError):
             fn(OperatorParams(10, 1, 0.0), get_function("e1"), x, cfg)
 
+    @pytest.mark.parametrize("evaluate, what", [
+        (lambda: eval_jain(OperatorParams(1e-300, 1, 0), get_function("e1"), 1e-300), r"n\*x"),
+        (lambda: ops.basis_mass(OperatorParams(1e-300, 1, 0), 1e-300), r"n\*x"),
+        (lambda: eval_jain_baskakov(OperatorParams(1e-300, 1e-301, 0), get_function("e1"),
+                                    1e-300), r"n\*x"),
+        # r_n(x) = 0 would take the atom's shortcut, f(0) = 0, where King
+        # reproduces e1 exactly (1e-300)
+        (lambda: eval_king(OperatorParams(4e-300, 1e-300, 0), get_function("e1"), 1e-300),
+         r"r_n\(x\)"),
+    ])
+    def test_basis_point_underflow_rejected(self, monkeypatch, evaluate, what):
+        # n x (or r_n(x)) underflows to 0 at x > 0: raised before any weight
+        def no_weights(*args):
+            raise AssertionError("a weight block was computed")
+
+        monkeypatch.setattr(core, "jain_weights", no_weights)
+        with pytest.raises(DomainError, match=what + " must be positive and finite, got 0.0"):
+            evaluate()
+
 
 class TestIntegralTable:
     @pytest.fixture
@@ -816,40 +835,15 @@ def test_jain_monomials_match_mpmath(beta, x):
         assert err <= res.est_tail_bound + rounding
 
 
-# The rounding bound of the v-series (operators module docstring): numpy's
-# pairwise summation, its depth, and rounding_est against the actual error.
+# The rounding bound of the v-series (operators module docstring): a sum in
+# any order, and rounding_est against the actual error.
 
-def _pairwise_model(a):
-    """numpy's pairwise summation of the float list ``a``, as the operators
-    module docstring describes it."""
-    n = len(a)
-    if n < 8:
-        total = 0.0
-        for t in a:
-            total += t
-        return total
-    if n <= 128:
-        acc, i = a[:8], 8
-        while i < n - n % 8:
-            acc = [r + t for r, t in zip(acc, a[i:i + 8])]
-            i += 8
-        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-        for t in a[i:]:
-            total += t
-        return total
-    half = n // 2 - n // 2 % 8
-    return _pairwise_model(a[:half]) + _pairwise_model(a[half:])
-
-
-@functools.lru_cache(maxsize=None)
-def _pairwise_depth(n):
-    """The most additions a term passes through in :func:`_pairwise_model`."""
-    if n < 8:
-        return max(n - 1, 0)
-    if n <= 128:
-        return (n // 8 - 1) + 3 + n % 8
-    half = n // 2 - n // 2 % 8
-    return 1 + max(_pairwise_depth(half), _pairwise_depth(n - half))
+def _sequential(a):
+    """The float list ``a`` summed left to right."""
+    total = 0.0
+    for t in a:
+        total += t
+    return total
 
 
 def _summed_blocks(monkeypatch, evaluate):
@@ -871,21 +865,28 @@ def _summed_blocks(monkeypatch, evaluate):
 
 
 class TestRoundingBound:
-    def test_np_sum_is_the_pairwise_scheme(self):
-        # the bound rests on this: np.sum of a contiguous float64 array is
-        # numpy's pairwise sum, bit for bit
-        rng = np.random.default_rng(5)
-        for n in [*range(1, 300), 1000, 4097, 8191, ops._BLOCK_MAX]:
-            a = rng.standard_normal(n) * np.exp(rng.uniform(-30.0, 30.0, n))
-            assert float(np.sum(a)) == _pairwise_model(a.tolist())
-
-    def test_pairwise_depth_is_within_the_bound(self):
-        for n in range(1, ops._BLOCK_MAX + 1):
-            k = 24 + max(0, math.ceil(math.log2(n / 128)))
-            assert _pairwise_depth(n) <= k
-            # one rounding more for the product, two for the bound itself
-            assert ops._sum_gamma(n) == (k + 3) * ops._U / (1.0 - (k + 3) * ops._U)
-        assert max(map(_pairwise_depth, range(1, ops._BLOCK_MAX + 1))) == 30
+    def test_sum_gamma_bounds_any_summation_order(self):
+        # a sum of n terms in any order is within gamma_(n-1) sum|t| of the
+        # exact sum (Higham sec. 4.2); gamma_(n+2) adds the product and the
+        # bound's own two roundings
+        u = kernels._EPS / 2.0
+        for n in (0, 1, 8, 129, ops._BLOCK_MAX):
+            assert ops._sum_gamma(n) == (n + 2) * u / (1.0 - (n + 2) * u)
+        # left to right every 2^-54 is lost against the leading 1: an error of
+        # 4.5e-13, past any bound that grows with log n
+        a = [1.0] + [2.0**-54] * (ops._BLOCK_MAX - 1)
+        err = abs(_sequential(a) - math.fsum(a))
+        assert err == pytest.approx((ops._BLOCK_MAX - 1) * 2.0**-54, rel=1e-3)
+        assert err <= ops._sum_gamma(len(a)) * math.fsum(a)
+        rng = np.random.default_rng(14)
+        for n in (1, 7, 8, 129, 1000, ops._BLOCK_MAX):
+            t = rng.standard_normal(n) * np.exp(rng.uniform(-30.0, 30.0, n))
+            bound = ops._sum_gamma(n) * math.fsum(np.abs(t).tolist())
+            exact = math.fsum(t.tolist())
+            by_size = t[np.argsort(np.abs(t))]
+            for order in (t, t[::-1], by_size, by_size[::-1]):
+                assert abs(_sequential(order.tolist()) - exact) <= bound
+                assert abs(float(np.sum(order)) - exact) <= bound
 
     @pytest.mark.parametrize("kind, beta, x, name", [
         (OperatorKind.JAIN, 0.95, 5000.0 / 300.0, "e4"),
