@@ -332,8 +332,9 @@ def _cmd_moments(cfg):
         values = (order, x, closed, numeric, rel, formula_class, status)
         rows.append(dict(zip(fields, values)))
 
-    # A threshold (n too small for the moment's order) is a row of the report;
-    # any other DomainError, such as a bad x, fails the run.
+    # A threshold (n too small for the moment's order) is a row of the report,
+    # and so is a display formula that overflows where the exact moment does
+    # not; any other DomainError, such as a bad x, fails the run.
     for m in range(5):
         try:
             closed = closed_moment(kind, params, m, x)
@@ -343,8 +344,11 @@ def _cmd_moments(cfg):
             continue
         add_row(m, closed, numeric, "exact")
         if m in (3, 4):
-            disp = display_moment(kind, params, m, x)
-            if disp is not None:
+            try:
+                disp = display_moment(kind, params, m, x)
+            except DomainError as exc:
+                add_row(m, None, numeric, "asymptotic", f"overflow: {exc}")
+            else:
                 add_row(m, disp, numeric, "asymptotic")
 
     if kind is not OperatorKind.JAIN:

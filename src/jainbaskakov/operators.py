@@ -18,9 +18,10 @@ mean + k spread of the law, mean nx/(1-beta) and spread
 sqrt(nx)/(1-beta)^1.5, k = sqrt(-2 log(tail_eps 2^-26)), and is never
 shorter than ``_BLOCK_START`` nor longer than ``_BLOCK_MAX``; later blocks
 double up to ``_BLOCK_MAX``.  (Longer blocks measured slower per term.)
-Summation stops only once a certified bound on the terms left out on both
-sides drops below ``tail_eps * (1 + |value|) * gcf`` *and* the basis mass
-passes :func:`mass_saturated`.  ``v_terms_used`` counts the terms summed.
+Summation stops once a certified bound on the terms left out on both
+sides is at most ``tail_eps * gcf``, gcf the threshold scale of
+:func:`_growth_correction`: one budget, on one scale, that does not depend
+on the value summed so far.  ``v_terms_used`` counts the terms summed.
 
 The right bound is a geometric majorant of sum_{v>V} w(v) mbound(v), V the
 last index of the block and mbound the a-priori bound on |f(v/n)| or
@@ -61,14 +62,9 @@ w(u) <= w(v_lo) q^(v_lo-u) with q = 1/r(v_lo - 1); every mbound above does
 not decrease in v (E_0[t^d] = 0 at the atom), so the left tail is at most
 w(v_lo) mbound(v_lo) q/(1-q), rounded like the right one.  v_lo falls back
 to 0 where the domain condition fails, where q >= 1, or where this bound is
-not below the skip budget ``tail_eps * 2^-26 * gcf`` (or the same bound
-with mbound = 1 not below ``tail_eps * 2^-26``).  v_lo is about the largest
-start that passes, found by Newton's method from mean - k spread on the
-log of the bound.  The bound joins ``est_tail_bound``, and the one with
-mbound = 1 joins the mass.
-
-The mass is only needed for the stopping decision,
-so it is kept as a running total of plain ``np.sum`` block sums.
+not below the skip budget ``tail_eps * 2^-26 * gcf``.  v_lo is about the
+largest start that passes, found by Newton's method from mean - k spread on
+the log of the bound.  The bound joins ``est_tail_bound``.
 :func:`basis_mass` is the Jain series of f = 1.
 
 ``rounding_est`` bounds the floating-point error of ``value`` given the
@@ -124,8 +120,8 @@ from .moments import d_moment_exact, jain_moment, king_transform
 from .params import EvalConfig, OperatorKind, OperatorParams, check_point
 
 # Per-term skip threshold factor: a term whose a-priori bound is below
-# tail_eps * 2^-26 * (scale) is dropped without computing its integral; the
-# dropped mass is tracked and folded into the reported tail bound.
+# tail_eps * 2^-26 * gcf is dropped without computing its integral; the
+# dropped bounds are summed into the reported tail bound.
 _SKIP_FACTOR = 2.0**-26
 
 
@@ -269,18 +265,6 @@ def block_schedule(v_max: int, v0: int, block: int):
         block = min(block * 2, _BLOCK_MAX)
 
 
-def mass_saturated(mass: float, last: float, tail_eps: float) -> bool:
-    """Whether the basis mass collected so far lets a series stop.
-
-    ``mass`` is the summed mass, ``last`` the last block's share.  The
-    computed mass saturates at 1 - O(nx log(nx) eps) because the log-space
-    weights round; once block contributions sit at rounding level (and the
-    bulk of the mass has been collected, so this is the right tail and not
-    the pre-mode left tail) the mass is taken as complete.
-    """
-    return (1.0 - mass) <= tail_eps or (mass >= 0.5 and last <= 2e-16 * (1.0 + mass))
-
-
 def _ratio_sup(nx, beta, v, d):
     """An upper bound, rounded up, on the term ratio b(u+1)/b(u) over u >= v.
 
@@ -367,33 +351,30 @@ def _left_start(nx, beta, v, top, target):
     return math.floor(v)
 
 
-def _left_bounds(nx, beta, v_lo, d, mb_lo):
-    """(bound on sum_{u<v_lo} w(u), bound on sum_{u<v_lo} w(u) mbound(u)),
-    mbound(v_lo) = ``mb_lo``, by the module docstring's left certificate;
-    (inf, inf) outside its domain or past the mode."""
+def _left_bound(nx, beta, v_lo, d, mb_lo):
+    """A bound on sum_{u<v_lo} w(u) mbound(u), mbound(v_lo) = ``mb_lo``, by
+    the module docstring's left certificate; inf outside its domain or past
+    the mode."""
     if not 3.0 * beta * beta * v_lo <= 2.0 * nx * (nx - beta) * (1.0 - 16.0 * _EPS):
-        return math.inf, math.inf
+        return math.inf
     # log r(v_lo - 1), rounded down: each of its three terms is within 4 eps
     # of its size, and (v_lo - 1) log1p(beta/m) < 1
     log_r, head = _log_ratio(nx, beta, v_lo - 1.0)
     log_r -= 16.0 * _EPS * (2.0 + abs(head))
     if not log_r > 0.0:
-        return math.inf, math.inf
+        return math.inf
     q = math.nextafter(math.exp(-log_r), math.inf)
-    w_lo = math.exp(_log_weight(nx, beta, v_lo))
-    return (_tail_bound(nx, beta, v_lo, w_lo, 1.0, d, q),
-            _tail_bound(nx, beta, v_lo, w_lo, mb_lo, d, q))
+    return _tail_bound(nx, beta, v_lo, math.exp(_log_weight(nx, beta, v_lo)), mb_lo, d, q)
 
 
 def _left_window(nx, beta, d, tail_eps, gcf, mag):
-    """Where a v-series starts, and certified bounds on what lies below.
+    """Where a v-series starts, and a certified bound on what lies below.
 
-    Returns (v_lo, first, left_mass, left_tail): the series sums from v_lo,
-    its first block ``first`` long; left_mass bounds sum_{u<v_lo} w(u) and
-    left_tail bounds sum_{u<v_lo} w(u) mbound(u), mbound(v) = mag(v, 1).
-    v_lo is about the largest start whose left bounds stay below the skip
-    budgets, ``tail_eps * 2^-26`` times gcf for left_tail and times 1 for
-    left_mass; where none does, v_lo = 0 and both bounds are 0.
+    Returns (v_lo, first, left_tail): the series sums from v_lo, its first
+    block ``first`` long, and left_tail bounds sum_{u<v_lo} w(u) mbound(u),
+    mbound(v) = mag(v, 1).  v_lo is about the largest start whose left_tail
+    stays below the skip budget ``tail_eps * 2^-26 * gcf``; where none does,
+    v_lo = 0 and left_tail = 0.
     """
     mean = nx / (1.0 - beta)
     spread = math.sqrt(nx) / (1.0 - beta) ** 1.5
@@ -410,13 +391,13 @@ def _left_window(nx, beta, d, tail_eps, gcf, mag):
         # a factor 2 of room for the rounding of the certificate
         target = log_budget + math.log(gcf) - math.log(max(gcf, mb_top)) - math.log(2.0)
         v_lo = _left_start(nx, beta, mean - k * spread, top, target)
-    left_mass = left_tail = math.inf
+    left_tail = math.inf
     if v_lo > 0:
-        left_mass, left_tail = _left_bounds(nx, beta, v_lo, d, float(mag(v_lo, 1)[0]))
-    if not (left_mass < budget and left_tail < budget * gcf):
-        v_lo, left_mass, left_tail = 0, 0.0, 0.0
+        left_tail = _left_bound(nx, beta, v_lo, d, float(mag(v_lo, 1)[0]))
+    if not left_tail < budget * gcf:
+        v_lo, left_tail = 0, 0.0
     first = min(max(math.ceil(mean + k * spread) - v_lo, _BLOCK_START), _BLOCK_MAX)
-    return v_lo, first, left_mass, left_tail
+    return v_lo, first, left_tail
 
 
 def _series_eval(params, basis_x, provider, mag, f, hybrid, cfg, x_report):
@@ -425,8 +406,8 @@ def _series_eval(params, basis_x, provider, mag, f, hybrid, cfg, x_report):
     ``mag(v0, count)`` gives the a-priori bounds mbound(v) on the terms'
     values for v = v0 .. v0+count-1; they do not decrease in v and grow by
     at most (1 + 1/v)^d from v to v + 1, d the growth degree of ``f``.
-    ``provider(v0, w, mbound, running_value, gcf)``, gcf the threshold scale
-    of :func:`_growth_correction`, returns per-block (values,
+    ``provider(v0, w, mbound, gcf)``, gcf the threshold scale of
+    :func:`_growth_correction`, returns per-block (values,
     skipped_tail_increment, quad_error_increment).  Each block adds its
     rounding bound to ``rounding_est`` (module docstring).  Summation starts at
     :func:`_left_window`'s v_lo, whose left bound joins the skipped tail.
@@ -435,7 +416,9 @@ def _series_eval(params, basis_x, provider, mag, f, hybrid, cfg, x_report):
     V is at most the larger of rho(V) = (m/(V+1)) exp(V beta/m - beta) and
     its limit beta e^(1-beta) (log rho is quasi-convex in v; module
     docstring), so with the growth factor (1 + 1/V)^d the tail is a
-    geometric series.
+    geometric series.  The series stops at the first block after which the
+    skipped terms, the left bound and this tail add up to at most
+    ``tail_eps * gcf``.
 
     A law whose mean nx/(1 - beta) is not below V_MAX (or is not finite)
     keeps about half its mass past the cap, more than any useful tail_eps
@@ -450,15 +433,13 @@ def _series_eval(params, basis_x, provider, mag, f, hybrid, cfg, x_report):
     check_point(nx, "n*x", zero_ok=False)
     gcf = _growth_correction(params, f, basis_x, hybrid)
     d = f.growth_degree
-    v_lo, first, mass, skipped = _left_window(nx, beta, d, cfg.tail_eps, gcf, mag)
+    v_lo, first, skipped = _left_window(nx, beta, d, cfg.tail_eps, gcf, mag)
     val_run = quad_err = rounding = 0.0
 
     for v0, block in block_schedule(V_MAX, v_lo, first):
         w = _core.jain_weights(nx, beta, v0, block)
         mbound = mag(v0, block)
-        vals, sk_inc, qerr_inc = provider(v0, w, mbound, val_run, gcf)
-        last = float(np.sum(w))
-        mass += last
+        vals, sk_inc, qerr_inc = provider(v0, w, mbound, gcf)
         terms = w * vals
         val_run += float(np.sum(terms))
         quad_err += qerr_inc
@@ -476,9 +457,7 @@ def _series_eval(params, basis_x, provider, mag, f, hybrid, cfg, x_report):
                                    _ratio_sup(nx, beta, big_v, d))
         tail_est = tail_geo + skipped
 
-        if tail_est <= cfg.tail_eps * (1.0 + abs(val_run)) * gcf and mass_saturated(
-            mass, last, cfg.tail_eps
-        ):
+        if tail_est <= cfg.tail_eps * gcf:
             return EvalResult(
                 x=x_report,
                 value=val_run,
@@ -551,7 +530,7 @@ def eval_jain(
 
     n = params.n
 
-    def provider(v0, w, _mbound, _val_run, _gcf):
+    def provider(v0, w, _mbound, _gcf):
         t = np.arange(v0, v0 + len(w), dtype=np.float64) / n
         return np.asarray(f.fn(t), dtype=np.float64), 0.0, 0.0
 
@@ -564,9 +543,9 @@ def _eval_hybrid(params, f, x, basis_x, cfg):
         return _atom_result(x, f)
     table = DEFAULT_CACHE.table(params, f, cfg)
 
-    def provider(v0, w, mbound, val_run, gcf):
+    def provider(v0, w, mbound, gcf):
         v_arr = np.arange(v0, v0 + len(w))
-        cutoff = cfg.tail_eps * _SKIP_FACTOR * gcf * (1.0 + abs(val_run))
+        cutoff = cfg.tail_eps * _SKIP_FACTOR * gcf
         contrib_bound = w * mbound
         keep = (contrib_bound > cutoff) | (v_arr == 0)
         sk = float(np.sum(contrib_bound[~keep]))

@@ -77,7 +77,7 @@ class OperatorParams:
 class EvalConfig:
     """Numerical tolerances for series truncation, quadrature and grids.
 
-    tail_eps        unaccounted basis mass at which the v-series may stop
+    tail_eps        the v-series stops once its certified tail is <= tail_eps * gcf
     quad_rel_tol    target relative error of each kernel integral
     grid_points     base grid resolution for moduli / sup computations
     domain_cap      right endpoint standing in for +inf in sup computations

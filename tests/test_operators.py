@@ -522,9 +522,9 @@ class TestIntegralTable:
 
 
 def test_each_weight_block_is_computed_once(monkeypatch):
-    # the mass is decided on the block sums the series already has, and the
-    # window [v_lo, mean + k spread) of the Poisson law with mean 3000 holds
-    # all of it in one block
+    # the window [v_lo, mean + k spread) of the Poisson law with mean 3000
+    # holds all of the series in one block, and the stopping rule needs
+    # nothing but the tail bounds, so no block is computed twice
     blocks = []
     real = core.jain_weights
 
@@ -535,7 +535,7 @@ def test_each_weight_block_is_computed_once(monkeypatch):
     monkeypatch.setattr(core, "jain_weights", counted)
     got = ops.basis_mass(OperatorParams(1000.0, 1.0, 0.0), 3.0)
     mag = ops._jain_mag(get_function("e0"), 1000.0)
-    v_lo, first, _, _ = ops._left_window(3000.0, 0.0, 0, EvalConfig().tail_eps, 1.0, mag)
+    v_lo, first, _ = ops._left_window(3000.0, 0.0, 0, EvalConfig().tail_eps, 1.0, mag)
     assert 2000 < v_lo < 3000 < v_lo + first < 4000
     assert blocks == [(v_lo, first)]
     assert got == float.fromhex("0x1.fffffffffe704p-1")  # as in series_bitwise.json
@@ -591,8 +591,8 @@ def _jain_mbound(f, n):
 
 
 def _window(kind, p, f, x, tail_eps=EvalConfig().tail_eps):
-    """(nx at the basis point, v_lo, left_mass, left_tail) of an evaluation,
-    from the helper the series calls."""
+    """(nx at the basis point, v_lo, left_tail) of an evaluation, from the
+    helper the series calls."""
     hybrid = kind is not OperatorKind.JAIN
     basis_x = king_transform(p, x) if kind is OperatorKind.KING else x
     if hybrid:
@@ -602,9 +602,8 @@ def _window(kind, p, f, x, tail_eps=EvalConfig().tail_eps):
         mag = ops._jain_mag(f, p.n)
     gcf = ops._growth_correction(p, f, basis_x, hybrid)
     nx = p.n * basis_x
-    v_lo, _, left_mass, left_tail = ops._left_window(nx, p.beta, f.growth_degree, tail_eps,
-                                                     gcf, mag)
-    return nx, v_lo, left_mass, left_tail
+    v_lo, _, left_tail = ops._left_window(nx, p.beta, f.growth_degree, tail_eps, gcf, mag)
+    return nx, v_lo, left_tail
 
 
 def _summed_tail(nx, beta, v_from, mbound):
@@ -628,7 +627,7 @@ def _summed_head(nx, beta, v_lo, mbound):
 
 def _left_out(kind, p, f, x, res):
     """fsum of w(v) mbound(v) over the v an evaluation did not sum, both sides."""
-    nx, v_lo, _, _ = _window(kind, p, f, x)
+    nx, v_lo, _ = _window(kind, p, f, x)
     if kind is OperatorKind.JAIN:
         mbound = _jain_mbound(f, p.n)
     else:
@@ -710,6 +709,35 @@ class TestTailCertificate:
             res = ops.eval_operator(kind, p, f, x)
             assert _left_out(kind, p, f, x, res) <= res.est_tail_bound < math.inf
 
+    @pytest.mark.parametrize("kind", list(OperatorKind))
+    @pytest.mark.parametrize("name", _TAIL_FUNCTIONS)
+    @pytest.mark.usefixtures("cleared_cache")
+    def test_tail_bound_within_the_budget(self, kind, name):
+        # the one stopping rule: est_tail_bound <= tail_eps * gcf, gcf the
+        # closed-form moment of f's growth degree at the basis point, plus 1,
+        # or max(1, sup|f|).  At beta = 0.95 the hybrid and King cases stop
+        # at nx = 600 (150 for sin): past it their tables take seconds to fill
+        f = get_function(name)
+        tail_eps = EvalConfig().tail_eps
+        for beta in (0.0, 0.5, 0.95):
+            p = OperatorParams(_JAIN_N, 1.0, beta)
+            for x in (0.5,) + _JAIN_XS:
+                if kind is not OperatorKind.JAIN and beta == 0.95 and x > (
+                        0.5 if name == "sin" else 2.0):
+                    continue
+                if kind is OperatorKind.JAIN:
+                    res = _jain(beta, x, name)
+                else:
+                    res = ops.eval_operator(kind, p, f, x)
+                if f.bounded:
+                    gcf = max(1.0, f.sup_bound)
+                elif kind is OperatorKind.JAIN:
+                    gcf = 1.0 + abs(jain_moment(p, f.growth_degree, x))
+                else:
+                    basis_x = king_transform(p, x) if kind is OperatorKind.KING else x
+                    gcf = 1.0 + abs(d_moment_exact(p, f.growth_degree, basis_x))
+                assert res.est_tail_bound <= tail_eps * gcf, (beta, x)
+
     @pytest.mark.parametrize("name", _TAIL_FUNCTIONS)
     def test_jain_tail_bound_covers_the_exact_majorant(self, name):
         # the geometric majorant from the exact last term w(V) mbound(V) and
@@ -720,8 +748,8 @@ class TestTailCertificate:
             for beta in _JAIN_BETAS:
                 for x in _JAIN_XS:
                     res = _jain(beta, x, name)
-                    _, v_lo, _, _ = _window(OperatorKind.JAIN, OperatorParams(_JAIN_N, 1.0, beta),
-                                            f, x)
+                    _, v_lo, _ = _window(OperatorKind.JAIN, OperatorParams(_JAIN_N, 1.0, beta),
+                                         f, x)
                     big_v = v_lo + res.v_terms_used - 1
                     nx = _JAIN_N * x
                     limit = beta * mpmath.exp(1 - mpmath.mpf(beta))
@@ -732,8 +760,8 @@ class TestTailCertificate:
                     assert res.est_tail_bound >= exact or exact < mpmath.ldexp(1, -1075)
 
     def test_left_bound_covers_the_exact_majorant(self):
-        # w(v_lo) mbound(v_lo) / (r(v_lo - 1) - 1) from 40-digit weights, and
-        # the same with mbound = 1, against the bounds the series adds
+        # w(v_lo) mbound(v_lo) / (r(v_lo - 1) - 1) from 40-digit weights,
+        # against the bound the series adds
         x_cases = (1.0,) + _JAIN_XS  # nx 300 to 5000
         cases = [(OperatorKind.JAIN, beta, x) for beta in _JAIN_BETAS for x in x_cases]
         cases += [(kind, beta, x) for kind in (OperatorKind.JAIN_BASKAKOV, OperatorKind.KING)
@@ -743,9 +771,9 @@ class TestTailCertificate:
             p = OperatorParams(_JAIN_N, 1.0, beta)
             for name in _TAIL_FUNCTIONS:
                 f = get_function(name)
-                nx, v_lo, left_mass, left_tail = _window(kind, p, f, x)
+                nx, v_lo, left_tail = _window(kind, p, f, x)
                 if v_lo == 0:
-                    assert left_mass == left_tail == 0.0
+                    assert left_tail == 0.0
                     continue
                 windowed += 1
                 if kind is OperatorKind.JAIN:
@@ -754,17 +782,15 @@ class TestTailCertificate:
                     mb = kernels.magnitude_bound(p, f, np.array([v_lo]))[0]
                 with mpmath.workdps(40):
                     mass = _mp_weight(nx, beta, v_lo) / (_mp_ratio(nx, beta, v_lo - 1) - 1)
-                    assert left_mass >= mass
                     assert left_tail >= mass * mpmath.mpf(float(mb))
-                assert left_mass < EvalConfig().tail_eps * ops._SKIP_FACTOR
         assert windowed >= 0.9 * len(cases) * len(_TAIL_FUNCTIONS)
 
     def test_left_bounds_refuse_outside_the_certificate(self):
         # past the mode q = 1/r(v_lo - 1) >= 1, and past the domain r need
         # not fall: no bound, so the window falls back to v = 0
-        assert ops._left_bounds(600.0, 0.5, 1300, 0, 1.0) == (math.inf, math.inf)
-        assert ops._left_bounds(3.0, 0.5, 20, 0, 1.0) == (math.inf, math.inf)
-        assert ops._left_bounds(3.0, 0.5, 2, 0, 1.0)[0] < math.inf
+        assert ops._left_bound(600.0, 0.5, 1300, 0, 1.0) == math.inf
+        assert ops._left_bound(3.0, 0.5, 20, 0, 1.0) == math.inf
+        assert ops._left_bound(3.0, 0.5, 2, 0, 1.0) < math.inf
 
     @pytest.mark.parametrize("kind", list(OperatorKind))
     def test_subnormal_tail_eps(self, kind):
@@ -797,7 +823,7 @@ class TestTailCertificate:
         p, f = OperatorParams(n, 1.0, beta), get_function(name)
         cfg = EvalConfig(tail_eps=tail_eps)
         res = ops.eval_operator(kind, p, f, x, cfg)
-        nx, v_lo, _, _ = _window(kind, p, f, x, tail_eps)
+        nx, v_lo, _ = _window(kind, p, f, x, tail_eps)
         stop = v_lo + res.v_terms_used
         if kind is OperatorKind.JAIN:
             def values(v):
@@ -853,8 +879,8 @@ def _summed_blocks(monkeypatch, evaluate):
     real = ops._series_eval
 
     def series(params, basis_x, provider, *args, **kwargs):
-        def recording(v0, w, mbound, val_run, gcf):
-            out = provider(v0, w, mbound, val_run, gcf)
+        def recording(v0, w, mbound, gcf):
+            out = provider(v0, w, mbound, gcf)
             blocks.append(w * out[0])
             return out
 
@@ -901,7 +927,7 @@ class TestRoundingBound:
         terms = np.concatenate(blocks)
         assert len(terms) == res.v_terms_used
         if kind is OperatorKind.JAIN:
-            assert [len(b) for b in blocks] == [ops._BLOCK_MAX] * 12
+            assert [len(b) for b in blocks] == [ops._BLOCK_MAX] * 13
         if name == "sin":
             assert terms.min() < 0.0 < terms.max()
         assert abs(res.value - math.fsum(terms.tolist())) <= res.rounding_est
@@ -927,7 +953,7 @@ class TestRoundingBound:
 @pytest.mark.parametrize("beta, x", [(beta, x) for beta in _JAIN_BETAS for x in _JAIN_XS])
 def test_jain_monomials_within_the_reported_bounds(beta, x):
     # e1-e4 against the 40-digit closed-form moments, with no test-side
-    # allowance: at (0.95, 9.0) the error is 6.3e-2
+    # allowance: at (0.95, 9.0) the error is 6.9e-2
     for m in range(1, 5):
         res = _jain(beta, x, f"e{m}")
         with mpmath.workdps(40):
