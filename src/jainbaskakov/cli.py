@@ -334,7 +334,7 @@ def _cmd_moments(cfg):
 
     # A threshold (n too small for the moment's order) is a row of the report,
     # and so is a display formula that overflows where the exact moment does
-    # not; any other DomainError, such as a bad x, fails the run.
+    # not; any other DomainError of an exact row, such as a bad x, fails the run.
     for m in range(5):
         try:
             closed = closed_moment(kind, params, m, x)
@@ -346,6 +346,8 @@ def _cmd_moments(cfg):
         if m in (3, 4):
             try:
                 disp = display_moment(kind, params, m, x)
+            except ThresholdError as exc:
+                add_row(m, None, numeric, "asymptotic", f"threshold: {exc}")
             except DomainError as exc:
                 add_row(m, None, numeric, "asymptotic", f"overflow: {exc}")
             else:

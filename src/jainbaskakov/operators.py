@@ -62,9 +62,10 @@ w(u) <= w(v_lo) q^(v_lo-u) with q = 1/r(v_lo - 1); every mbound above does
 not decrease in v (E_0[t^d] = 0 at the atom), so the left tail is at most
 w(v_lo) mbound(v_lo) q/(1-q), rounded like the right one.  v_lo falls back
 to 0 where the domain condition fails, where q >= 1, or where this bound is
-not below the skip budget ``tail_eps * 2^-26 * gcf``.  v_lo is about the
-largest start that passes, found by Newton's method from mean - k spread on
-the log of the bound.  The bound joins ``est_tail_bound``.
+not below the skip budget ``tail_eps * 2^-26 * gcf``.  v_lo is found by
+Newton's method from mean - k spread on the log of the bound, against a
+target at least as strict as that budget.  The bound joins
+``est_tail_bound``.
 :func:`basis_mass` is the Jain series of f = 1.
 
 ``rounding_est`` bounds the floating-point error of ``value`` given the
@@ -372,9 +373,10 @@ def _left_window(nx, beta, d, tail_eps, gcf, mag):
 
     Returns (v_lo, first, left_tail): the series sums from v_lo, its first
     block ``first`` long, and left_tail bounds sum_{u<v_lo} w(u) mbound(u),
-    mbound(v) = mag(v, 1).  v_lo is about the largest start whose left_tail
-    stays below the skip budget ``tail_eps * 2^-26 * gcf``; where none does,
-    v_lo = 0 and left_tail = 0.
+    mbound(v) = mag(v, 1).  v_lo is found by a search whose target is at
+    least as strict as left_tail < ``tail_eps * 2^-26 * gcf``, the skip
+    budget, and is then certified against it; where that fails, v_lo = 0 and
+    left_tail = 0.
     """
     mean = nx / (1.0 - beta)
     spread = math.sqrt(nx) / (1.0 - beta) ** 1.5
@@ -388,7 +390,9 @@ def _left_window(nx, beta, d, tail_eps, gcf, mag):
         if 3.0 * beta * beta * top > 2.0 * nx * (nx - beta):
             top = 2.0 * nx * (nx - beta) / (3.0 * beta * beta)  # where r falls
         mb_top = float(mag(math.floor(top), 1)[0])
-        # a factor 2 of room for the rounding of the certificate
+        # max(gcf, mb_top) is the former basis-mass budget, kept only so that
+        # v_lo stays where it was; a factor 2 of room for the rounding of the
+        # certificate
         target = log_budget + math.log(gcf) - math.log(max(gcf, mb_top)) - math.log(2.0)
         v_lo = _left_start(nx, beta, mean - k * spread, top, target)
     left_tail = math.inf
@@ -418,7 +422,9 @@ def _series_eval(params, basis_x, provider, mag, f, hybrid, cfg, x_report):
     docstring), so with the growth factor (1 + 1/V)^d the tail is a
     geometric series.  The series stops at the first block after which the
     skipped terms, the left bound and this tail add up to at most
-    ``tail_eps * gcf``.
+    ``tail_eps * gcf``.  The tail is taken as 0 where w(V) mbound(V)
+    underflows to 0 and q < 1, that is past the mode; before the mode the
+    bound is inf, so an underflowed block below the bulk never stops it.
 
     A law whose mean nx/(1 - beta) is not below V_MAX (or is not finite)
     keeps about half its mass past the cap, more than any useful tail_eps
@@ -450,11 +456,13 @@ def _series_eval(params, basis_x, provider, mag, f, hybrid, cfg, x_report):
         factor = _sum_gamma(block) + math.expm1(_log_weight_rounding(nx, beta, v0, big_v, d))
         rounding += (factor * float(np.sum(np.abs(terms, out=terms)))
                      + block * 2.0**-1074 * max(1.0, mb_last) + _EPS / 2.0 * abs(val_run))
-        if w[-1] * mbound[-1] == 0.0:
+        q = _ratio_sup(nx, beta, big_v, d)
+        # a last term that underflows ends the series only past the mode:
+        # before it, the bulk of the law still lies ahead
+        if q < 1.0 and w[-1] * mbound[-1] == 0.0:
             tail_geo = 0.0
         else:
-            tail_geo = _tail_bound(nx, beta, big_v, float(w[-1]), mb_last, d,
-                                   _ratio_sup(nx, beta, big_v, d))
+            tail_geo = _tail_bound(nx, beta, big_v, float(w[-1]), mb_last, d, q)
         tail_est = tail_geo + skipped
 
         if tail_est <= cfg.tail_eps * gcf:

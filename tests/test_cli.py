@@ -158,6 +158,26 @@ def test_moments_display_overflow_rows_reported(tmp_path, operator, formula):
     assert [r["formula_class"] for r in rows[:4]] == ["exact"] * 4
 
 
+def test_moments_display_threshold_row_is_not_an_overflow(tmp_path, monkeypatch):
+    # a display formula's own order check is reported as a threshold, not as
+    # an overflow (the exact rows check the same orders first, so it is
+    # forced here)
+    from jainbaskakov import cli
+    from jainbaskakov.errors import ThresholdError
+
+    def refuse(kind, params, m, x):
+        raise ThresholdError(f"display order {m}")
+
+    monkeypatch.setattr(cli, "display_moment", refuse)
+    code, err = run_main("moments", "--operator", "jain", "--n", "50", "--x", "1",
+                         "--output", str(tmp_path / "m"))
+    assert (code, err) == (0, None)
+    with open(tmp_path / "m.csv", newline="") as fh:
+        rows = [r for r in csv.DictReader(fh) if r["formula_class"] == "asymptotic"]
+    assert [r["status"] for r in rows] == ["threshold: display order 3",
+                                          "threshold: display order 4"]
+
+
 _QUADPACK_TRUNCATES = pytest.mark.xfail(
     strict=True, reason="QUADPACK misses the Beta(v, n/c - 1) kernel's mass past its mean "
                         "for n/c from about 1e5: the numeric e0 moment is 0.544 at n = 1e200")

@@ -804,6 +804,19 @@ class TestTailCertificate:
                  OperatorKind.KING: king_moment}[kind](p, 1, 1.0)
         assert res.value == pytest.approx(exact, rel=1e-12)
 
+    @pytest.mark.parametrize("kind", list(OperatorKind))
+    def test_subnormal_tail_eps_past_the_first_block(self, kind):
+        # nx = 20000: with no window the first block, v < 8192, lies wholly
+        # below the bulk and all its weights underflow; an underflowed last
+        # term must not end the series before the mode
+        p, e1 = OperatorParams(20000, 1, 0), get_function("e1")
+        res = ops.eval_operator(kind, p, e1, 1.0, EvalConfig(tail_eps=5e-324))
+        assert _window(kind, p, e1, 1.0, 5e-324)[1] == 0
+        assert res.v_terms_used > ops._BLOCK_MAX and res.est_tail_bound == 0.0
+        exact = {OperatorKind.JAIN: jain_moment, OperatorKind.JAIN_BASKAKOV: d_moment_exact,
+                 OperatorKind.KING: king_moment}[kind](p, 1, 1.0)
+        assert abs(res.value - exact) <= res.rounding_est + res.quad_error_est
+
     @pytest.mark.parametrize("x", [2.0, 5000.0 / 300.0])
     def test_heavy_tail_stops_early(self, x):
         # at beta = 0.95 the term ratio tends to 0.9987; summing until the
