@@ -81,6 +81,12 @@ The truncation tail shrank; the distance to the exact value grew within
 ``rounding_est``, which the log-space rounding of the weights dominates.
 Every other row, and every basis-mass row, kept its bits.
 
+Fourteen rows were added, with the code unchanged, before the warm scalar
+path began to read the integral table by slices: the hybrid and King
+operators at beta = 0.9, x = 3 (windows wider than one block), at n = 16,
+x = 0.02 with e4 (the atom kept beside a skipped tail), and at the grid
+parameters with tail_eps 1e-6 and 1e-15.
+
 Any change to summation order, stopping rule, quadrature or cache layout
 that moves a single bit fails here.  The golden file records the numpy and
 scipy versions it was made with (the rows hold the bits of their ``exp``
@@ -101,6 +107,7 @@ import scipy
 
 import jainbaskakov.operators as ops
 from jainbaskakov import (
+    EvalConfig,
     OperatorParams,
     basis_mass,
     eval_jain,
@@ -116,6 +123,13 @@ HYBRID_X = (0.0, 0.013, 0.5, 1.7, 2.95)
 JAIN_CASES = ((0.95, 5000.0 / 300.0), (0.95, 2.0), (0.5, 9.0))
 MASS_CASES = ((300.0, 0.95, 5000.0 / 300.0), (50.0, 0.3, 1.0), (1000.0, 0.0, 3.0),
               (7.0, 0.6, 0.01))
+# (n, c, beta, function, x, tail_eps): more than one block (beta = 0.9,
+# x = 3), the atom kept beside a skipped tail (n = 16, x = 0.02), and the
+# grid parameters at a loose and a tight tail_eps
+EXTRA_CASES = ((300.0, 1.0, 0.9, "e2", 3.0, 1e-12), (300.0, 1.0, 0.9, "exp-neg", 3.0, 1e-12),
+               (16.0, 1.0, 0.1, "e4", 0.02, 1e-12),
+               (300.0, 1.0, 0.1, "e2", 1.7, 1e-6), (300.0, 1.0, 0.1, "exp-neg", 1.7, 1e-6),
+               (300.0, 1.0, 0.1, "e2", 1.7, 1e-15), (300.0, 1.0, 0.1, "exp-neg", 1.7, 1e-15))
 
 
 def _versions() -> dict:
@@ -143,6 +157,11 @@ def compute_rows() -> dict:
             for x in HYBRID_X:
                 rows.append({"operator": op, "function": fname, "n": p.n, "beta": p.beta,
                              **_fields(ev(p, f, x))})
+    for n, c, beta, fname, x, tail_eps in EXTRA_CASES:
+        pe, f = OperatorParams(n, c, beta), get_function(fname)
+        for op, ev in (("jain-baskakov", eval_jain_baskakov), ("king", eval_king)):
+            rows.append({"operator": op, "function": fname, "n": n, "beta": beta,
+                         "tail_eps": tail_eps, **_fields(ev(pe, f, x, EvalConfig(tail_eps)))})
     e4 = get_function("e4")
     for beta, x in JAIN_CASES:
         pj = OperatorParams(300.0, 1.0, beta)
