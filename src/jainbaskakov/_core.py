@@ -11,11 +11,12 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import gammaln
 
-# log v! for v below the cap, shared by every block fill; series that run
-# past it (heavy tails near beta = 1) take gammaln directly.  The cap bounds
-# the table at 512 KiB.
+# log v! and v as floats, for v below the cap, shared by every block fill;
+# series that run past it (heavy tails near beta = 1) take gammaln and
+# arange directly.  The cap bounds each table at 512 KiB.
 _LOG_FACT_CAP = 1 << 16
-_LOG_FACT = gammaln(np.arange(_LOG_FACT_CAP, dtype=np.float64) + 1.0)
+_V = np.arange(_LOG_FACT_CAP, dtype=np.float64)
+_LOG_FACT = gammaln(_V + 1.0)
 
 
 def jain_log_weights(nx: float, beta: float, v0: int, count: int) -> np.ndarray:
@@ -23,12 +24,13 @@ def jain_log_weights(nx: float, beta: float, v0: int, count: int) -> np.ndarray:
 
     w(v) = nx * (nx + v*beta)^(v-1) * exp(-(nx + v*beta)) / v!,  nx > 0.
     """
-    v = np.arange(v0, v0 + count, dtype=np.float64)
-    m = nx + v * beta
     if v0 + count <= _LOG_FACT_CAP:
+        v = _V[v0 : v0 + count]
         log_fact = _LOG_FACT[v0 : v0 + count]
     else:
+        v = np.arange(v0, v0 + count, dtype=np.float64)
         log_fact = gammaln(v + 1.0)
+    m = nx + v * beta
     out = np.log(nx) + (v - 1.0) * np.log(m) - m - log_fact
     if v0 == 0:
         out[0] = -nx

@@ -420,6 +420,13 @@ class TestCacheAndLimits:
         with pytest.raises(DomainError, match=what + " must be positive and finite, got 0.0"):
             evaluate()
 
+    @pytest.mark.parametrize("evaluate", [eval_jain, eval_jain_baskakov])
+    def test_subnormal_basis_point_evaluates(self, evaluate):
+        # n x = 3.5e-323 > 0: rho(V)'s quotient m/(V+1) underflows to 0, so
+        # its log is taken apart; all of the mass sits at v = 0
+        res = evaluate(OperatorParams(7.0, 1.0, 0.0), get_function("e0"), 5e-324)
+        assert res.value == 1.0 and res.est_tail_bound < 1e-300
+
 
 class TestIntegralTable:
     @pytest.fixture
@@ -510,6 +517,35 @@ class TestIntegralTable:
         ref, ref_err = spies.quad(p, 1, f.fn, cfg, float(kernels.magnitude_bound(p, f, 1)))
         assert abs(value[0] - ref) <= err[0] + ref_err
 
+    def test_slice_and_hole_requests_match_one_v_at_a_time(self, cfg, monkeypatch):
+        # exp-neg at n = 20, where the rule refuses v = 1..5: a contiguous
+        # request reaching unfilled v, a request with holes and a slice over
+        # filled and unfilled v give the bits of one-v-at-a-time requests,
+        # and no v is sent to be computed twice
+        p, f = OperatorParams(20, 1, 0.0), get_function("exp-neg")
+        requests = [slice(3, 40), np.array([0, 1, 2, 50, 51, 90]), slice(30, 100), slice(7, 7)]
+        real = ops.kernel_expectations
+        asked = []
+
+        def spy(params, f_, span, cfg_, mag, needed):
+            assert not tab._filled[span].any()
+            asked.extend(span[needed].tolist())
+            return real(params, f_, span, cfg_, mag, needed=needed)
+
+        monkeypatch.setattr(ops, "kernel_expectations", spy)
+        tab = ops._IntegralTable(p, f, cfg)
+        got = [tab.get(v) for v in requests]
+        requested = set(np.concatenate([np.arange(100)[v] for v in requests]).tolist())
+        assert len(asked) == len(set(asked)) and set(asked) <= requested
+        assert tab._filled[sorted(requested)].all()
+        monkeypatch.setattr(ops, "kernel_expectations", real)
+        one = ops._IntegralTable(p, f, cfg)
+        for v, (values, errors) in zip(requests, got):
+            singles = [one.get(np.array([u])) for u in np.arange(100)[v].tolist()]
+            np.testing.assert_array_equal(values, np.array([a[0] for a, _ in singles]))
+            np.testing.assert_array_equal(errors, np.array([e[0] for _, e in singles]))
+        assert isinstance(got[0][0].base, np.ndarray)  # a slice is answered by views
+
     def test_magnitude_bounds(self, cfg):
         p = OperatorParams(20, 1, 0.1)
         e2 = ops._IntegralTable(p, get_function("e2"), cfg)
@@ -539,6 +575,66 @@ def test_each_weight_block_is_computed_once(monkeypatch):
     assert 2000 < v_lo < 3000 < v_lo + first < 4000
     assert blocks == [(v_lo, first)]
     assert got == float.fromhex("0x1.fffffffffe704p-1")  # as in series_bitwise.json
+    # a hybrid series reads the integral table once per block, here over
+    # two blocks (beta = 0.9, x = 3: the window is wider than _BLOCK_MAX)
+    lookups = []
+    real_get = ops._IntegralTable.get
+
+    def get(table, v):
+        lookups.append(v)
+        return real_get(table, v)
+
+    monkeypatch.setattr(ops._IntegralTable, "get", get)
+    blocks.clear()
+    eval_jain_baskakov(OperatorParams(300.0, 1.0, 0.9), get_function("e2"), 3.0)
+    assert len(blocks) == 2 and len(lookups) == 2
+    assert all(isinstance(v, slice) for v in lookups)
+
+
+def _mask_provider(table, cfg, v0, w, mbound, gcf):
+    """The hybrid provider as a mask over the whole block, gathering the
+    kept v into an index array: the reference for the slice reads."""
+    v_arr = np.arange(v0, v0 + len(w))
+    contrib_bound = w * mbound
+    keep = (contrib_bound > cfg.tail_eps * ops._SKIP_FACTOR * gcf) | (v_arr == 0)
+    vals = np.zeros_like(w)
+    values, errors = table.get(v_arr[keep])
+    vals[keep] = values
+    qerr = float(np.sum(w[keep] * errors)) * (1.0 + 2.0 * ops._sum_gamma(len(errors)))
+    return vals, float(np.sum(contrib_bound[~keep])), qerr, keep
+
+
+@pytest.mark.parametrize("window", [None, (0, 64, 0.0)])
+def test_hybrid_blocks_match_the_mask_reference(monkeypatch, cfg, window):
+    # the provider reads an interval of kept v by slices and a set with
+    # holes by an index array; both give the bits of the mask reference.
+    # A window forced to start at 0 at n x = 300 keeps the atom apart from
+    # the bulk (a hole) and has a block with nothing kept
+    p, f = OperatorParams(300.0, 1.0, 0.1), get_function("e2")
+    table = ops.DEFAULT_CACHE.table(p, f, cfg)
+    kinds = set()
+    real = ops._series_eval
+
+    def series(params, basis_x, provider, *args, **kwargs):
+        def checked(v0, w, mbound, gcf):
+            got = provider(v0, w, mbound, gcf)
+            *want, keep = _mask_provider(table, cfg, v0, w, mbound, gcf)
+            np.testing.assert_array_equal(got[0], want[0])
+            assert got[1:] == tuple(want[1:])
+            kept = np.flatnonzero(keep)
+            kinds.add("none" if not kept.size else
+                      "interval" if kept[-1] - kept[0] + 1 == kept.size else "hole")
+            return got
+
+        return real(params, basis_x, checked, *args, **kwargs)
+
+    monkeypatch.setattr(ops, "_series_eval", series)
+    if window is not None:
+        monkeypatch.setattr(ops, "_left_window", lambda *args: window)
+    for x in (0.5, 1.0, 2.0):
+        for evaluate in (eval_jain_baskakov, eval_king):
+            evaluate(p, f, x, cfg)
+    assert kinds == ({"interval"} if window is None else {"interval", "hole", "none"})
 
 
 # The certificates of the v-series (operators module docstring): the weight
