@@ -480,7 +480,9 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand; with ``command``, only that one gets
+    its options, which is all that parsing its arguments needs."""
     parser = argparse.ArgumentParser(
         prog="jainbaskakov",
         description=(
@@ -490,9 +492,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (text, run, names) in _COMMANDS.items():
-        p = sub.add_parser(command, help=text)
+    for cmd, (text, run, names) in _COMMANDS.items():
+        p = sub.add_parser(cmd, help=text)
         p.set_defaults(run=run)
+        if command not in (None, cmd):
+            continue
         for name in (*names, *_COMMON):
             opt = _CONFIG_FLAG if name == "config" else _OPTIONS[name]
             # choices are shown here but checked in _resolve, which also
@@ -509,7 +513,9 @@ def _error_object(exc, code):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         config = _resolve(args, args.command)
         fieldnames, rows, plot_pairs, verdict = args.run(config)

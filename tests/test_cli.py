@@ -636,3 +636,35 @@ def test_every_option_resolves_from_flag_and_config(tmp_path, command, name):
             if other != name:
                 default = command if other == "output" else other_opt.default
                 assert cfg[other] == default, (argv, other)
+
+
+def _parse_exit(parser, argv):
+    """(exit code, stdout, stderr) of ``parser.parse_args(argv)``, which exits."""
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.raises(SystemExit) as exc, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        parser.parse_args(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("command", list(GOLDEN_ARGS))
+def test_one_subcommand_parser_matches_the_full_one(command):
+    # main builds only the options of the subcommand it is given: the help
+    # texts and the error for an unknown flag must not show it
+    from jainbaskakov import cli
+
+    full, one = cli.build_parser(), cli.build_parser(command)
+    assert one.format_help() == full.format_help()
+    for argv in ([command, "--help"], [command, "--bogus", "1"], ["--help"]):
+        assert _parse_exit(one, argv) == _parse_exit(full, argv)
+    assert _parse_exit(full, [command, "--bogus", "1"])[0] == 2
+
+
+@pytest.mark.parametrize("argv", [["evaluate", "--n", "3"], ["--n", "3"], []])
+def test_main_without_a_subcommand_uses_the_full_parser(argv):
+    from jainbaskakov import cli
+
+    err = io.StringIO()
+    with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(err):
+        cli.main(argv)
+    assert (exc.value.code, err.getvalue()) == _parse_exit(cli.build_parser(), argv)[::2]
