@@ -71,10 +71,10 @@ target at least as strict as that budget.  The bound joins
 ``rounding_est`` bounds the floating-point error of ``value`` given the
 computed values f(v/n) or E_v[f] (whose quadrature error is
 ``quad_error_est``): the rounding of the weights and of the sums.  A block's
-value is ``np.add.reduce(w * vals)``.  Whatever order its count terms are added in,
-each passes through at most count - 1 additions and one rounding for the
-product w*f, so the block value is within gamma_(count) sum|w f| of the
-exact sum of the computed terms, gamma_j = j u/(1 - j u), u = 2^-53
+value is ``np.add.reduce(w * vals)``.  Whatever order its count terms are
+added in, each passes through at most count - 1 additions and one rounding
+for the product w*f, so the block value is within gamma_(count) sum|w f| of
+the exact sum of the computed terms, gamma_j = j u/(1 - j u), u = 2^-53
 (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002,
 sec. 4.2); two more roundings cover forming sum|w f| and the bound.  Each
 computed weight is off by a factor exp(delta), |delta| at most 8 eps times
@@ -515,8 +515,8 @@ def basis_mass(params: OperatorParams, x: float, cfg: EvalConfig | None = None) 
 
     Each weight carries log-space rounding of about eps v log m relative
     (m = nx + v beta), and each block sum of count terms up to
-    gamma_(count+2) of its size more, so the raw
-    sum can overshoot 1 by a few ulps; the result is clamped to [0, 1].
+    gamma_(count+2) of its size more, so the raw sum can overshoot 1 by a
+    few ulps; the result is clamped to [0, 1].
     Raises DomainError where n*x underflows to 0 for x > 0.
     """
     return min(eval_jain(params, get_function("e0"), x, cfg).value, 1.0)
