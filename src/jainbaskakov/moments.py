@@ -85,28 +85,29 @@ def jain_moment(params: OperatorParams, m: int, x: float) -> float:
     """
     _check_order(m)
     check_point(x)
-    n, b = params.n, params.beta
+    return _jain_moment(params.n, params.beta, m, x, *_scaled(params.n))
+
+
+def _jain_moment(n, b, m, x, e, ns):
+    """:func:`jain_moment` past its checks, (e, ns) = _scaled(n): t / n^k is
+    ldexp(t / ns^k, -e k), as n^k may overflow where the moment does not."""
     a = 1.0 / (1.0 - b)
-    e, ns = _scaled(n)
-
-    def over(t, k):  # t / n^k, as n^k may overflow where the moment does not
-        return math.ldexp(t / ns**k, -e * k)
-
     try:
         if m == 0:
             mom = 1.0
         elif m == 1:
             mom = a * x
         elif m == 2:
-            mom = a * a * x * x + over(a**3 * x, 1)
+            mom = a * a * x * x + math.ldexp(a**3 * x / ns, -e)
         elif m == 3:
-            mom = a**3 * x**3 + over(3 * a**4 * x**2, 1) + over((1 + 2 * b) * a**5 * x, 2)
+            mom = (a**3 * x**3 + math.ldexp(3 * a**4 * x**2 / ns, -e)
+                   + math.ldexp((1 + 2 * b) * a**5 * x / ns**2, -e * 2))
         else:
             mom = (
                 a**4 * x**4
-                + over(6 * a**5 * x**3, 1)
-                + over((7 + 8 * b) * a**6 * x**2, 2)
-                + over((1 + 8 * b + 6 * b * b) * a**7 * x, 3)
+                + math.ldexp(6 * a**5 * x**3 / ns, -e)
+                + math.ldexp((7 + 8 * b) * a**6 * x**2 / ns**2, -e * 2)
+                + math.ldexp((1 + 8 * b + 6 * b * b) * a**7 * x / ns**3, -e * 3)
             )
     except OverflowError:  # float ** raises where * and / give inf
         mom = math.inf
@@ -152,7 +153,7 @@ def d_moment_exact(params: OperatorParams, m: int, x: float) -> float:
     if m == 0:
         return 1.0
     params.require_order(m)
-    n, c = params.n, params.c
+    n, c, b = params.n, params.c, params.beta
     # n and every n - ic scaled alike, as n^m may overflow where the moment
     # does not (n = 1e80, x = 1)
     e, ns = _scaled(n)
@@ -161,7 +162,7 @@ def d_moment_exact(params: OperatorParams, m: int, x: float) -> float:
         denom *= math.ldexp(n - i * c, -e)
     try:
         terms = [
-            coef * math.ldexp(jain_moment(params, k, x), -e * (m - k)) / ns ** (m - k)
+            coef * math.ldexp(_jain_moment(n, b, k, x, e, ns), -e * (m - k)) / ns ** (m - k)
             for k, coef in RISING_COEF[m].items()
         ]
         mom = ns**m / denom * math.fsum(terms)

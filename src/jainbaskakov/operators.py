@@ -62,16 +62,17 @@ w(u) <= w(v_lo) q^(v_lo-u) with q = 1/r(v_lo - 1); every mbound above does
 not decrease in v (E_0[t^d] = 0 at the atom), so the left tail is at most
 w(v_lo) mbound(v_lo) q/(1-q), rounded like the right one.  v_lo falls back
 to 0 where the domain condition fails, where q >= 1, or where this bound is
-not below the skip budget ``tail_eps * 2^-26 * gcf``.  v_lo is found by
-Newton's method from mean - k spread on the log of the bound, against a
-target at least as strict as that budget.  The bound joins
+not below the skip budget ``tail_eps * 2^-26 * gcf``.  v_lo is the Gaussian
+edge floor(mean - k spread), or where a search can lift it by more terms
+than it costs, Newton's method from there on the log of the bound against
+a target at least as strict as that budget.  The bound joins
 ``est_tail_bound``.
 :func:`basis_mass` is the Jain series of f = 1.
 
 ``rounding_est`` bounds the floating-point error of ``value`` given the
 computed values f(v/n) or E_v[f] (whose quadrature error is
 ``quad_error_est``): the rounding of the weights and of the sums.  A block's
-value is ``np.add.reduce(w * vals)``.  Whatever order its count terms are
+value is ``np.add.reduce(w * f)``.  Whatever order its count terms are
 added in, each passes through at most count - 1 additions and one rounding
 for the product w*f, so the block value is within gamma_(count) sum|w f| of
 the exact sum of the computed terms, gamma_j = j u/(1 - j u), u = 2^-53
@@ -190,6 +191,11 @@ class _IntegralTable:
         self._reserve(v0 + count)
         return self._mag[v0 : v0 + count]
 
+    def mag_at(self, v: int) -> float:
+        """The bound on |E_v[f]|, as a float."""
+        self._reserve(v + 1)
+        return float(self._mag[v])
+
     def get(self, v) -> tuple[np.ndarray, np.ndarray]:
         """(E_v[f], error estimates) for ``v``: an integer array, or a slice
         of consecutive v, answered with views (do not write).
@@ -267,6 +273,12 @@ V_MAX = 10**6
 # to 8192.
 _BLOCK_START = 256
 _BLOCK_MAX = 8192
+
+# What a search for the window's start costs in summed terms: about 13 us (a
+# bound read, 3 Newton steps) over 19 ns a term, 660-750 in interleaved medians
+# on a warm table at n = 300, beta = 0.1 (Intel Xeon, 2 cores, numpy 2.4).  It
+# lifts v_lo by at most (k - 1) spread, so it runs only where that is more.
+_SEARCH_TERMS = 700
 
 
 def block_schedule(v_max: int, v0: int, block: int):
@@ -384,14 +396,16 @@ def _left_bound(nx, beta, v_lo, d, mb_lo):
     return _tail_bound(nx, beta, v_lo, math.exp(_log_weight(nx, beta, v_lo)), mb_lo, d, q)
 
 
-def _left_window(nx, beta, d, tail_eps, gcf, mag):
+def _left_window(nx, beta, d, tail_eps, gcf, mag_at):
     """Where a v-series starts, and a certified bound on what lies below.
 
     Returns (v_lo, first, left_tail): the series sums from v_lo, its first
     block ``first`` long, and left_tail bounds sum_{u<v_lo} w(u) mbound(u),
-    mbound(v) = mag(v, 1).  v_lo is found by a search whose target is at
-    least as strict as left_tail < ``tail_eps * 2^-26 * gcf``, the skip
-    budget, and is then certified against it; where that fails, v_lo = 0 and
+    mbound(v) = mag_at(v).  v_lo is the Gaussian edge floor(mean - k spread),
+    or where lifting it towards mean - spread can save more than
+    ``_SEARCH_TERMS`` terms, a search whose target is at least as strict as
+    left_tail < ``tail_eps * 2^-26 * gcf``, the skip budget.  Either is then
+    certified against that budget; where that fails, v_lo = 0 and
     left_tail = 0.
     """
     mean = nx / (1.0 - beta)
@@ -400,36 +414,36 @@ def _left_window(nx, beta, d, tail_eps, gcf, mag):
     # in logs, as budget may underflow to 0 and mag be inf
     log_budget = math.log(tail_eps) + math.log(_SKIP_FACTOR)
     k = math.sqrt(-2.0 * log_budget)
-    v_lo = 0
+    v_lo = math.floor(mean - k * spread)
     top = mean - spread  # below the bulk
-    if top >= 1.0:
+    if top >= 1.0 and (k - 1.0) * spread > _SEARCH_TERMS:
         if 3.0 * beta * beta * top > 2.0 * nx * (nx - beta):
             top = 2.0 * nx * (nx - beta) / (3.0 * beta * beta)  # where r falls
-        mb_top = float(mag(math.floor(top), 1)[0])
-        # max(gcf, mb_top) is the former basis-mass budget, kept only so that
-        # v_lo stays where it was; a factor 2 of room for the rounding of the
-        # certificate
-        target = log_budget + math.log(gcf) - math.log(max(gcf, mb_top)) - math.log(2.0)
+        # max(gcf, mbound(top)) is the former basis-mass budget, kept only so
+        # that v_lo stays where it was; a factor 2 of room for the rounding of
+        # the certificate
+        target = (log_budget + math.log(gcf) - math.log(max(gcf, mag_at(math.floor(top))))
+                  - math.log(2.0))
         v_lo = _left_start(nx, beta, mean - k * spread, top, target)
     left_tail = math.inf
     if v_lo > 0:
-        left_tail = _left_bound(nx, beta, v_lo, d, float(mag(v_lo, 1)[0]))
+        left_tail = _left_bound(nx, beta, v_lo, d, mag_at(v_lo))
     if not left_tail < budget * gcf:
         v_lo, left_tail = 0, 0.0
     first = min(max(math.ceil(mean + k * spread) - v_lo, _BLOCK_START), _BLOCK_MAX)
     return v_lo, first, left_tail
 
 
-def _series_eval(params, basis_x, provider, mag, f, hybrid, cfg, x_report):
+def _series_eval(params, basis_x, provider, mag, mag_at, f, hybrid, cfg, x_report):
     """Adaptive blockwise summation over a window of the basis index v.
 
     ``mag(v0, count)`` gives the a-priori bounds mbound(v) on the terms'
-    values for v = v0 .. v0+count-1; they do not decrease in v and grow by
-    at most (1 + 1/v)^d from v to v + 1, d the growth degree of ``f``.
-    ``provider(v0, w, mbound, gcf)``, gcf the threshold scale of
-    :func:`_growth_correction`, returns per-block (values,
-    skipped_tail_increment, quad_error_increment).  Each block adds its
-    rounding bound to ``rounding_est`` (module docstring).  Summation starts at
+    values for v = v0 .. v0+count-1, and ``mag_at(v)`` one as a float; they
+    do not decrease in v and grow by at most (1 + 1/v)^d from v to v + 1, d
+    the growth degree of ``f``.  ``provider(v0, w, mbound, gcf)``, gcf the
+    threshold scale of :func:`_growth_correction`, returns per-block (terms
+    w f in an array of its own, skipped_tail_increment,
+    quad_error_increment).  Each block adds its rounding bound to ``rounding_est`` (module docstring).  Summation starts at
     :func:`_left_window`'s v_lo, whose left bound joins the skipped tail.
     After each block, terms past its last index V are bounded by
     :func:`_tail_bound` with q = :func:`_ratio_sup`: every weight ratio past
@@ -455,15 +469,14 @@ def _series_eval(params, basis_x, provider, mag, f, hybrid, cfg, x_report):
     check_point(nx, "n*x", zero_ok=False)
     gcf = _growth_correction(params, f, basis_x, hybrid)
     d = f.growth_degree
-    v_lo, first, skipped = _left_window(nx, beta, d, cfg.tail_eps, gcf, mag)
+    v_lo, first, skipped = _left_window(nx, beta, d, cfg.tail_eps, gcf, mag_at)
     val_run = quad_err = rounding = 0.0
 
     for v0, block in block_schedule(V_MAX, v_lo, first):
         w = _core.jain_weights(nx, beta, v0, block)
         mbound = mag(v0, block)
         w_last, mb_last = float(w[-1]), float(mbound[-1])
-        vals, sk_inc, qerr_inc = provider(v0, w, mbound, gcf)
-        terms = w * vals
+        terms, sk_inc, qerr_inc = provider(v0, w, mbound, gcf)
         val_run += float(np.add.reduce(terms))
         quad_err += qerr_inc
         skipped += sk_inc
@@ -554,12 +567,15 @@ def eval_jain(
         return _atom_result(x, f)
 
     n = params.n
+    mag = _jain_mag(f, n)
 
     def provider(v0, w, _mbound, _gcf):
         t = np.arange(v0, v0 + len(w), dtype=np.float64) / n
-        return np.asarray(f.fn(t), dtype=np.float64), 0.0, 0.0
+        return w * np.asarray(f.fn(t), dtype=np.float64), 0.0, 0.0
 
-    return _series_eval(params, x, provider, _jain_mag(f, n), f, False, cfg, x_report=x)
+    # one bound by the block's numpy power, which can differ from ** in the last bit
+    return _series_eval(params, x, provider, mag, lambda v: float(mag(v, 1)[0]), f, False,
+                        cfg, x_report=x)
 
 
 def _eval_hybrid(params, f, x, basis_x, cfg):
@@ -577,16 +593,19 @@ def _eval_hybrid(params, f, x, basis_x, cfg):
         lo, hi = (int(kept[0]), int(kept[-1]) + 1) if kept.size else (0, 0)
         if hi - lo == kept.size:  # an interval: read the table by slices
             sel, v = slice(lo, hi), slice(v0 + lo, v0 + hi)
+            # the skipped bounds, in the order of bound[~keep]
+            skipped = bound[hi:] if lo == 0 else bound[:lo] if hi == len(w) else bound[~keep]
         else:
-            sel, v = kept, kept + v0
+            sel, v, skipped = kept, kept + v0, bound[~keep]
         values, errors = table.get(v)
-        vals = np.zeros(len(w))
-        vals[sel] = values
+        terms, w_kept = np.zeros(len(w)), w[sel]
+        terms[sel] = w_kept * values
         # a sum of nonnegative terms: 1 + 2 gamma_k undoes its rounding down
-        qerr = float(np.add.reduce(w[sel] * errors)) * (1.0 + 2.0 * _sum_gamma(len(errors)))
-        return vals, float(np.add.reduce(bound[~keep])), qerr
+        qerr = float(np.add.reduce(w_kept * errors)) * (1.0 + 2.0 * _sum_gamma(len(errors)))
+        return terms, float(np.add.reduce(skipped)), qerr
 
-    return _series_eval(params, basis_x, provider, table.mag, f, True, cfg, x_report=x)
+    return _series_eval(params, basis_x, provider, table.mag, table.mag_at, f, True, cfg,
+                        x_report=x)
 
 
 def eval_jain_baskakov(

@@ -571,10 +571,11 @@ def test_each_weight_block_is_computed_once(monkeypatch):
     monkeypatch.setattr(core, "jain_weights", counted)
     got = ops.basis_mass(OperatorParams(1000.0, 1.0, 0.0), 3.0)
     mag = ops._jain_mag(get_function("e0"), 1000.0)
-    v_lo, first, _ = ops._left_window(3000.0, 0.0, 0, EvalConfig().tail_eps, 1.0, mag)
+    v_lo, first, _ = ops._left_window(3000.0, 0.0, 0, EvalConfig().tail_eps, 1.0,
+                                      lambda v: float(mag(v, 1)[0]))
     assert 2000 < v_lo < 3000 < v_lo + first < 4000
     assert blocks == [(v_lo, first)]
-    assert got == float.fromhex("0x1.fffffffffe704p-1")  # as in series_bitwise.json
+    assert got == float.fromhex("0x1.fffffffffe702p-1")  # as in series_bitwise.json
     # a hybrid series reads the integral table once per block, here over
     # two blocks (beta = 0.9, x = 3: the window is wider than _BLOCK_MAX)
     lookups = []
@@ -593,7 +594,9 @@ def test_each_weight_block_is_computed_once(monkeypatch):
 
 def _mask_provider(table, cfg, v0, w, mbound, gcf):
     """The hybrid provider as a mask over the whole block, gathering the
-    kept v into an index array: the reference for the slice reads."""
+    kept v into an index array, its terms the product of the weights and
+    the values zero-filled past the kept v: the reference for the slice
+    reads."""
     v_arr = np.arange(v0, v0 + len(w))
     contrib_bound = w * mbound
     keep = (contrib_bound > cfg.tail_eps * ops._SKIP_FACTOR * gcf) | (v_arr == 0)
@@ -601,7 +604,7 @@ def _mask_provider(table, cfg, v0, w, mbound, gcf):
     values, errors = table.get(v_arr[keep])
     vals[keep] = values
     qerr = float(np.sum(w[keep] * errors)) * (1.0 + 2.0 * ops._sum_gamma(len(errors)))
-    return vals, float(np.sum(contrib_bound[~keep])), qerr, keep
+    return w * vals, float(np.sum(contrib_bound[~keep])), qerr, keep
 
 
 @pytest.mark.parametrize("window", [None, (0, 64, 0.0)])
@@ -692,13 +695,14 @@ def _window(kind, p, f, x, tail_eps=EvalConfig().tail_eps):
     hybrid = kind is not OperatorKind.JAIN
     basis_x = king_transform(p, x) if kind is OperatorKind.KING else x
     if hybrid:
-        def mag(v0, count):
-            return kernels.magnitude_bound(p, f, np.arange(v0, v0 + count))
+        def mag_at(v):
+            return float(kernels.magnitude_bound(p, f, np.array([v]))[0])
     else:
-        mag = ops._jain_mag(f, p.n)
+        def mag_at(v):
+            return float(ops._jain_mag(f, p.n)(v, 1)[0])
     gcf = ops._growth_correction(p, f, basis_x, hybrid)
     nx = p.n * basis_x
-    v_lo, _, left_tail = ops._left_window(nx, p.beta, f.growth_degree, tail_eps, gcf, mag)
+    v_lo, _, left_tail = ops._left_window(nx, p.beta, f.growth_degree, tail_eps, gcf, mag_at)
     return nx, v_lo, left_tail
 
 
@@ -888,6 +892,68 @@ class TestTailCertificate:
         assert ops._left_bound(3.0, 0.5, 20, 0, 1.0) == math.inf
         assert ops._left_bound(3.0, 0.5, 2, 0, 1.0) < math.inf
 
+    def test_left_edge_covers_the_exact_majorant(self, record_property):
+        # a law narrow enough that the search could not pay for itself starts
+        # at the Gaussian edge floor(mean - k spread), certified by the same
+        # bound: wherever the edge is kept, the bound covers the 40-digit
+        # majorant, and otherwise the window starts at 0
+        rng = random.Random(17)
+        names = ("e0", "e1", "e2", "e3", "e4", "exp-neg", "sin")
+        cases = edges = certified = 0
+        while cases < 400:
+            kind, f = rng.choice(list(OperatorKind)), get_function(rng.choice(names))
+            beta, nx = rng.uniform(0.0, 0.95), 10.0 ** rng.uniform(0.0, 5.0)
+            tail_eps = rng.choice((1e-6, 1e-12, 1e-15))
+            spread = math.sqrt(nx) / (1.0 - beta) ** 1.5
+            k = math.sqrt(-2.0 * (math.log(tail_eps) + math.log(ops._SKIP_FACTOR)))
+            if (k - 1.0) * spread > ops._SEARCH_TERMS:
+                continue  # the search's side
+            cases += 1
+            p = OperatorParams(rng.uniform(3.0 * f.growth_degree + 8.0, 1000.0), 1.0, beta)
+            x = nx / p.n if kind is not OperatorKind.KING else nx / ((p.n - 2.0) * (1.0 - beta))
+            nx, v_lo, left_tail = _window(kind, p, f, x, tail_eps)
+            edge = math.floor(nx / (1.0 - beta) - k * math.sqrt(nx) / (1.0 - beta) ** 1.5)
+            edges += edge >= 1
+            if v_lo == 0:
+                assert left_tail == 0.0
+                continue
+            certified += 1
+            assert v_lo == edge, (kind, p, f.name, x, tail_eps)
+            if kind is OperatorKind.JAIN:
+                mb = _jain_mbound(f, p.n)(np.array([float(v_lo)]))[0]
+            else:
+                mb = kernels.magnitude_bound(p, f, np.array([v_lo]))[0]
+            with mpmath.workdps(40):
+                mass = _mp_weight(nx, beta, v_lo) / (_mp_ratio(nx, beta, v_lo - 1) - 1)
+                assert left_tail >= mass * mpmath.mpf(float(mb)), (kind, p, f.name, x, tail_eps)
+        record_property("edge_certified", f"{certified} of {edges} edges >= 1, {cases} cases")
+        print(f"the edge certified in {certified} of {edges} cases where it is >= 1")
+        assert certified >= 0.9 * edges > 0
+
+    def test_left_search_runs_only_where_it_pays(self, monkeypatch):
+        # the Newton search runs where it can lift v_lo by more than it costs,
+        # (k - 1) spread > _SEARCH_TERMS, and never below
+        calls = []
+        real = ops._left_start
+        monkeypatch.setattr(ops, "_left_start", lambda *args: calls.append(args) or real(*args))
+        for tail_eps in (1e-6, 1e-12, 1e-15):
+            k = math.sqrt(-2.0 * (math.log(tail_eps) + math.log(ops._SKIP_FACTOR)))
+            for beta in (0.0, 0.3, 0.6):
+                for ratio in (0.5, 0.99, 1.01, 2.0):
+                    spread = ratio * ops._SEARCH_TERMS / (k - 1.0)
+                    nx = (spread * (1.0 - beta) ** 1.5) ** 2
+                    assert nx / (1.0 - beta) - spread >= 1.0  # below the bulk
+                    calls.clear()
+                    ops._left_window(nx, beta, 0, tail_eps, 1.0, lambda v: 1.0)
+                    assert len(calls) == (ratio > 1.0), (tail_eps, beta, ratio)
+        # the grid parameters take the edge; Jain at beta = 0.5, nx = 2700 searches
+        calls.clear()
+        eval_jain_baskakov(OperatorParams(300.0, 1.0, 0.1), get_function("e2"), 1.7)
+        eval_king(OperatorParams(300.0, 1.0, 0.1), get_function("exp-neg"), 2.95)
+        assert not calls
+        eval_jain(OperatorParams(300.0, 1.0, 0.5), get_function("e4"), 9.0)
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("kind", list(OperatorKind))
     def test_subnormal_tail_eps(self, kind):
         # the skip budget tail_eps 2^-26 underflows to 0: no window, and the
@@ -982,15 +1048,15 @@ def _sequential(a):
 
 
 def _summed_blocks(monkeypatch, evaluate):
-    """An evaluation's result and the products w * vals its series summed,
-    one array per block."""
+    """An evaluation's result and the terms its series summed, one array per
+    block (copied: the series takes their absolute values in place)."""
     blocks = []
     real = ops._series_eval
 
     def series(params, basis_x, provider, *args, **kwargs):
         def recording(v0, w, mbound, gcf):
             out = provider(v0, w, mbound, gcf)
-            blocks.append(w * out[0])
+            blocks.append(out[0].copy())
             return out
 
         return real(params, basis_x, recording, *args, **kwargs)
