@@ -23,20 +23,31 @@ def jain_log_weights(nx: float, beta: float, v0: int, count: int) -> np.ndarray:
     """Log generalized-Poisson weights log w(v) for v = v0 .. v0+count-1.
 
     w(v) = nx * (nx + v*beta)^(v-1) * exp(-(nx + v*beta)) / v!,  nx > 0.
+    Built in one output array, each operation in the order of
+    log nx + (v-1) log m - m - log v!, m = nx + v*beta.
     """
     if v0 + count <= _LOG_FACT_CAP:
         v = _V[v0 : v0 + count]
         log_fact = _LOG_FACT[v0 : v0 + count]
+        # v - 1 as a view of the same table (exact); v0 = 0 has no view
+        v_less = _V[v0 - 1 : v0 - 1 + count] if v0 else v - 1.0
     else:
         v = np.arange(v0, v0 + count, dtype=np.float64)
         log_fact = gammaln(v + 1.0)
-    m = nx + v * beta
-    out = np.log(nx) + (v - 1.0) * np.log(m) - m - log_fact
+        v_less = v - 1.0
+    m = v * beta
+    m += nx
+    out = np.log(m)
+    out *= v_less
+    out += np.log(nx)
+    out -= m
+    out -= log_fact
     if v0 == 0:
         out[0] = -nx
     return out
 
 
 def jain_weights(nx: float, beta: float, v0: int, count: int) -> np.ndarray:
-    """exp of :func:`jain_log_weights`."""
-    return np.exp(jain_log_weights(nx, beta, v0, count))
+    """exp of :func:`jain_log_weights`, in place."""
+    out = jain_log_weights(nx, beta, v0, count)
+    return np.exp(out, out=out)

@@ -154,23 +154,40 @@ def d_moment_exact(params: OperatorParams, m: int, x: float) -> float:
         return 1.0
     params.require_order(m)
     n, c, b = params.n, params.c, params.beta
-    # n and every n - ic scaled alike, as n^m may overflow where the moment
-    # does not (n = 1e80, x = 1)
-    e, ns = _scaled(n)
-    denom = 1.0
-    for i in range(2, m + 2):
-        denom *= math.ldexp(n - i * c, -e)
+    e, ns, ns_m, denom, steps = _hybrid_plan(n, c, m)
     try:
-        terms = [
-            coef * math.ldexp(_jain_moment(n, b, k, x, e, ns), -e * (m - k)) / ns ** (m - k)
-            for k, coef in RISING_COEF[m].items()
-        ]
-        mom = ns**m / denom * math.fsum(terms)
+        terms = [coef * math.ldexp(_jain_moment(n, b, k, x, e, ns), shift) / power
+                 for k, coef, shift, power in steps]
+        mom = ns_m / denom * math.fsum(terms)
     except OverflowError:  # in fsum
         mom = math.inf
     if mom == math.inf:
         raise DomainError(f"hybrid moment D(t^{m}, x) overflows at x={x} (n={n}, c={c})")
     return mom
+
+
+# Plans of d_moment_exact kept; each is a few floats.
+_PLANS = 256
+
+
+@functools.lru_cache(maxsize=_PLANS, typed=True)
+def _hybrid_plan(n, c, m):
+    """What :func:`d_moment_exact` needs of (n, c, m) alone: (e, ns) =
+    _scaled(n), ns^m, denom = prod (n - ic) 2^-e over i = 2..m+1, and per
+    order k of :data:`RISING_COEF` (k, coef, -e (m-k), ns^(m-k)).
+
+    n and every n - ic are scaled alike, as n^m may overflow where the
+    moment does not (n = 1e80, x = 1).  The quotient ns^m / denom is left
+    to the caller, after the terms, so that a denominator that underflows
+    to 0 raises where it did.  Keyed by type too, as an integer n - ic is
+    exact where a float one rounds.
+    """
+    e, ns = _scaled(n)
+    denom = 1.0
+    for i in range(2, m + 2):
+        denom *= math.ldexp(n - i * c, -e)
+    steps = tuple((k, coef, -e * (m - k), ns ** (m - k)) for k, coef in RISING_COEF[m].items())
+    return e, ns, ns**m, denom, steps
 
 
 @_display

@@ -493,19 +493,24 @@ class TestWeightBlocks:
         np.testing.assert_array_equal(whole, pieces)
 
     def test_log_factorial_table_matches_gammaln(self):
-        # blocks below, across and above the table's cap give the direct values
+        # blocks below, across, up to and above the table's cap give the
+        # direct values bit for bit, from v0 = 0 (no shifted view), v0 = 1
+        # (the first one) and on, at beta = 0 too, and so do their exps
         from scipy.special import gammaln
 
-        from jainbaskakov._core import _LOG_FACT_CAP, jain_log_weights
+        from jainbaskakov._core import _LOG_FACT_CAP, jain_log_weights, jain_weights
 
-        nx, beta = 5000.0, 0.95
-        for v0 in (0, _LOG_FACT_CAP - 100, _LOG_FACT_CAP + 7):
-            v = np.arange(v0, v0 + 256, dtype=np.float64)
-            m = nx + v * beta
-            direct = np.log(nx) + (v - 1.0) * np.log(m) - m - gammaln(v + 1.0)
-            if v0 == 0:
-                direct[0] = -nx
-            np.testing.assert_array_equal(jain_log_weights(nx, beta, v0, 256), direct)
+        count = 256
+        for nx, beta in ((5000.0, 0.95), (37.5, 0.0), (0.3, 0.5)):
+            for v0 in (0, 1, 2, _LOG_FACT_CAP - 100, _LOG_FACT_CAP - count,
+                       _LOG_FACT_CAP + 7):
+                v = np.arange(v0, v0 + count, dtype=np.float64)
+                m = nx + v * beta
+                direct = np.log(nx) + (v - 1.0) * np.log(m) - m - gammaln(v + 1.0)
+                if v0 == 0:
+                    direct[0] = -nx
+                np.testing.assert_array_equal(jain_log_weights(nx, beta, v0, count), direct)
+                np.testing.assert_array_equal(jain_weights(nx, beta, v0, count), np.exp(direct))
 
 
 class TestBlockSchedule:

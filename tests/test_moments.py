@@ -30,7 +30,9 @@ from jainbaskakov import (
     king_moment_display,
     king_transform,
 )
+from jainbaskakov import moments
 from jainbaskakov.moments import d_central_moment4_display
+from jainbaskakov.params import check_point
 
 GRID = [
     (5.0, 1.0, 0.0),
@@ -189,6 +191,77 @@ class TestHybridMoments:
             p = OperatorParams(n, 1.0, b)
             gap = abs(d_moment_display(p, 3, x) - d_moment_exact(p, 3, x))
             assert gap == pytest.approx(2 * x**3 * a**3, rel=30.0 / n)
+
+    def test_moment_matches_the_reference_bit_for_bit(self):
+        # the cached plan of (n, c, m) gives the bits of the recombination
+        # written out in full, or the same exception, over huge n, n just
+        # past its threshold, integer n, tiny n and x from 0 to 1e300
+        rng = np.random.default_rng(11)
+        cases = 0
+        for _ in range(4000):
+            m = int(rng.integers(0, 5))
+            pick = rng.integers(5)
+            if pick == 0:
+                n = 2.0 ** rng.uniform(0, 1000)
+            elif pick == 1:
+                n = float(rng.uniform(1, 1e4))
+            elif pick == 2:
+                n = int(rng.integers(1, 10**6)) * 10**int(rng.integers(0, 25))
+            else:
+                n = 10.0 ** rng.uniform(-120, 300)
+            c = [1.0, 0.5, n / (m + 1.0 + 1e-12), n / (m + 1.5), n / 7.0][rng.integers(5)]
+            beta = [0.0, float(rng.uniform(0, 0.95))][rng.integers(2)]
+            x = [0.0, float(rng.uniform(0, 5)), 10.0 ** rng.uniform(-300, 300),
+                 5e-324][rng.integers(4)]
+            try:
+                p = OperatorParams(n, c, beta)
+            except DomainError:
+                continue
+            cases += 1
+            want = got = None
+            try:
+                want = float.hex(_d_moment_reference(p, m, x))
+            except Exception as exc:  # noqa: BLE001 - the type is compared
+                want = type(exc)
+            try:
+                got = float.hex(d_moment_exact(p, m, x))
+            except Exception as exc:  # noqa: BLE001
+                got = type(exc)
+            assert got == want, (n, c, beta, m, x)
+        assert cases > 3000
+
+    def test_plan_cache_stays_bounded(self):
+        plans = moments._hybrid_plan
+        for k in range(3 * plans.cache_info().maxsize):
+            d_moment_exact(OperatorParams(100.0 + k, 1.0, 0.1), 2, 1.0)
+        assert plans.cache_info().currsize == plans.cache_info().maxsize
+
+
+def _d_moment_reference(params, m, x):
+    """d_moment_exact as one body, every constant computed per call: the
+    reference for its cached plan."""
+    moments._check_order(m)
+    check_point(x)
+    if m == 0:
+        return 1.0
+    params.require_order(m)
+    n, c, b = params.n, params.c, params.beta
+    e, ns = moments._scaled(n)
+    denom = 1.0
+    for i in range(2, m + 2):
+        denom *= math.ldexp(n - i * c, -e)
+    try:
+        terms = [
+            coef * math.ldexp(moments._jain_moment(n, b, k, x, e, ns), -e * (m - k))
+            / ns ** (m - k)
+            for k, coef in moments.RISING_COEF[m].items()
+        ]
+        mom = ns**m / denom * math.fsum(terms)
+    except OverflowError:
+        mom = math.inf
+    if mom == math.inf:
+        raise DomainError(f"hybrid moment D(t^{m}, x) overflows at x={x} (n={n}, c={c})")
+    return mom
 
 
 class TestHybridCentralMoments:

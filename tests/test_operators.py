@@ -646,6 +646,32 @@ def test_hybrid_blocks_match_the_mask_reference(monkeypatch, cfg, window):
     assert kinds == ({"interval"} if window is None else {"interval", "hole", "none"})
 
 
+def _former_rounding(nx, beta, v_first, v_last, d):
+    """The log-weight rounding over [v_first, v_last], each log taken anew."""
+    log_m = max(abs(math.log(nx + v_first * beta)), abs(math.log(nx + v_last * beta)))
+    m = nx + v_last * beta
+    return 8.0 * ops._EPS * (abs(math.log(nx)) + v_last * (1.0 + log_m) + m
+                             + math.lgamma(v_last + 1.0) + d + 4.0)
+
+
+def _former_left_bound(nx, beta, v_lo, d, mb_lo):
+    """The left certificate composed of parts that each take their own
+    logs: the reference for the shared ones in ops._left_bound."""
+    if not 3.0 * beta * beta * v_lo <= 2.0 * nx * (nx - beta) * (1.0 - 16.0 * ops._EPS):
+        return math.inf
+    log_r, head = ops._log_ratio(nx, beta, v_lo - 1.0)
+    log_r -= 16.0 * ops._EPS * (2.0 + abs(head))
+    if not log_r > 0.0:
+        return math.inf
+    q = math.nextafter(math.exp(-log_r), math.inf)
+    m = nx + v_lo * beta
+    w = math.exp(math.log(nx) + (v_lo - 1.0) * math.log(m) - m - math.lgamma(v_lo + 1.0))
+    if q >= 1.0:
+        return math.inf
+    scale = mb_lo * math.exp(_former_rounding(nx, beta, v_lo, v_lo, d)) * q / (1.0 - q)
+    return math.nextafter((w + 2.0**-1074) * scale, math.inf)
+
+
 # The certificates of the v-series (operators module docstring): the weight
 # ratio bound rho, its supremum past V, the geometric right tail, the fall of
 # the exact ratio below the window's start v_lo, and the left tail.
@@ -897,6 +923,30 @@ class TestTailCertificate:
         assert ops._left_bound(600.0, 0.5, 1300, 0, 1.0) == math.inf
         assert ops._left_bound(3.0, 0.5, 20, 0, 1.0) == math.inf
         assert ops._left_bound(3.0, 0.5, 2, 0, 1.0) < math.inf
+
+    def test_shared_logs_match_the_former_compositions(self):
+        # _left_bound and a block's two roundings take log nx, log m and
+        # log V! once; they give the bits of the compositions that took
+        # them apart for each use
+        rng = random.Random(3)
+        finite = 0
+        for _ in range(3000):
+            nx = 10.0 ** rng.uniform(-3, 5)
+            beta = rng.choice([0.0, 0.1, 0.5, 0.95, rng.uniform(0.0, 0.95)])
+            d = rng.randint(0, 4)
+            mean = nx / (1.0 - beta)
+            v_lo = max(1, math.floor(mean * rng.uniform(0.0, 1.2)))
+            mb = 10.0 ** rng.uniform(-3, 3)
+            got = ops._left_bound(nx, beta, v_lo, d, mb)
+            assert float.hex(got) == float.hex(_former_left_bound(nx, beta, v_lo, d, mb))
+            finite += got < math.inf
+            v0 = rng.randint(0, 3 * math.ceil(mean) + 10)
+            big_v = v0 + rng.choice([0, 255, 511, 8191])
+            want = (_former_rounding(nx, beta, v0, big_v, d),
+                    _former_rounding(nx, beta, big_v, big_v, d))
+            got = ops._block_roundings(nx, beta, abs(math.log(nx)), v0, big_v, d)
+            assert list(map(float.hex, got)) == list(map(float.hex, want))
+        assert finite > 1000
 
     def test_left_edge_covers_the_exact_majorant(self):
         # a law narrow enough that the search could not pay for itself starts
