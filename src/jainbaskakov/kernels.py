@@ -100,7 +100,8 @@ def expectation_moments(params: OperatorParams, v, j: int) -> np.ndarray:
     """(n-c)/c times the monomial kernel integral: the Beta-expectation of t^j.
 
     Equals ``v(v+1)...(v+j-1) / ((n-2c)...(n-(j+1)c))``; vectorized over v.
-    For j = 0 this is identically 1.
+    For j = 0 this is identically 1.  Raises DomainError where the
+    denominator underflows below the normal range (n = 1e-100, j = 4).
     """
     params.require_order(j)
     n, c = params.n, params.c
@@ -109,6 +110,9 @@ def expectation_moments(params: OperatorParams, v, j: int) -> np.ndarray:
     for i in range(j):
         rising = rising * (v + i)
         denom *= n - (i + 2) * c
+    if denom < 2.0**-1022:
+        raise DomainError(f"kernel moment of t^{j} needs (n-2c)...(n-{j + 1}c) = {denom}, "
+                          f"which underflows (n={n}, c={c})")
     return rising / denom
 
 

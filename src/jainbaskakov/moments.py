@@ -54,15 +54,19 @@ def _check_order(m: int, top: int = 4) -> None:
 
 
 def _scaled(n: float) -> tuple[int, float]:
-    """(e, n 2^-e), e >= 0 the least that brings n below 2^255, where n^4 is
-    finite.  The scaling is exact, and below 2^255 e is 0."""
-    e = max(0, math.frexp(n)[1] - 255)
+    """(e, n 2^-e), exact: within [2^-255, 2^255), where n^4 is finite and
+    normal, e is 0; above it the least e that brings n below 2^255, below
+    it the e that brings n into [1/2, 1), far from where a product of the
+    n - ic, scaled alike, underflows."""
+    top = math.frexp(n)[1]
+    e = top - 255 if top > 255 else top if top < -254 else 0
     return e, math.ldexp(n, -e)
 
 
-def _display(formula):
-    """A verbatim display formula that raises DomainError where it is not
-    finite: its powers of n overflow first (n = 1e200, x = 1)."""
+def _finite(formula):
+    """A closed form that raises DomainError where it is not finite: the
+    powers of n in a display overflow first (n = 1e200, x = 1), and a King
+    or central moment at a tiny n overflows (n = 1e-300, x = 1e10)."""
 
     @functools.wraps(formula)
     def checked(params, *args):
@@ -116,7 +120,7 @@ def _jain_moment(n, b, m, x, e, ns):
     return mom
 
 
-@_display
+@_finite
 def jain_moment_display(params: OperatorParams, m: int, x: float) -> float:
     """The printed third/fourth Jain moment formulas, verbatim (reference only).
 
@@ -190,7 +194,7 @@ def _hybrid_plan(n, c, m):
     return e, ns, ns**m, denom, steps
 
 
-@_display
+@_finite
 def d_moment_display(params: OperatorParams, m: int, x: float) -> float:
     """The printed asymptotic main terms for D(t^3) and D(t^4), verbatim.
 
@@ -213,6 +217,7 @@ def d_moment_display(params: OperatorParams, m: int, x: float) -> float:
     )
 
 
+@_finite
 def d_central_moment(params: OperatorParams, k: int, x: float) -> float:
     """Exact central moment of the hybrid operator, k in {1, 2, 4}.
 
@@ -227,22 +232,19 @@ def d_central_moment(params: OperatorParams, k: int, x: float) -> float:
         return x * (n * b + 2 * c * (1 - b)) / ((n - 2 * c) * (1 - b))
     if k == 2:
         params.require_order(2)
-        # n scaled by 2^-e and both sides of each fraction by 2^-2e, as n^2
-        # may overflow where mu2 does not (n = 1e200, x = 1)
+        # n and c scaled alike by 2^-e, as n^2 or c^2 may overflow or
+        # underflow where mu2 does not (n = 1e200 or 1e-200, x = 1)
         e, ns = _scaled(n)
-
-        def down(t, j):
-            return math.ldexp(t, -e * j)
-
+        cs = math.ldexp(c, -e)
         num_x2 = (
             ns**2 * b**2
-            + down(ns * (c + 4 * c * b - 5 * c * b**2), 1)
-            + down(6 * c**2, 2) - down(12 * c**2 * b, 2) + down(6 * c**2 * b**2, 2)
+            + ns * (cs + 4 * cs * b - 5 * cs * b**2)
+            + 6 * cs**2 - 12 * cs**2 * b + 6 * cs**2 * b**2
         )
-        denom = down(n - 2 * c, 1) * down(n - 3 * c, 1)
+        denom = (ns - 2 * cs) * (ns - 3 * cs)
         return (
             x * x * num_x2 / (denom * (1 - b) ** 2)
-            + down(ns * x * (2 - 2 * b + b * b), 1) / (denom * (1 - b) ** 3)
+            + math.ldexp(ns * x * (2 - 2 * b + b * b), -e) / (denom * (1 - b) ** 3)
         )
     if k == 4:
         params.require_order(4)
@@ -253,7 +255,7 @@ def d_central_moment(params: OperatorParams, k: int, x: float) -> float:
     raise DomainError(f"central moments implemented for k in {{1, 2, 4}}, got {k}")
 
 
-@_display
+@_finite
 def d_central_moment4_display(params: OperatorParams, x: float) -> float:
     """The printed asymptotic mu4 main term, verbatim (reference only)."""
     check_point(x)
@@ -283,6 +285,7 @@ def _king_require(params: OperatorParams, m: int) -> None:
     params.require_order(max(m, 2))
 
 
+@_finite
 def king_moment(params: OperatorParams, m: int, x: float) -> float:
     """Exact raw moment of the King-type operator.
 
@@ -304,7 +307,7 @@ def king_moment(params: OperatorParams, m: int, x: float) -> float:
     return d_moment_exact(params, m, king_transform(params, x))
 
 
-@_display
+@_finite
 def king_moment_display(params: OperatorParams, m: int, x: float) -> float:
     """The printed asymptotic King t^3/t^4 main terms, verbatim (reference only)."""
     if m not in (3, 4):
@@ -320,6 +323,7 @@ def king_moment_display(params: OperatorParams, m: int, x: float) -> float:
     return num / ((1 - b) ** 2 * (n - 3 * c) * (n - 4 * c) * (n - 5 * c))
 
 
+@_finite
 def king_central_moment(params: OperatorParams, k: int, x: float) -> float:
     """Exact King central moments: mu*1 = 0, mu*2 closed form, mu*4 binomial."""
     check_point(x)

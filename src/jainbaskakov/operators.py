@@ -11,13 +11,13 @@ basis in v:
   r_n(x) = (n-2c)(1-beta)x/n (kernel integrals unchanged), which restores
   exact reproduction of constants and of the identity.
 
-The v-series is summed over a window of v in blocks (:func:`block_schedule`),
-each block as numpy arrays with one pairwise ``np.add.reduce``.  The window
+The v-series is summed over a window of v in blocks of one length, each
+block as numpy arrays with one pairwise ``np.add.reduce``.  The window
 starts at v_lo >= 0 (:func:`_left_window`); its first block runs to about
 mean + k spread of the law, mean nx/(1-beta) and spread
 sqrt(nx)/(1-beta)^1.5, k = sqrt(-2 log(tail_eps 2^-26)), and is never
-shorter than ``_BLOCK_START`` nor longer than ``_BLOCK_MAX``; later blocks
-double up to ``_BLOCK_MAX``.  (Longer blocks measured slower per term.)
+shorter than ``_BLOCK_START`` nor longer than ``_BLOCK_MAX``; every later
+block is as long as the first.  (Longer blocks measured slower per term.)
 Summation stops once a certified bound on the terms left out on both
 sides is at most ``tail_eps * gcf``, gcf the threshold scale of
 :func:`_growth_correction`: one budget, on one scale, that does not depend
@@ -65,8 +65,8 @@ to 0 where the domain condition fails, where q >= 1, or where this bound is
 not below the skip budget ``tail_eps * 2^-26 * gcf``.  v_lo is the Gaussian
 edge floor(mean - k spread), or where a search can lift it by more terms
 than it costs, Newton's method from there on the log of the bound against
-a target at least as strict as that budget.  The bound joins
-``est_tail_bound``.
+that budget, with mbound at the search's upper end and half the budget.
+The bound joins ``est_tail_bound``.
 :func:`basis_mass` is the Jain series of f = 1.
 
 ``rounding_est`` bounds the floating-point error of ``value`` given the
@@ -104,14 +104,14 @@ were computed, and a rule row depends on no other v of its chunk, so the
 stored values are the same bits too.  The cache keeps at most CACHE_TABLES
 tables, dropping the least recently used.
 
-A block reads the table once, for the v it keeps: those whose bound is above
-the skip budget, and the atom.  They form an interval in every case seen, read
-as slices (views of the table's arrays); a set with holes is gathered by an
-index array, with the same products and sums.  A warm evaluation of a few
-hundred terms is mostly fixed cost, about 31 us of numpy and Python calls
-against about 25 ns per term (Intel Xeon, 2 cores, numpy 2.4; fitted over
-256 to 16,384 terms of the hybrid e2 series at n = 300, beta = 0.1), so
-this path is written to make few calls and to take each log it needs once.
+A block reads the table by one slice (views) from the first v whose bound
+is above the skip budget to the last; a v skipped inside would be summed,
+which no evaluation seen has needed.  The atom at v = 0 costs no integral:
+it joins a run kept from v = 1, else is a term w(0) f(0) apart.  A warm
+evaluation of a few hundred terms is mostly fixed cost, about 31 us of
+numpy and Python calls against about 25 ns per term (Intel Xeon, 2 cores,
+numpy 2.4; fitted over 256 to 16,384 terms of the hybrid e2 series at
+n = 300, beta = 0.1), so this path makes few calls and takes each log once.
 """
 
 from __future__ import annotations
@@ -169,7 +169,8 @@ class _IntegralTable:
         self.params = params
         self.f = f
         self.cfg = cfg
-        self._values = np.array([float(f.fn(0.0))])
+        self.atom = float(f.fn(0.0))
+        self._values = np.array([self.atom])
         self._errors = np.zeros(1)
         self._filled = np.ones(1, dtype=bool)
         self._mag = magnitude_bound(params, f, np.arange(1))
@@ -197,9 +198,9 @@ class _IntegralTable:
         self._reserve(v + 1)
         return float(self._mag[v])
 
-    def get(self, v) -> tuple[np.ndarray, np.ndarray]:
-        """(E_v[f], error estimates) for ``v``: an integer array, or a slice
-        of consecutive v, answered with views (do not write).
+    def get(self, v: slice) -> tuple[np.ndarray, np.ndarray]:
+        """(E_v[f], error estimates) for the consecutive v of the slice ``v``,
+        answered with views (do not write).
 
         Entries not yet in the table are computed first, all in one call
         of :func:`kernels.kernel_expectations`, together with every other
@@ -207,17 +208,15 @@ class _IntegralTable:
         others are stored only where the rule's estimate meets the
         tolerance; QUADPACK runs only for the v asked for.
         """
-        self._reserve(v.stop if isinstance(v, slice) else int(v.max(initial=0)) + 1)
+        self._reserve(v.stop)
         filled = self._filled[v]
         if np.count_nonzero(filled) < len(filled):
-            missing = (np.arange(v.start, v.stop) if isinstance(v, slice) else v)[~filled]
+            missing = np.arange(v.start, v.stop)[~filled]
             chunks = np.unique(missing // _GL_CHUNK)
             span = (chunks[:, None] * _GL_CHUNK + np.arange(_GL_CHUNK)).ravel()
             self._reserve(int(span[-1]) + 1)
             span = span[~self._filled[span]]
-            want = np.zeros(len(self._filled), dtype=bool)
-            want[missing] = True
-            asked = want[span]
+            asked = (span >= v.start) & (span < v.stop)
             values, errors = kernel_expectations(
                 self.params, self.f, span, self.cfg, self._mag[span], needed=asked
             )
@@ -272,8 +271,8 @@ DEFAULT_CACHE = KernelIntegralCache()
 # silently truncate a heavy-tail case (beta near 1).
 V_MAX = 10**6
 
-# A v-series' first block holds 256 to 8192 terms; later blocks double up
-# to 8192.
+# Every block of a v-series is as long as its first, which runs to about
+# mean + k spread: 256 to 8192 terms.
 _BLOCK_START = 256
 _BLOCK_MAX = 8192
 
@@ -282,15 +281,6 @@ _BLOCK_MAX = 8192
 # on a warm table at n = 300, beta = 0.1 (Intel Xeon, 2 cores, numpy 2.4).  It
 # lifts v_lo by at most (k - 1) spread, so it runs only where that is more.
 _SEARCH_TERMS = 700
-
-
-def block_schedule(v_max: int, v0: int, block: int):
-    """(v0, count) of the summation blocks from ``v0``, the first ``block``
-    long, while v0 < v_max."""
-    while v0 < v_max:
-        yield v0, block
-        v0 += block
-        block = min(block * 2, _BLOCK_MAX)
 
 
 def _ratio_sup(nx, beta, v, d):
@@ -416,14 +406,15 @@ def _left_bound(nx, beta, v_lo, d, mb_lo):
 def _left_window(nx, beta, d, tail_eps, gcf, mag_at):
     """Where a v-series starts, and a certified bound on what lies below.
 
-    Returns (v_lo, first, left_tail): the series sums from v_lo, its first
-    block ``first`` long, and left_tail bounds sum_{u<v_lo} w(u) mbound(u),
+    Returns (v_lo, block, left_tail): the series sums from v_lo in blocks
+    ``block`` long, and left_tail bounds sum_{u<v_lo} w(u) mbound(u),
     mbound(v) = mag_at(v).  v_lo is the Gaussian edge floor(mean - k spread),
     or where lifting it towards mean - spread can save more than
-    ``_SEARCH_TERMS`` terms, a search whose target is at least as strict as
-    left_tail < ``tail_eps * 2^-26 * gcf``, the skip budget.  Either is then
-    certified against that budget; where that fails, v_lo = 0 and
-    left_tail = 0.
+    ``_SEARCH_TERMS`` terms, a search whose target is the certified
+    condition left_tail < ``tail_eps * 2^-26 * gcf``, the skip budget, with
+    mbound(v_lo) raised to mbound at the search's upper end and half the
+    budget.  Either is then certified against that budget; where that
+    fails, v_lo = 0 and left_tail = 0.
     """
     mean = nx / (1.0 - beta)
     spread = math.sqrt(nx) / (1.0 - beta) ** 1.5
@@ -436,19 +427,19 @@ def _left_window(nx, beta, d, tail_eps, gcf, mag_at):
     if top >= 1.0 and (k - 1.0) * spread > _SEARCH_TERMS:
         if 3.0 * beta * beta * top > 2.0 * nx * (nx - beta):
             top = 2.0 * nx * (nx - beta) / (3.0 * beta * beta)  # where r falls
-        # max(gcf, mbound(top)) is the former basis-mass budget, kept only so
-        # that v_lo stays where it was; a factor 2 of room for the rounding of
-        # the certificate
-        target = (log_budget + math.log(gcf) - math.log(max(gcf, mag_at(math.floor(top))))
-                  - math.log(2.0))
+        # the certificate itself, with mbound(top) >= mbound(v_lo) and a
+        # factor 2 of room for its rounding; a zero bound leaves nothing below
+        mb_top = mag_at(math.floor(top))
+        target = (log_budget + math.log(gcf) - math.log(mb_top) - math.log(2.0)
+                  if mb_top > 0.0 else math.inf)
         v_lo = _left_start(nx, beta, mean - k * spread, top, target)
     left_tail = math.inf
     if v_lo > 0:
         left_tail = _left_bound(nx, beta, v_lo, d, mag_at(v_lo))
     if not left_tail < budget * gcf:
         v_lo, left_tail = 0, 0.0
-    first = min(max(math.ceil(mean + k * spread) - v_lo, _BLOCK_START), _BLOCK_MAX)
-    return v_lo, first, left_tail
+    block = min(max(math.ceil(mean + k * spread) - v_lo, _BLOCK_START), _BLOCK_MAX)
+    return v_lo, block, left_tail
 
 
 def _series_eval(params, basis_x, provider, mag, mag_at, f, hybrid, cfg, x_report):
@@ -460,14 +451,15 @@ def _series_eval(params, basis_x, provider, mag, mag_at, f, hybrid, cfg, x_repor
     the growth degree of ``f``.  ``provider(v0, w, mbound, gcf)``, gcf the
     threshold scale of :func:`_growth_correction`, returns per-block (terms
     w f in an array of its own, skipped_tail_increment,
-    quad_error_increment).  Each block adds its rounding bound to ``rounding_est`` (module docstring).  Summation starts at
-    :func:`_left_window`'s v_lo, whose left bound joins the skipped tail.
-    After each block, terms past its last index V are bounded by
-    :func:`_tail_bound` with q = :func:`_ratio_sup`: every weight ratio past
-    V is at most the larger of rho(V) = (m/(V+1)) exp(V beta/m - beta) and
-    its limit beta e^(1-beta) (log rho is quasi-convex in v; module
-    docstring), so with the growth factor (1 + 1/V)^d the tail is a
-    geometric series.  The series stops at the first block after which the
+    quad_error_increment).  Each block adds its rounding bound to
+    ``rounding_est`` (module docstring).  Summation starts at
+    :func:`_left_window`'s v_lo, whose left bound joins the skipped tail, in
+    blocks of its one length.  After each block, terms past its last index
+    V are bounded by :func:`_tail_bound` with q = :func:`_ratio_sup`: every
+    weight ratio past V is at most the larger of rho(V) = (m/(V+1))
+    exp(V beta/m - beta) and its limit beta e^(1-beta) (log rho is
+    quasi-convex in v; module docstring), so with the growth factor
+    (1 + 1/V)^d the tail is a geometric series.  The series stops at the first block after which the
     skipped terms, the left bound and this tail add up to at most
     ``tail_eps * gcf``.  The tail is taken as 0 where w(V) mbound(V)
     underflows to 0 and q < 1, that is past the mode; before the mode the
@@ -486,11 +478,11 @@ def _series_eval(params, basis_x, provider, mag, mag_at, f, hybrid, cfg, x_repor
     check_point(nx, "n*x", zero_ok=False)
     gcf = _growth_correction(params, f, basis_x, hybrid)
     d = f.growth_degree
-    v_lo, first, skipped = _left_window(nx, beta, d, cfg.tail_eps, gcf, mag_at)
+    v_lo, block, skipped = _left_window(nx, beta, d, cfg.tail_eps, gcf, mag_at)
     val_run = quad_err = rounding = 0.0
     abs_log_nx = abs(math.log(nx))
 
-    for v0, block in block_schedule(V_MAX, v_lo, first):
+    for v0 in range(v_lo, V_MAX, block):
         w = _core.jain_weights(nx, beta, v0, block)
         mbound = mag(v0, block)
         w_last, mb_last = float(w[-1]), float(mbound[-1])
@@ -606,22 +598,21 @@ def _eval_hybrid(params, f, x, basis_x, cfg):
     def provider(v0, w, mbound, gcf):
         bound = w * mbound
         keep = bound > cfg.tail_eps * _SKIP_FACTOR * gcf
-        if v0 == 0:
-            keep[0] = True  # the atom at t = 0 costs no integral
+        if v0 == 0:  # the atom joins a run kept from v = 1, else stands apart
+            keep[0] = keep[1]
+        atom = v0 == 0 and not keep[0]
         kept = keep.nonzero()[0]
-        lo, hi = (int(kept[0]), int(kept[-1]) + 1) if kept.size else (0, 0)
-        if hi - lo == kept.size:  # an interval: read the table by slices
-            sel, v = slice(lo, hi), slice(v0 + lo, v0 + hi)
-            # the skipped bounds, in the order of bound[~keep]
-            skipped = (bound[hi:] if lo == 0 else bound[:lo] if hi == len(w)
-                       else np.concatenate((bound[:lo], bound[hi:])))
-        else:
-            sel, v, skipped = kept, kept + v0, bound[~keep]
-        values, errors = table.get(v)
-        terms, w_kept = np.zeros(len(w)), w[sel]
-        terms[sel] = w_kept * values
+        lo, hi = (int(kept[0]), int(kept[-1]) + 1) if kept.size else (len(w), len(w))
+        values, errors = table.get(slice(v0 + lo, v0 + hi))
+        terms, w_kept = np.zeros(len(w)), w[lo:hi]
+        terms[lo:hi] = w_kept * values
+        if atom:
+            terms[0] = w[0] * table.atom
         # a sum of nonnegative terms: 1 + 2 gamma_k undoes its rounding down
-        qerr = float(np.add.reduce(w_kept * errors)) * (1.0 + 2.0 * _sum_gamma(len(errors)))
+        qerr = float(np.add.reduce(w_kept * errors)) * (1.0 + 2.0 * _sum_gamma(hi - lo))
+        # the skipped bounds, in order
+        skipped = (bound[hi:] if lo == 0 else bound[atom:lo] if hi == len(w)
+                   else np.concatenate((bound[atom:lo], bound[hi:])))
         return terms, float(np.add.reduce(skipped)), qerr
 
     return _series_eval(params, basis_x, provider, table.mag, table.mag_at, f, True, cfg,

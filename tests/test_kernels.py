@@ -357,7 +357,7 @@ class TestGaussLegendreRule:
             for cfg_ in (EvalConfig(quad_rel_tol=tol) for tol in tolerances):
                 tab = operators._IntegralTable(OperatorParams(n, c, 0.0), f, cfg_)
                 fallbacks.clear()
-                value, err = (float(a[0]) for a in tab.get(np.array([v])))
+                value, err = (float(a[0]) for a in tab.get(slice(v, v + 1)))
                 assert abs(value - ref) <= err, (name, n, c, v, cfg_.quad_rel_tol, value, err)
                 paths.add(bool(fallbacks))
         assert paths == {True, False}  # both the rule and QUADPACK were checked
@@ -511,14 +511,3 @@ class TestWeightBlocks:
                     direct[0] = -nx
                 np.testing.assert_array_equal(jain_log_weights(nx, beta, v0, count), direct)
                 np.testing.assert_array_equal(jain_weights(nx, beta, v0, count), np.exp(direct))
-
-
-class TestBlockSchedule:
-    def test_schedule_doubles_then_holds(self):
-        from jainbaskakov.operators import block_schedule
-
-        blocks = list(block_schedule(40_000, 0, 256))
-        assert [c for _, c in blocks[:6]] == [256, 512, 1024, 2048, 4096, 8192]
-        assert all(c == 8192 for _, c in blocks[5:])
-        assert all(a + c == b for (a, c), (b, _) in zip(blocks, blocks[1:]))
-        assert blocks[0][0] == 0 and blocks[-1][0] < 40_000 <= sum(blocks[-1])

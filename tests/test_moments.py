@@ -8,6 +8,7 @@ measure that gap exactly rather than asserting equality.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -31,6 +32,7 @@ from jainbaskakov import (
     king_transform,
 )
 from jainbaskakov import moments
+from jainbaskakov.kernels import kernel_moment_exact
 from jainbaskakov.moments import d_central_moment4_display
 from jainbaskakov.params import check_point
 
@@ -459,3 +461,76 @@ class TestKingMoments:
             f = get_function(f"e{m}")
             got = eval_king(p, f, 1.0, cfg).value
             assert got == pytest.approx(king_moment(p, m, 1.0), rel=1e-7)
+
+
+def _mp_jain(n, b, m, x):
+    """P(t^m, x) of the Jain operator at 40 digits."""
+    a = 1 / (1 - b)
+    return [1, a * x, a * a * x * x + a**3 * x / n,
+            a**3 * x**3 + 3 * a**4 * x**2 / n + (1 + 2 * b) * a**5 * x / n**2,
+            a**4 * x**4 + 6 * a**5 * x**3 / n + (7 + 8 * b) * a**6 * x**2 / n**2
+            + (1 + 8 * b + 6 * b * b) * a**7 * x / n**3][m]
+
+
+def _mp_hybrid(n, c, b, m, x):
+    """D(t^m, x) at 40 digits: n^m / prod (n - ic) times sum_k coef_k P(t^k, x) / n^(m-k)."""
+    denom = mpmath.fprod(n - i * c for i in range(2, m + 2))
+    return n**m / denom * mpmath.fsum(coef * _mp_jain(n, b, k, x) / n ** (m - k)
+                                      for k, coef in moments.RISING_COEF[m].items())
+
+
+class TestTinyN:
+    # n so small that n^m underflows: each closed form scales n up, and
+    # either evaluates or raises DomainError, never ZeroDivisionError
+
+    def test_scaling_leaves_the_normal_range_alone(self):
+        for n in (2.0**-255, 1e-70, 1.0, 1e70, 2.0**255 * (1 - 2.0**-53)):
+            assert moments._scaled(n) == (0, n)
+        for n in (2.0**-256, 1e-100, 1e-300, 5e-324, 2.0**255, 1e300):
+            e, ns = moments._scaled(n)
+            assert 2.0**-255 <= ns < 2.0**255 and math.ldexp(ns, e) == n
+
+    def test_jain_moment_overflow_is_a_domain_error(self):
+        # x / n^2 = 1e400
+        with pytest.raises(DomainError, match=r"P\(t\^3, x\) overflows"):
+            jain_moment(OperatorParams(1e-200, 1, 0.0), 3, 1.0)
+
+    @pytest.mark.parametrize("n, c, b, m, x", [
+        (1e-100, 1e-102, 0.0, 4, 1.0), (1e-100, 1e-102, 0.3, 3, 2.0), (1e-200, 1e-202, 0.0, 1, 1.0),
+        (1e-300, 1e-301, 0.1, 2, 1e-5)])
+    def test_hybrid_moment_evaluates(self, n, c, b, m, x):
+        with mpmath.workdps(40):
+            exact = _mp_hybrid(mpmath.mpf(n), mpmath.mpf(c), mpmath.mpf(b), m, mpmath.mpf(x))
+            assert abs(d_moment_exact(OperatorParams(n, c, b), m, x) / exact - 1) < 1e-14
+
+    def test_central_moments_evaluate(self):
+        n, c, x = 1e-200, 1e-202, 1.0
+        with mpmath.workdps(40):
+            mn, mc = mpmath.mpf(n), mpmath.mpf(c)
+            mu2 = _mp_hybrid(mn, mc, 0, 2, x) - 2 * x * _mp_hybrid(mn, mc, 0, 1, x) + x * x
+            got = d_central_moment(OperatorParams(n, c, 0.0), 2, x)
+            assert abs(got / mu2 - 1) < 1e-14
+            n, c = 1e-100, 1e-102
+            mn, mc = mpmath.mpf(n), mpmath.mpf(c)
+            r = (mn - 2 * mc) * x / mn
+            raw = [1, x, (mn - 2 * mc) * x * x / (mn - 3 * mc) + 2 * x / (mn - 3 * mc)]
+            raw += [_mp_hybrid(mn, mc, 0, m, r) for m in (3, 4)]
+            mu4 = mpmath.fsum(math.comb(4, j) * (-x) ** (4 - j) * raw[j] for j in range(5))
+            got = king_central_moment(OperatorParams(n, c, 0.0), 4, x)
+            assert abs(got / mu4 - 1) < 1e-14
+
+    def test_overflow_is_a_domain_error(self):
+        # mu2 and the King t^2 moment are about x / n = 1e310
+        p = OperatorParams(1e-300, 1e-302, 0.0)
+        with pytest.raises(DomainError, match=r"d_central_moment\(2, 10000000000.0\) overflows"):
+            d_central_moment(p, 2, 1e10)
+        with pytest.raises(DomainError, match=r"king_moment\(2, 10000000000.0\) overflows"):
+            king_moment(p, 2, 1e10)
+
+    def test_underflowed_kernel_moment_is_a_domain_error(self):
+        # (n - 2c)...(n - 5c) underflows to 0: a DomainError, not 0/0
+        p = OperatorParams(1e-100, 1e-102, 0.0)
+        with pytest.raises(DomainError, match="underflows"):
+            kernel_moment_exact(p, 3, 4)
+        with pytest.raises(DomainError, match="underflows"):
+            eval_jain_baskakov(p, get_function("e4"), 1e100)

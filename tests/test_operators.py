@@ -477,15 +477,15 @@ class TestIntegralTable:
 
         tab = ops._IntegralTable(p, f, cfg)
         assert len(tab) == 0
-        vs = np.array([9, 0, 3, 9, 1, 3])
-        values, errors = tab.get(vs)
+        asked = list(range(1, 10))
+        values, errors = tab.get(slice(0, 10))
         first = list(range(1, chunk))
-        assert ruled == first  # the chunk of 1, 3 and 9, ascending, each v once
-        assert fallback == refused([1, 3, 9])
+        assert ruled == first  # the chunk of v = 1..9, ascending, each v once
+        assert fallback == refused(asked)
         assert 1 in fallback and 9 not in fallback  # v = 1 decays only like e^u
-        left_out = [v for v in refused(first) if v not in (1, 3, 9)]
+        left_out = [v for v in refused(first) if v not in asked]
         assert len(tab) == len(first) - len(left_out)
-        for v, val, err in zip(vs.tolist(), values.tolist(), errors.tolist()):
+        for v, val, err in zip(range(10), values.tolist(), errors.tolist()):
             if v == 0:
                 assert (val, err) == (f.fn(0.0), 0.0)
                 continue
@@ -495,13 +495,13 @@ class TestIntegralTable:
             assert err <= cfg.quad_rel_tol * max(abs(val), 1e-2 * scale) or v in fallback
         # a later block reuses what is filled, computes what the first left
         # out and the next chunk, and grows the arrays
-        values2, _ = tab.get(np.arange(0, 40))
+        values2, _ = tab.get(slice(0, 40))
         second = list(range(chunk, 2 * chunk))
         assert ruled == first + left_out + second
-        assert fallback == refused([1, 3, 9]) + left_out + refused(range(chunk, 40))
+        assert fallback == refused(asked) + left_out + refused(range(chunk, 40))
         assert len(tab) == 2 * chunk - 1 - len(refused(range(40, 2 * chunk)))
-        np.testing.assert_array_equal(values2[vs], values)
-        assert tab.get(np.array([], dtype=np.int64))[0].shape == (0,)
+        np.testing.assert_array_equal(values2[:10], values)
+        assert tab.get(slice(7, 7))[0].shape == (0,)
 
     def test_chunk_fill_keeps_quadpack_to_the_v_asked_for(self, cfg, spies):
         # exp-neg at n = 20: the rule refuses v = 1..5 (the left tail decays
@@ -510,26 +510,27 @@ class TestIntegralTable:
         p, f = OperatorParams(20, 1, 0.0), get_function("exp-neg")
         ruled, fallback = spies.ruled, spies.fallback
         tab = ops._IntegralTable(p, f, cfg)
-        tab.get(np.array([9]))
+        tab.get(slice(9, 10))
         assert ruled == list(range(1, kernels._GL_CHUNK))
         assert fallback == []
         assert tab._filled[1:6].tolist() == [False] * 5
         assert len(tab) == kernels._GL_CHUNK - 6
         ruled.clear()
-        value, err = tab.get(np.array([1]))
+        value, err = tab.get(slice(1, 2))
         assert ruled == [1, 2, 3, 4, 5]
         assert fallback == [1]
         assert len(tab) == kernels._GL_CHUNK - 5
         ref, ref_err = spies.quad(p, 1, f.fn, cfg, float(kernels.magnitude_bound(p, f, 1)))
         assert abs(value[0] - ref) <= err[0] + ref_err
 
-    def test_slice_and_hole_requests_match_one_v_at_a_time(self, cfg, monkeypatch):
-        # exp-neg at n = 20, where the rule refuses v = 1..5: a contiguous
-        # request reaching unfilled v, a request with holes and a slice over
-        # filled and unfilled v give the bits of one-v-at-a-time requests,
-        # and no v is sent to be computed twice
+    def test_slice_requests_match_one_v_at_a_time(self, cfg, monkeypatch):
+        # exp-neg at n = 20, where the rule refuses v = 1..5: slices reaching
+        # unfilled v, short slices past filled ones and a slice over filled
+        # and unfilled v give the bits of one-v-at-a-time requests, and no v
+        # is sent to be computed twice
         p, f = OperatorParams(20, 1, 0.0), get_function("exp-neg")
-        requests = [slice(3, 40), np.array([0, 1, 2, 50, 51, 90]), slice(30, 100), slice(7, 7)]
+        requests = [slice(3, 40), slice(0, 3), slice(50, 52), slice(90, 91), slice(30, 100),
+                    slice(7, 7)]
         real = ops.kernel_expectations
         asked = []
 
@@ -547,7 +548,7 @@ class TestIntegralTable:
         monkeypatch.setattr(ops, "kernel_expectations", real)
         one = ops._IntegralTable(p, f, cfg)
         for v, (values, errors) in zip(requests, got):
-            singles = [one.get(np.array([u])) for u in np.arange(100)[v].tolist()]
+            singles = [one.get(slice(u, u + 1)) for u in np.arange(100)[v].tolist()]
             np.testing.assert_array_equal(values, np.array([a[0] for a, _ in singles]))
             np.testing.assert_array_equal(errors, np.array([e[0] for _, e in singles]))
         assert isinstance(got[0][0].base, np.ndarray)  # a slice is answered by views
@@ -599,40 +600,60 @@ def test_each_weight_block_is_computed_once(monkeypatch):
 
 
 def _mask_provider(table, cfg, v0, w, mbound, gcf):
-    """The hybrid provider as a mask over the whole block, gathering the
-    kept v into an index array, its terms the product of the weights and
-    the values zero-filled past the kept v: the reference for the slice
-    reads."""
+    """The hybrid provider as a mask over the whole block, each kept v read
+    by a slice of its own, its terms the product of the weights and the
+    values zero-filled past the kept v: the reference for the one slice
+    read.  The atom's error, 0, joins the quadrature-error sum only where v
+    = 1 is kept too, as the provider then reads it with the run."""
     v_arr = np.arange(v0, v0 + len(w))
     contrib_bound = w * mbound
     keep = (contrib_bound > cfg.tail_eps * ops._SKIP_FACTOR * gcf) | (v_arr == 0)
     vals = np.zeros_like(w)
-    values, errors = table.get(v_arr[keep])
-    vals[keep] = values
-    qerr = float(np.sum(w[keep] * errors)) * (1.0 + 2.0 * ops._sum_gamma(len(errors)))
+    reads = [table.get(slice(v, v + 1)) for v in v_arr[keep].tolist()]
+    vals[keep] = [value[0] for value, _ in reads]
+    summed = keep.copy()
+    if v0 == 0 and not keep[1]:
+        summed[0] = False
+    errors = np.array([err[0] for _, err in reads])[summed[keep]]
+    qerr = float(np.sum(w[summed] * errors)) * (1.0 + 2.0 * ops._sum_gamma(len(errors)))
     return w * vals, float(np.sum(contrib_bound[~keep])), qerr, keep
+
+
+def _block_kind(v0, keep):
+    """How a block's kept v lie: 'none', 'atom' (only the atom), 'run' (an
+    interval, from the atom or not) or 'atom+run' (the atom and a run past
+    skipped low v); an interior hole fails."""
+    kept = np.flatnonzero(keep)
+    if not kept.size:
+        return "none"
+    if v0 == 0 and kept.size > 1 and kept[1] > 1:
+        kept = kept[1:]
+        kind = "atom+run"
+    else:
+        kind = "atom" if v0 == 0 and kept.size == 1 else "run"
+    assert kept[-1] - kept[0] + 1 == kept.size, "an interior hole"
+    return kind
 
 
 @pytest.mark.parametrize("window", [None, (0, 64, 0.0)])
 def test_hybrid_blocks_match_the_mask_reference(monkeypatch, cfg, window):
-    # the provider reads an interval of kept v by slices and a set with
-    # holes by an index array; both give the bits of the mask reference.
-    # A window forced to start at 0 at n x = 300 keeps the atom apart from
-    # the bulk (a hole) and has a block with nothing kept
-    p, f = OperatorParams(300.0, 1.0, 0.1), get_function("e2")
-    table = ops.DEFAULT_CACHE.table(p, f, cfg)
+    # the provider reads the kept v by one slice and sums the atom apart
+    # from a run past skipped low v; both give the bits of the mask
+    # reference.  A window forced to start at 0 keeps the atom apart from
+    # the bulk and has a block with nothing kept; x = 0.013 keeps a run
+    # from the atom
+    p = OperatorParams(300.0, 1.0, 0.1)
     kinds = set()
     real = ops._series_eval
 
     def series(params, basis_x, provider, *args, **kwargs):
         def checked(v0, w, mbound, gcf):
             got = provider(v0, w, mbound, gcf)
+            table = ops.DEFAULT_CACHE.table(p, f, cfg)
             *want, keep = _mask_provider(table, cfg, v0, w, mbound, gcf)
             np.testing.assert_array_equal(got[0], want[0])
             assert got[1:] == tuple(want[1:])
-            kept = np.flatnonzero(keep)
-            kinds.add("none" if not kept.size else
-                      "interval" if kept[-1] - kept[0] + 1 == kept.size else "hole")
+            kinds.add(_block_kind(v0, keep))
             return got
 
         return real(params, basis_x, checked, *args, **kwargs)
@@ -640,10 +661,49 @@ def test_hybrid_blocks_match_the_mask_reference(monkeypatch, cfg, window):
     monkeypatch.setattr(ops, "_series_eval", series)
     if window is not None:
         monkeypatch.setattr(ops, "_left_window", lambda *args: window)
-    for x in (0.5, 1.0, 2.0):
-        for evaluate in (eval_jain_baskakov, eval_king):
-            evaluate(p, f, x, cfg)
-    assert kinds == ({"interval"} if window is None else {"interval", "hole", "none"})
+    for f in (get_function("e2"), get_function("exp-neg")):
+        for x in (0.013, 0.5, 1.0, 2.0):
+            for evaluate in (eval_jain_baskakov, eval_king):
+                evaluate(p, f, x, cfg)
+    assert kinds == ({"run"} if window is None else {"run", "atom", "atom+run", "none"})
+
+
+def test_interior_hole_is_summed(monkeypatch, cfg):
+    # a v inside the kept run whose bound is forced below the skip budget
+    # (through its magnitude bound, on a filled table) is read with the run
+    # and summed: every block gives the bits it gave before, so the hole's
+    # bound stays out of est_tail_bound
+    monkeypatch.setattr(ops, "DEFAULT_CACHE", ops.KernelIntegralCache())
+    p, f, x = OperatorParams(300.0, 1.0, 0.1), get_function("e2"), 1.7
+    evaluate = lambda: eval_jain_baskakov(p, f, x, cfg)  # noqa: E731
+    real = ops._series_eval
+    outputs = []
+
+    def series(params, basis_x, provider, *args, **kwargs):
+        def recording(v0, w, mbound, gcf):
+            terms, skipped, qerr = provider(v0, w, mbound, gcf)
+            outputs.append((v0, terms.copy(), skipped, qerr))
+            return terms, skipped, qerr
+
+        return real(params, basis_x, recording, *args, **kwargs)
+
+    monkeypatch.setattr(ops, "_series_eval", series)
+    want = evaluate()
+    want_blocks, outputs[:] = list(outputs), []
+    nx, v_lo, _ = _window(OperatorKind.JAIN_BASKAKOV, p, f, x, cfg.tail_eps)
+    hole = v_lo + want.v_terms_used // 2
+    gcf = ops._growth_correction(p, f, x, True)
+    half_budget = 0.5 * cfg.tail_eps * ops._SKIP_FACTOR * gcf
+    table = ops.DEFAULT_CACHE.table(p, f, cfg)
+    table._mag[hole] = half_budget / float(core.jain_weights(nx, p.beta, hole, 1)[0])
+    got = evaluate()
+    assert got == want
+    assert len(outputs) == len(want_blocks) == 1
+    (v0, terms, skipped, qerr), (_, want_terms, want_skipped, want_qerr) = outputs[0], want_blocks[0]
+    assert v0 < hole < v0 + len(terms) - 1 and terms[hole - v0] != 0.0
+    np.testing.assert_array_equal(terms, want_terms)
+    assert (skipped, qerr) == (want_skipped, want_qerr)
+    assert skipped + half_budget != skipped  # skipping the hole would show
 
 
 def _former_rounding(nx, beta, v_first, v_last, d):
@@ -1011,6 +1071,18 @@ class TestTailCertificate:
         assert len(calls) == 1
 
     @pytest.mark.parametrize("kind", list(OperatorKind))
+    def test_left_search_with_zero_bounds(self, monkeypatch, kind):
+        # f = 0 with zero bounds on laws wide enough to search: mbound at
+        # the search's upper end is 0, and nothing lies below to bound
+        zero = TestFunction("zero", fn=lambda t: 0.0 * np.asarray(t, dtype=float),
+                            m_bound=0.0, bounded=True, sup_bound=0.0)
+        calls = []
+        real = ops._left_start
+        monkeypatch.setattr(ops, "_left_start", lambda *args: calls.append(args) or real(*args))
+        res = ops.eval_operator(kind, OperatorParams(300.0, 1.0, 0.9), zero, 3.0)
+        assert calls and res.value == 0.0 and res.est_tail_bound < 1e-300
+
+    @pytest.mark.parametrize("kind", list(OperatorKind))
     def test_subnormal_tail_eps(self, kind):
         # the skip budget tail_eps 2^-26 underflows to 0: no window, and the
         # series runs until the weights underflow
@@ -1061,7 +1133,7 @@ class TestTailCertificate:
                 return np.asarray(f.fn(v / n), dtype=np.float64)
         else:
             def values(v):
-                return ops.DEFAULT_CACHE.table(p, f, cfg).get(v)[0]
+                return ops.DEFAULT_CACHE.table(p, f, cfg).get(slice(0, len(v)))[0]
         full = prefix_sum(nx, beta, stop, values)
         rounding = 8 * _EPS * (1.0 + nx) * math.log(2.0 + nx) * abs(res.value)
         assert abs(res.value - full) <= _reported(res) + rounding

@@ -120,6 +120,31 @@ new ``rounding_est``, and the distance to the exact value did not change at
 two digits: these are moves of the rounding of the sums, five of them
 farther from the exact value and two closer.
 
+Six rows were re-recorded when every block of a series became as long as
+its first, in place of doubling, and the search for the window's start
+began to target its certified left condition, with mbound at the search's
+upper end, in place of max(gcf, mbound) there.  The King rows at
+beta = 0.9, x = 3 now sum two blocks as long as the first (7,436 and 7,438
+terms in place of 11,157), King e2 from v_lo = 34 in place of 33; the
+search lifted v_lo of jain-baskakov e2 at beta = 0.9, x = 3 (3,324 to
+3,333) and of the three Jain rows (55,499 to 55,604 at x = 16.7, 2,348 to
+2,388 at x = 2 and 4,144 to 4,145 at beta = 0.5), which sum as many terms
+as before but for one fewer at beta = 0.5.  The values that moved, against
+the previous recording (parent) and the 40-digit closed form (exact), with
+the new ``est_tail_bound + quad_error_est + rounding_est`` (bound), which
+``rounding_est`` dominates:
+
+    row                            |new - parent|  |new - exact|  |parent - exact|  bound
+    jain-baskakov e2 beta 0.9 x 3      5.7e-13        7.79e-10        7.79e-10     3.77e-7
+    king e2 beta 0.9 x 3               3.2e-13        1.21e-12        1.53e-12     1.16e-9
+    jain e4 beta 0.95 x 16.7           1.7e-5         0.835           0.835        57.3
+    jain e4 beta 0.95 x 2              1.2e-7         1.35e-5         1.33e-5      2.09e-3
+
+King exp-neg at beta = 0.9, x = 3 and Jain e4 at beta = 0.5, x = 9 kept
+their value; their ``v_terms_used``, ``est_tail_bound`` and
+``rounding_est`` moved.  Every move lies within the new bound, and every
+basis-mass row kept its bits.
+
 Any change to summation order, stopping rule, quadrature or cache layout
 that moves a single bit fails here.  The golden file records the numpy and
 scipy versions it was made with, and numpy's SIMD dispatch targets active on
@@ -130,6 +155,9 @@ running ones.
 Re-record only when a change is meant to move results:
 
     PYTHONPATH=src python tests/test_series_bitwise.py --record
+
+It prints, for each row that moved, the fields that moved and
+|new - parent| of the value next to the new ``rounding_est``.
 """
 
 import json
@@ -244,9 +272,46 @@ def test_basis_mass_bitwise(rows, golden):
     assert rows["basis_mass"] == golden["basis_mass"], _versions_note(golden)
 
 
+def _label(row) -> str:
+    """A row's operator, function, parameters and point, as the tables above
+    name them."""
+    if "mass" in row:
+        return f"basis mass ({row['n']:g}, {row['beta']:g}, {float.fromhex(row['x']):g})"
+    eps = f" ({row['tail_eps']:g})" if "tail_eps" in row else ""
+    return (f"{row['operator']} {row['function']} n {row['n']:g} beta {row['beta']:g} "
+            f"x {float.fromhex(row['x']):.4g}{eps}")
+
+
+def moved_rows(parent: dict, new: dict) -> list:
+    """One line per row of ``new`` that differs from ``parent``: the fields
+    that moved and |new - parent| of the value, next to the new
+    ``rounding_est``."""
+    lines = []
+    pairs = [(a, b, "value") for a, b in zip(new["evaluations"], parent["evaluations"])]
+    pairs += [(a, b, "mass") for a, b in zip(new["basis_mass"], parent["basis_mass"])]
+    for got, was, key in pairs:
+        if got == was:
+            continue
+        fields = [k for k in got if got[k] != was.get(k)]
+        if "v_terms_used" in fields:
+            fields[fields.index("v_terms_used")] += f" {was['v_terms_used']} -> {got['v_terms_used']}"
+        line = f"{_label(got)}: {', '.join(fields)}; |new - parent| " + format(
+            abs(float.fromhex(got[key]) - float.fromhex(was[key])), ".2g")
+        if key == "value":
+            line += f", rounding_est {float.fromhex(got['rounding_est']):.2g}"
+        lines.append(line)
+    for key in ("evaluations", "basis_mass"):
+        lines += [f"{_label(row)}: added" for row in new[key][len(parent[key]):]]
+    return lines
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: python tests/test_series_bitwise.py --record")
+    recorded = compute_rows()
+    if GOLDEN.exists():
+        print("\n".join(moved_rows(json.loads(GOLDEN.read_text()), recorded))
+              or "no row moved")
     GOLDEN.write_text(json.dumps({"versions": _versions(), "simd_dispatch": _simd_dispatch(),
-                                  **compute_rows()}, indent=1) + "\n")
+                                  **recorded}, indent=1) + "\n")
     print(f"wrote {GOLDEN}")
