@@ -272,6 +272,21 @@ def test_basis_mass_bitwise(rows, golden):
     assert rows["basis_mass"] == golden["basis_mass"], _versions_note(golden)
 
 
+def test_record_reports_the_moved_rows(golden):
+    parent = {key: golden[key] for key in ("evaluations", "basis_mass")}
+    new = json.loads(json.dumps(parent))
+    assert moved_rows(parent, new) == []
+    row = new["evaluations"][3]
+    row["value"] = float.hex(float.fromhex(row["value"]) + 2.0**-30)
+    row["v_terms_used"] += 1
+    new["basis_mass"][1]["mass"] = float.hex(0.5)
+    lines = moved_rows(parent, new)
+    assert len(lines) == 2
+    assert lines[0].startswith("jain-baskakov e2 n 300 beta 0.1 x 1.7: value, v_terms_used ")
+    assert "|new - parent| 9.3e-10, rounding_est " in lines[0]
+    assert lines[1].startswith("basis mass (50, 0.3, 1): mass; |new - parent| 0.5")
+
+
 def _label(row) -> str:
     """A row's operator, function, parameters and point, as the tables above
     name them."""
