@@ -37,20 +37,12 @@ from scipy.special import betaln, expit, gammaln
 
 from . import _core
 from .errors import ConvergenceError, DomainError, IntegrabilityError, ThresholdError
-from .params import EvalConfig, OperatorParams, check_point
+from .params import EvalConfig, OperatorParams, check_integer, check_point
 
 
 # Largest index v accepted: every integer up to 2^53 is a float, and the
 # float arithmetic of the weights and kernel rules holds no larger one.
 _V_INDEX_MAX = 2**53
-
-
-def _as_index(v, least: int) -> int:
-    """``v`` as an int; DomainError unless it is an integral value in
-    [``least``, 2^53]."""
-    if not (math.isfinite(v) and v == math.floor(v) and least <= v <= _V_INDEX_MAX):
-        raise DomainError(f"v must be an integer in [{least}, 2^53], got {v}")
-    return int(v)
 
 
 def jain_basis_log(params: OperatorParams, x: float, v: int) -> float:
@@ -60,7 +52,7 @@ def jain_basis_log(params: OperatorParams, x: float, v: int) -> float:
     n*x must be positive and finite in floats.
     """
     check_point(x)
-    v = _as_index(v, 0)
+    v = check_integer(v, "v", 0, _V_INDEX_MAX)
     if x == 0:
         return 0.0 if v == 0 else -math.inf
     nx = params.n * x
@@ -74,7 +66,7 @@ def baskakov_kernel_log(params: OperatorParams, v: int, t: float) -> float:
     Limits at t = 0: finite (log c) for v = 1, -inf for v >= 2.
     """
     n, c = params.n, params.c
-    v = _as_index(v, 1)
+    v = check_integer(v, "v", 1, _V_INDEX_MAX)
     check_point(t, "t")
     if not (n > c):
         raise ThresholdError(f"kernel needs n > c (n={n}, c={c})")
@@ -89,9 +81,8 @@ def baskakov_kernel_log(params: OperatorParams, v: int, t: float) -> float:
 
 def kernel_moment_exact(params: OperatorParams, v: int, j: int) -> float:
     """Exact monomial kernel integral int t^j p(t) dt; needs n > (j+1)c."""
-    v = _as_index(v, 1)
-    if j < 0:
-        raise DomainError(f"moment order must be nonnegative, got {j}")
+    v = check_integer(v, "v", 1, _V_INDEX_MAX)
+    j = check_integer(j, "moment order", 0)
     n, c = params.n, params.c
     return float(c / (n - c) * expectation_moments(params, v, j))
 
@@ -456,7 +447,7 @@ def kernel_integral(
     operators' integral tables (:func:`kernel_expectations`).
     """
     cfg = cfg or EvalConfig()
-    v = _as_index(v, 1)
+    v = check_integer(v, "v", 1, _V_INDEX_MAX)
     require_integrable(params, f)
     vs = np.array([v])
     val, _ = kernel_expectations(params, f, vs, cfg, magnitude_bound(params, f, vs))

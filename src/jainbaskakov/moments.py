@@ -37,7 +37,7 @@ import math
 from typing import Optional
 
 from .errors import DomainError, ThresholdError
-from .params import OperatorKind, OperatorParams, check_point
+from .params import OperatorKind, OperatorParams, check_integer, check_point
 
 # v(v+1)...(v+m-1) = sum_k RISING_COEF[m][k] * v^k  (k = 1..m)
 RISING_COEF = {
@@ -46,11 +46,6 @@ RISING_COEF = {
     3: {1: 2.0, 2: 3.0, 3: 1.0},
     4: {1: 6.0, 2: 11.0, 3: 6.0, 4: 1.0},
 }
-
-
-def _check_order(m: int, top: int = 4) -> None:
-    if not (0 <= m <= top):
-        raise DomainError(f"moment order must be in 0..{top}, got {m}")
 
 
 def _scaled(n: float) -> tuple[int, float]:
@@ -87,7 +82,7 @@ def jain_moment(params: OperatorParams, m: int, x: float) -> float:
 
     Raises DomainError where the moment overflows the float range.
     """
-    _check_order(m)
+    m = check_integer(m, "moment order", 0, 4)
     check_point(x)
     return _jain_moment(params.n, params.beta, m, x, *_scaled(params.n))
 
@@ -152,7 +147,7 @@ def d_moment_exact(params: OperatorParams, m: int, x: float) -> float:
     n > (m+1)c.  Raises DomainError where the moment overflows the float
     range.
     """
-    _check_order(m)
+    m = check_integer(m, "moment order", 0, 4)
     check_point(x)
     if m == 0:
         return 1.0
@@ -292,7 +287,7 @@ def king_moment(params: OperatorParams, m: int, x: float) -> float:
     m = 0, 1 are algebraic identities (1 and x); higher orders compose the
     exact hybrid recombination with the point transform.
     """
-    _check_order(m)
+    m = check_integer(m, "moment order", 0, 4)
     check_point(x)
     _king_require(params, m)
     if m == 0:

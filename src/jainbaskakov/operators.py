@@ -62,11 +62,12 @@ w(u) <= w(v_lo) q^(v_lo-u) with q = 1/r(v_lo - 1); every mbound above does
 not decrease in v (E_0[t^d] = 0 at the atom), so the left tail is at most
 w(v_lo) mbound(v_lo) q/(1-q), rounded like the right one.  v_lo falls back
 to 0 where the domain condition fails, where q >= 1, or where this bound is
-not below the skip budget ``tail_eps * 2^-26 * gcf``.  v_lo is the Gaussian
-edge floor(mean - k spread), or where a search can lift it by more terms
-than it costs, Newton's method from there on the log of the bound against
-that budget, with mbound at the search's upper end and half the budget.
-The bound joins ``est_tail_bound``.
+not below the skip budget ``tail_eps * 2^-26 * gcf``.  v_lo starts at the
+Gaussian edge floor(mean - k spread); on a wide law, whose edge can be
+lifted by more terms than lifting costs, it starts at 1 where the edge is
+below 1 and rises by Newton steps on the log of this bound towards half the
+budget, each certified by the bound before v_lo moves.  The bound joins
+``est_tail_bound``.
 :func:`basis_mass` is the Jain series of f = 1.
 
 ``rounding_est`` bounds the floating-point error of ``value`` given the
@@ -276,10 +277,12 @@ V_MAX = 10**6
 _BLOCK_START = 256
 _BLOCK_MAX = 8192
 
-# What a search for the window's start costs in summed terms: about 13 us (a
-# bound read, 3 Newton steps) over 19 ns a term, 660-750 in interleaved medians
-# on a warm table at n = 300, beta = 0.1 (Intel Xeon, 2 cores, numpy 2.4).  It
-# lifts v_lo by at most (k - 1) spread, so it runs only where that is more.
+# A law is wide where (k - 1) spread, the most that lifting v_lo above the
+# Gaussian edge can save, exceeds this many terms; only there is v_lo lifted.
+# A lift step reads one left bound and one mbound, 4-11 us on a warm table
+# (Intel Xeon, 2 cores, numpy 2.4) against about 19 ns a summed term, and a
+# wide law takes 1 to 6 of them.  Every dense-grid, CLI-golden and sweep
+# evaluation is narrow, and starts at the edge with one bound read.
 _SEARCH_TERMS = 700
 
 
@@ -364,43 +367,23 @@ def _log_weight(nx, beta, v):
     return log_nx + (v - 1.0) * log_m - m - log_fact, log_nx, log_m, m, log_fact
 
 
-def _left_start(nx, beta, v, top, target):
-    """About the largest v in [1, top] with log(w(v)/(r(v-1) - 1)) <= target,
-    floored, or 0 if there is none: Newton's method from ``v``.
-
-    The function grows with v below the mode, with slope about log r(v-1).
-    The caller certifies the result, so a poor step costs speed only.
-    """
-    v = min(max(1.0, v), top)
-    for _ in range(16):
-        log_r, _ = _log_ratio(nx, beta, v - 1.0)
-        if not log_r > 0.0:
-            return 0
-        step = (target - _log_weight(nx, beta, v)[0] + math.log(math.expm1(log_r))) / log_r
-        if v == 1.0 and step < 0.0:
-            return 0
-        v = min(max(1.0, v + step), top)
-        if abs(step) < 0.5:
-            break
-    return math.floor(v)
-
-
 def _left_bound(nx, beta, v_lo, d, mb_lo):
-    """A bound on sum_{u<v_lo} w(u) mbound(u), mbound(v_lo) = ``mb_lo``, by
-    the module docstring's left certificate; inf outside its domain or past
-    the mode."""
+    """(bound, log_r): a bound on sum_{u<v_lo} w(u) mbound(u), mbound(v_lo) =
+    ``mb_lo``, by the module docstring's left certificate, inf outside its
+    domain or past the mode; and the log r(v_lo - 1), rounded down, that it
+    reads (0 outside the domain)."""
     if not 3.0 * beta * beta * v_lo <= 2.0 * nx * (nx - beta) * (1.0 - 16.0 * _EPS):
-        return math.inf
+        return math.inf, 0.0
     # log r(v_lo - 1), rounded down: each of its three terms is within 4 eps
     # of its size, and (v_lo - 1) log1p(beta/m) < 1
     log_r, head = _log_ratio(nx, beta, v_lo - 1.0)
     log_r -= 16.0 * _EPS * (2.0 + abs(head))
     if not log_r > 0.0:
-        return math.inf
+        return math.inf, log_r
     q = math.nextafter(math.exp(-log_r), math.inf)
     log_w, log_nx, log_m, m, log_fact = _log_weight(nx, beta, v_lo)
     rounding = _log_weight_rounding(abs(log_nx), v_lo, abs(log_m), m, log_fact, d)
-    return _tail_bound(math.exp(log_w), mb_lo, q, rounding)
+    return _tail_bound(math.exp(log_w), mb_lo, q, rounding), log_r
 
 
 def _left_window(nx, beta, d, tail_eps, gcf, mag_at):
@@ -408,36 +391,42 @@ def _left_window(nx, beta, d, tail_eps, gcf, mag_at):
 
     Returns (v_lo, block, left_tail): the series sums from v_lo in blocks
     ``block`` long, and left_tail bounds sum_{u<v_lo} w(u) mbound(u),
-    mbound(v) = mag_at(v).  v_lo is the Gaussian edge floor(mean - k spread),
-    or where lifting it towards mean - spread can save more than
-    ``_SEARCH_TERMS`` terms, a search whose target is the certified
-    condition left_tail < ``tail_eps * 2^-26 * gcf``, the skip budget, with
-    mbound(v_lo) raised to mbound at the search's upper end and half the
-    budget.  Either is then certified against that budget; where that
-    fails, v_lo = 0 and left_tail = 0.
+    mbound(v) = mag_at(v), by :func:`_left_bound`.  v_lo starts at the
+    Gaussian edge floor(mean - k spread), or at 1 on a wide law,
+    (k - 1) spread > ``_SEARCH_TERMS``, whose edge is below 1.  Where the
+    start's bound is not below the skip budget ``tail_eps * 2^-26 * gcf``,
+    v_lo = 0 and left_tail = 0.  On a wide law v_lo is then lifted by
+    Newton steps on log left_tail, whose slope is about log r(v_lo - 1),
+    towards half the budget; a step moves v_lo only where the bound there
+    is below the budget, and one that fails is halved.
     """
     mean = nx / (1.0 - beta)
     spread = math.sqrt(nx) / (1.0 - beta) ** 1.5
-    budget = tail_eps * _SKIP_FACTOR
+    budget = tail_eps * _SKIP_FACTOR * gcf
     # in logs, as budget may underflow to 0 and mag be inf
     log_budget = math.log(tail_eps) + math.log(_SKIP_FACTOR)
     k = math.sqrt(-2.0 * log_budget)
     v_lo = math.floor(mean - k * spread)
-    top = mean - spread  # below the bulk
-    if top >= 1.0 and (k - 1.0) * spread > _SEARCH_TERMS:
-        if 3.0 * beta * beta * top > 2.0 * nx * (nx - beta):
-            top = 2.0 * nx * (nx - beta) / (3.0 * beta * beta)  # where r falls
-        # the certificate itself, with mbound(top) >= mbound(v_lo) and a
-        # factor 2 of room for its rounding; a zero bound leaves nothing below
-        mb_top = mag_at(math.floor(top))
-        target = (log_budget + math.log(gcf) - math.log(mb_top) - math.log(2.0)
-                  if mb_top > 0.0 else math.inf)
-        v_lo = _left_start(nx, beta, mean - k * spread, top, target)
+    wide = (k - 1.0) * spread > _SEARCH_TERMS
+    if wide:
+        v_lo = max(v_lo, 1)
     left_tail = math.inf
     if v_lo > 0:
-        left_tail = _left_bound(nx, beta, v_lo, d, mag_at(v_lo))
-    if not left_tail < budget * gcf:
+        left_tail, log_r = _left_bound(nx, beta, v_lo, d, mag_at(v_lo))
+    if not left_tail < budget:
         v_lo, left_tail = 0, 0.0
+    while wide and v_lo > 0:
+        # towards half the budget; V_MAX caps a step that overflows (gcf = inf)
+        step = (log_budget + math.log(gcf / 2.0) - math.log(left_tail)) / log_r
+        step = math.floor(min(step, V_MAX))
+        while step >= 1:
+            tail, log_r_up = _left_bound(nx, beta, v_lo + step, d, mag_at(v_lo + step))
+            if tail < budget:
+                break
+            step //= 2
+        if step < 1:
+            break
+        v_lo, left_tail, log_r = v_lo + step, tail, log_r_up
     block = min(max(math.ceil(mean + k * spread) - v_lo, _BLOCK_START), _BLOCK_MAX)
     return v_lo, block, left_tail
 

@@ -42,6 +42,15 @@ def check_point(x: float, name: str = "x", zero_ok: bool = True) -> None:
         raise DomainError(f"{name} must be {sign} and finite, got {x}")
 
 
+def check_integer(value, name: str, least: int, most: float = math.inf) -> int:
+    """``value`` as an int (4.0 as 4); DomainError unless it is an integral
+    value in [``least``, ``most``]."""
+    if not (least <= value <= most and value % 1 == 0):  # inf % 1 is nan
+        within = f"in [{least}, {most}]" if most < math.inf else f">= {least}"
+        raise DomainError(f"{name} must be an integer {within}, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class OperatorParams:
     """The (n, c, beta) triple with validation."""
@@ -93,7 +102,7 @@ class EvalConfig:
             raise DomainError(f"tail_eps must be in (0,1), got {self.tail_eps}")
         if not (0 < self.quad_rel_tol < math.inf):
             raise DomainError(f"quad_rel_tol must be positive and finite, got {self.quad_rel_tol}")
-        if self.grid_points < 2:
-            raise DomainError("grid_points must be at least 2")
+        # np.linspace takes an int count: 33.0 is kept as 33
+        object.__setattr__(self, "grid_points", check_integer(self.grid_points, "grid_points", 2))
         if not (0 < self.domain_cap < math.inf):
             raise DomainError(f"domain_cap must be positive and finite, got {self.domain_cap}")

@@ -68,6 +68,18 @@ class TestModulus1:
             modulus1(get_function("sin"), 1.0, 2.0, cfg)
 
 
+    @pytest.mark.parametrize("points", [2.5, math.nan, math.inf, 1, True])
+    def test_grid_points_must_be_an_integer(self, points):
+        # caught in EvalConfig, not as a TypeError inside np.linspace
+        with pytest.raises(DomainError, match="grid_points must be an integer"):
+            EvalConfig(grid_points=points)
+
+    def test_integral_grid_points_evaluate(self):
+        cfg = EvalConfig(grid_points=33.0, domain_cap=8.0)
+        assert cfg.grid_points == 33 and type(cfg.grid_points) is int
+        assert modulus1(get_function("e1"), 2.0, 0.5, cfg) == pytest.approx(0.5, abs=1e-12)
+
+
 class TestModulus2:
     def test_constant_is_zero(self, cfg):
         assert modulus2(get_function("e0"), 0.3, cfg) == 0.0

@@ -34,7 +34,7 @@ from jainbaskakov import (
 from jainbaskakov import moments
 from jainbaskakov.kernels import kernel_moment_exact
 from jainbaskakov.moments import d_central_moment4_display
-from jainbaskakov.params import check_point
+from jainbaskakov.params import check_integer, check_point
 
 GRID = [
     (5.0, 1.0, 0.0),
@@ -242,7 +242,7 @@ class TestHybridMoments:
 def _d_moment_reference(params, m, x):
     """d_moment_exact as one body, every constant computed per call: the
     reference for its cached plan."""
-    moments._check_order(m)
+    m = check_integer(m, "moment order", 0, 4)
     check_point(x)
     if m == 0:
         return 1.0
@@ -534,3 +534,18 @@ class TestTinyN:
             kernel_moment_exact(p, 3, 4)
         with pytest.raises(DomainError, match="underflows"):
             eval_jain_baskakov(p, get_function("e4"), 1e100)
+
+
+def test_moment_order_must_be_an_integer():
+    # an integral order evaluates as that integer; any other is a
+    # DomainError, not the 4th moment (jain_moment) nor a bare TypeError
+    p = OperatorParams(50, 1, 0.2)
+    for moment in (jain_moment, d_moment_exact, king_moment):
+        assert moment(p, 4.0, 1.0) == moment(p, 4, 1.0)
+        for order in (2.5, 3.5, math.nan, math.inf, -1, 5):
+            with pytest.raises(DomainError, match="moment order must be an integer"):
+                moment(p, order, 1.0)
+    assert kernel_moment_exact(p, 3, 4.0) == kernel_moment_exact(p, 3, 4)
+    for order in (2.5, math.nan, -1):
+        with pytest.raises(DomainError, match="moment order must be an integer"):
+            kernel_moment_exact(p, 3, order)

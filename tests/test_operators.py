@@ -716,20 +716,21 @@ def _former_rounding(nx, beta, v_first, v_last, d):
 
 def _former_left_bound(nx, beta, v_lo, d, mb_lo):
     """The left certificate composed of parts that each take their own
-    logs: the reference for the shared ones in ops._left_bound."""
+    logs, and the log r(v_lo - 1) it reads: the reference for the shared
+    ones in ops._left_bound."""
     if not 3.0 * beta * beta * v_lo <= 2.0 * nx * (nx - beta) * (1.0 - 16.0 * ops._EPS):
-        return math.inf
+        return math.inf, 0.0
     log_r, head = ops._log_ratio(nx, beta, v_lo - 1.0)
     log_r -= 16.0 * ops._EPS * (2.0 + abs(head))
     if not log_r > 0.0:
-        return math.inf
+        return math.inf, log_r
     q = math.nextafter(math.exp(-log_r), math.inf)
     m = nx + v_lo * beta
     w = math.exp(math.log(nx) + (v_lo - 1.0) * math.log(m) - m - math.lgamma(v_lo + 1.0))
     if q >= 1.0:
-        return math.inf
+        return math.inf, log_r
     scale = mb_lo * math.exp(_former_rounding(nx, beta, v_lo, v_lo, d)) * q / (1.0 - q)
-    return math.nextafter((w + 2.0**-1074) * scale, math.inf)
+    return math.nextafter((w + 2.0**-1074) * scale, math.inf), log_r
 
 
 # The certificates of the v-series (operators module docstring): the weight
@@ -980,14 +981,15 @@ class TestTailCertificate:
     def test_left_bounds_refuse_outside_the_certificate(self):
         # past the mode q = 1/r(v_lo - 1) >= 1, and past the domain r need
         # not fall: no bound, so the window falls back to v = 0
-        assert ops._left_bound(600.0, 0.5, 1300, 0, 1.0) == math.inf
-        assert ops._left_bound(3.0, 0.5, 20, 0, 1.0) == math.inf
-        assert ops._left_bound(3.0, 0.5, 2, 0, 1.0) < math.inf
+        assert ops._left_bound(600.0, 0.5, 1300, 0, 1.0)[0] == math.inf
+        assert ops._left_bound(3.0, 0.5, 20, 0, 1.0) == (math.inf, 0.0)
+        bound, log_r = ops._left_bound(3.0, 0.5, 2, 0, 1.0)
+        assert bound < math.inf and 0.0 < log_r < ops._log_ratio(3.0, 0.5, 1.0)[0]
 
     def test_shared_logs_match_the_former_compositions(self):
         # _left_bound and a block's two roundings take log nx, log m and
         # log V! once; they give the bits of the compositions that took
-        # them apart for each use
+        # them apart for each use, and _left_bound the log r it read
         rng = random.Random(3)
         finite = 0
         for _ in range(3000):
@@ -998,8 +1000,9 @@ class TestTailCertificate:
             v_lo = max(1, math.floor(mean * rng.uniform(0.0, 1.2)))
             mb = 10.0 ** rng.uniform(-3, 3)
             got = ops._left_bound(nx, beta, v_lo, d, mb)
-            assert float.hex(got) == float.hex(_former_left_bound(nx, beta, v_lo, d, mb))
-            finite += got < math.inf
+            want = _former_left_bound(nx, beta, v_lo, d, mb)
+            assert list(map(float.hex, got)) == list(map(float.hex, want))
+            finite += got[0] < math.inf
             v0 = rng.randint(0, 3 * math.ceil(mean) + 10)
             big_v = v0 + rng.choice([0, 255, 511, 8191])
             want = (_former_rounding(nx, beta, v0, big_v, d),
@@ -1009,32 +1012,43 @@ class TestTailCertificate:
         assert finite > 1000
 
     def test_left_edge_covers_the_exact_majorant(self):
-        # a law narrow enough that the search could not pay for itself starts
-        # at the Gaussian edge floor(mean - k spread), certified by the same
-        # bound: wherever the edge is kept, the bound covers the 40-digit
-        # majorant, and otherwise the window starts at 0
+        # a narrow law starts at the Gaussian edge floor(mean - k spread), a
+        # wide one, (k - 1) spread > _SEARCH_TERMS, at or above it (at 1 or
+        # above where the edge is below 1), certified by the same bound:
+        # wherever v_lo > 0, the bound covers the 40-digit majorant, and
+        # otherwise the window starts at 0
         rng = random.Random(17)
         names = ("e0", "e1", "e2", "e3", "e4", "exp-neg", "sin")
-        cases = edges = certified = 0
+        # Jain e4 at (300, 1, 0.95), x = 2: a wide law whose edge is below 1
+        fixed = [(OperatorKind.JAIN, get_function("e4"), 0.95, 600.0, EvalConfig().tail_eps,
+                  OperatorParams(300.0, 1.0, 0.95))]
+        cases = edges = certified = wide = lifted = 0
         while cases < 400:
-            kind, f = rng.choice(list(OperatorKind)), get_function(rng.choice(names))
-            beta, nx = rng.uniform(0.0, 0.95), 10.0 ** rng.uniform(0.0, 5.0)
-            tail_eps = rng.choice((1e-6, 1e-12, 1e-15))
+            if fixed:
+                kind, f, beta, nx, tail_eps, p = fixed.pop()
+            else:
+                kind, f = rng.choice(list(OperatorKind)), get_function(rng.choice(names))
+                beta, nx = rng.uniform(0.0, 0.95), 10.0 ** rng.uniform(0.0, 5.0)
+                tail_eps = rng.choice((1e-6, 1e-12, 1e-15))
+                p = OperatorParams(rng.uniform(3.0 * f.growth_degree + 8.0, 1000.0), 1.0, beta)
             spread = math.sqrt(nx) / (1.0 - beta) ** 1.5
             k = math.sqrt(-2.0 * (math.log(tail_eps) + math.log(ops._SKIP_FACTOR)))
-            if (k - 1.0) * spread > ops._SEARCH_TERMS:
-                continue  # the search's side
+            is_wide = (k - 1.0) * spread > ops._SEARCH_TERMS
             cases += 1
-            p = OperatorParams(rng.uniform(3.0 * f.growth_degree + 8.0, 1000.0), 1.0, beta)
             x = nx / p.n if kind is not OperatorKind.KING else nx / ((p.n - 2.0) * (1.0 - beta))
             nx, v_lo, left_tail = _window(kind, p, f, x, tail_eps)
             edge = math.floor(nx / (1.0 - beta) - k * math.sqrt(nx) / (1.0 - beta) ** 1.5)
-            edges += edge >= 1
+            edges += edge >= 1 or is_wide
             if v_lo == 0:
                 assert left_tail == 0.0
                 continue
             certified += 1
-            assert v_lo == edge, (kind, p, f.name, x, tail_eps)
+            if is_wide:
+                wide += 1
+                assert v_lo >= max(edge, 1), (kind, p, f.name, x, tail_eps)
+                lifted += v_lo > max(edge, 1)
+            else:
+                assert v_lo == edge, (kind, p, f.name, x, tail_eps)
             if kind is OperatorKind.JAIN:
                 mb = _jain_mbound(f, p.n)(np.array([float(v_lo)]))[0]
             else:
@@ -1042,45 +1056,60 @@ class TestTailCertificate:
             with mpmath.workdps(40):
                 mass = _mp_weight(nx, beta, v_lo) / (_mp_ratio(nx, beta, v_lo - 1) - 1)
                 assert left_tail >= mass * mpmath.mpf(float(mb)), (kind, p, f.name, x, tail_eps)
-        print(f"the edge certified in {certified} of {edges} cases where it is >= 1"
-              f" ({cases} cases)")
-        assert certified >= 0.9 * edges > 0
+        print(f"v_lo certified in {certified} of {edges} cases where the edge is >= 1 or the"
+              f" law wide ({cases} cases; {lifted} of {wide} wide ones lifted)")
+        assert certified >= 0.9 * edges > 0 and lifted >= 0.9 * wide > 0
 
-    def test_left_search_runs_only_where_it_pays(self, monkeypatch):
-        # the Newton search runs where it can lift v_lo by more than it costs,
-        # (k - 1) spread > _SEARCH_TERMS, and never below
+    def test_left_window_lifts_only_wide_laws(self, monkeypatch):
+        # a narrow law, (k - 1) spread <= _SEARCH_TERMS, reads one left
+        # bound, at its edge; a wide one is lifted by certified steps and
+        # ends at or above its edge, with its bound below the skip budget
         calls = []
-        real = ops._left_start
-        monkeypatch.setattr(ops, "_left_start", lambda *args: calls.append(args) or real(*args))
+        real = ops._left_bound
+        monkeypatch.setattr(ops, "_left_bound", lambda *args: calls.append(args) or real(*args))
         for tail_eps in (1e-6, 1e-12, 1e-15):
             k = math.sqrt(-2.0 * (math.log(tail_eps) + math.log(ops._SKIP_FACTOR)))
             for beta in (0.0, 0.3, 0.6):
                 for ratio in (0.5, 0.99, 1.01, 2.0):
                     spread = ratio * ops._SEARCH_TERMS / (k - 1.0)
                     nx = (spread * (1.0 - beta) ** 1.5) ** 2
-                    assert nx / (1.0 - beta) - spread >= 1.0  # below the bulk
+                    edge = math.floor(nx / (1.0 - beta) - k * spread)
                     calls.clear()
-                    ops._left_window(nx, beta, 0, tail_eps, 1.0, lambda v: 1.0)
-                    assert len(calls) == (ratio > 1.0), (tail_eps, beta, ratio)
-        # the grid parameters take the edge; Jain at beta = 0.5, nx = 2700 searches
+                    v_lo, _, left_tail = ops._left_window(nx, beta, 0, tail_eps, 1.0,
+                                                          lambda v: 1.0)
+                    case = (tail_eps, beta, ratio)
+                    if ratio < 1.0:
+                        assert [c[2] for c in calls] == [edge] * (edge >= 1), case
+                        assert v_lo == max(edge, 0), case
+                    else:
+                        assert calls[0][2] == max(edge, 1) <= v_lo, case
+                    assert (v_lo > 0) == (0.0 < left_tail < tail_eps * ops._SKIP_FACTOR), case
+        # the grid parameters take the edge; Jain at beta = 0.5, nx = 2700 lifts it
         calls.clear()
         eval_jain_baskakov(OperatorParams(300.0, 1.0, 0.1), get_function("e2"), 1.7)
         eval_king(OperatorParams(300.0, 1.0, 0.1), get_function("exp-neg"), 2.95)
-        assert not calls
+        assert len(calls) == 2
+        calls.clear()
         eval_jain(OperatorParams(300.0, 1.0, 0.5), get_function("e4"), 9.0)
-        assert len(calls) == 1
+        edge = math.floor(2700.0 / 0.5 - math.sqrt(-2.0 * math.log(1e-12 * ops._SKIP_FACTOR))
+                          * math.sqrt(2700.0) / 0.5**1.5)
+        assert calls[0][2] == edge < calls[-1][2] and len(calls) > 1
 
     @pytest.mark.parametrize("kind", list(OperatorKind))
-    def test_left_search_with_zero_bounds(self, monkeypatch, kind):
-        # f = 0 with zero bounds on laws wide enough to search: mbound at
-        # the search's upper end is 0, and nothing lies below to bound
+    def test_left_search_with_zero_bounds(self, kind):
+        # f = 0 with zero bounds on a wide law: nothing lies below to bound,
+        # and the bound is the least subnormal it adds for rounding wherever
+        # the window starts
         zero = TestFunction("zero", fn=lambda t: 0.0 * np.asarray(t, dtype=float),
                             m_bound=0.0, bounded=True, sup_bound=0.0)
-        calls = []
-        real = ops._left_start
-        monkeypatch.setattr(ops, "_left_start", lambda *args: calls.append(args) or real(*args))
-        res = ops.eval_operator(kind, OperatorParams(300.0, 1.0, 0.9), zero, 3.0)
-        assert calls and res.value == 0.0 and res.est_tail_bound < 1e-300
+        p = OperatorParams(300.0, 1.0, 0.9)
+        nx, v_lo, left_tail = _window(kind, p, zero, 3.0)
+        k = math.sqrt(-2.0 * math.log(EvalConfig().tail_eps * ops._SKIP_FACTOR))
+        spread = math.sqrt(nx) / 0.1**1.5
+        assert (k - 1.0) * spread > ops._SEARCH_TERMS
+        assert v_lo >= max(1, math.floor(nx / 0.1 - k * spread)) and left_tail == 2.0**-1074
+        res = ops.eval_operator(kind, p, zero, 3.0)
+        assert res.value == 0.0 and res.est_tail_bound < 1e-300
 
     @pytest.mark.parametrize("kind", list(OperatorKind))
     def test_subnormal_tail_eps(self, kind):

@@ -145,6 +145,31 @@ their value; their ``v_terms_used``, ``est_tail_bound`` and
 ``rounding_est`` moved.  Every move lies within the new bound, and every
 basis-mass row kept its bits.
 
+Six rows were re-recorded when the window's start on a wide law became
+the certified Gaussian edge (or v = 1 where the edge is below 1) lifted by
+certified Newton steps towards half the skip budget, in place of a
+separate search.  v_lo rose on every wide-law row: jain-baskakov e2 3,333
+to 3,400 and exp-neg 3,324 to 3,325 at beta = 0.9, x = 3; King e2 34 to 37
+there, now over two blocks of 3,715 (7,430 terms in place of 7,436); Jain
+e4 55,604 to 56,387 at x = 16.7, 2,388 to 2,631 at x = 2 and 4,145 to
+4,158 at beta = 0.5, x = 9 (2,647 terms in place of 2,660).  The values
+that moved, against the previous recording (parent) and the 40-digit
+closed form (exact), with the new ``est_tail_bound + quad_error_est +
+rounding_est`` (bound), which ``rounding_est`` dominates:
+
+    row                            |new - parent|  |new - exact|  |parent - exact|  bound
+    jain-baskakov e2 beta 0.9 x 3      2.5e-12        7.76e-10        7.79e-10     3.79e-7
+    king e2 beta 0.9 x 3               5.3e-15        1.20e-12        1.21e-12     1.16e-9
+    jain e4 beta 0.95 x 16.7           1.3e-4         0.835           0.835        57.3
+    jain e4 beta 0.95 x 2              6.2e-7         1.41e-5         1.35e-5      2.09e-3
+
+jain-baskakov exp-neg at beta = 0.9, x = 3 and Jain e4 at beta = 0.5,
+x = 9 kept their value; their ``est_tail_bound`` and ``rounding_est``
+moved.  ``est_tail_bound`` fell on every moved row but King e2
+(3.28e-13 to 3.33e-13, the larger left bound of the higher v_lo).  Every
+move lies within the new bound, every narrow-law row (n = 300,
+beta = 0.1, and n = 16) and every basis-mass row kept its bits.
+
 Any change to summation order, stopping rule, quadrature or cache layout
 that moves a single bit fails here.  The golden file records the numpy and
 scipy versions it was made with, and numpy's SIMD dispatch targets active on
