@@ -186,7 +186,9 @@ def rate_bound_checks(
 
 def weighted_majorant_e1(n: float, c: float, beta: float) -> float:
     """Closed-form majorant of the rho0-norm error for f = t:
-    2c/(n-2c) + n beta / ((n-2c)(1-beta))."""
+    2c/(n-2c) + n beta / ((n-2c)(1-beta)); it exists for n > 2c only
+    (ThresholdError below)."""
+    OperatorParams(n, c, beta).require_order(1)
     return 2 * c / (n - 2 * c) + n * beta / ((n - 2 * c) * (1 - beta))
 
 
@@ -199,7 +201,10 @@ def _weighted_tail_bound(params, f, lam, cap) -> float:
     n, c = params.n, params.c
     d = f.growth_degree
     if f.bounded:
-        return 2.0 * f.sup_bound / (1.0 + cap * cap) ** (1.0 + lam)
+        try:
+            return 2.0 * f.sup_bound / (1.0 + cap * cap) ** (1.0 + lam)
+        except OverflowError:  # a weight past the float range: the ratio is below it
+            return 0.0
     if d <= 1:
         # |Df| + |f| <= M (2 + x + D(t, x)),  D(t,x) = k1 x
         k1 = n / ((n - 2 * c) * (1.0 - params.beta))
@@ -237,7 +242,8 @@ def weighted_norm_error(
     if f.growth_degree > 2:
         raise DomainError("weighted norms are defined for growth degree <= 2")
     xs = np.linspace(0.0, cfg.domain_cap, cfg.grid_points)
-    weights = (1.0 + xs * xs) ** (1.0 + lam)
+    with np.errstate(over="ignore"):  # an infinite weight gives a ratio of 0
+        weights = (1.0 + xs * xs) ** (1.0 + lam)
     fx = np.asarray(f.fn(xs), dtype=float)
     out = []
     for n, beta in schedule:

@@ -444,11 +444,13 @@ def _cmd_weighted(cfg):
     f = get_function(cfg["function"])
     ests = analysis.weighted_norm_error(_schedule(cfg), cfg["c"], f, cfg["lam"], _eval_config(cfg))
     fields = ["n", "beta", "value", "tail_bound", "majorant"]
-    rows = [
-        dict(zip(fields, (int(e.n), e.beta, e.value, e.tail_bound,
-                          analysis.weighted_majorant_e1(e.n, cfg["c"], e.beta))))
-        for e in ests
-    ]
+    rows = []
+    for e in ests:
+        try:
+            majorant = analysis.weighted_majorant_e1(e.n, cfg["c"], e.beta)
+        except ThresholdError:  # none where n <= 2c: the cell is left empty
+            majorant = None
+        rows.append(dict(zip(fields, (int(e.n), e.beta, e.value, e.tail_bound, majorant))))
     plot = [(r["n"], r["value"]) for r in rows]
     if _trend_violation([r["value"] for r in rows]):
         return fields, rows, plot, "FAIL: weighted norm error is not decreasing"
@@ -483,8 +485,11 @@ _COMMANDS = {
 def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     """The parser of every subcommand; with ``command``, only that one gets
     its options, which is all that parsing its arguments needs."""
+    # allow_abbrev=False: a flag is spelled in full, as a prefix such as
+    # --beta would otherwise run as --beta-schedule
     parser = argparse.ArgumentParser(
         prog="jainbaskakov",
+        allow_abbrev=False,
         description=(
             "Evaluate Jain, Jain-Baskakov and King-type positive linear "
             "operators, report closed-form vs numeric moments, and run "
@@ -493,7 +498,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for cmd, (text, run, names) in _COMMANDS.items():
-        p = sub.add_parser(cmd, help=text)
+        p = sub.add_parser(cmd, help=text, allow_abbrev=False)
         p.set_defaults(run=run)
         if command not in (None, cmd):
             continue

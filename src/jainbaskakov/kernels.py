@@ -36,7 +36,7 @@ from scipy.integrate import quad
 from scipy.special import betaln, expit, gammaln
 
 from . import _core
-from .errors import ConvergenceError, DomainError, IntegrabilityError, ThresholdError
+from .errors import ConvergenceError, DomainError, IntegrabilityError
 from .params import EvalConfig, OperatorParams, check_integer, check_point
 
 
@@ -68,8 +68,7 @@ def baskakov_kernel_log(params: OperatorParams, v: int, t: float) -> float:
     n, c = params.n, params.c
     v = check_integer(v, "v", 1, _V_INDEX_MAX)
     check_point(t, "t")
-    if not (n > c):
-        raise ThresholdError(f"kernel needs n > c (n={n}, c={c})")
+    params.require_order(0)
     nc = n / c
     if t == 0:
         return math.log(c) if v == 1 else -math.inf

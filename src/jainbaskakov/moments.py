@@ -28,6 +28,10 @@ where coef are the rising-factorial expansion coefficients
 
 King-type moments are the hybrid moments evaluated at the transformed point
 r_n(x) = (n-2c)(1-beta)x/n, which preserves constants and the identity.
+
+Every public closed form here is :func:`_finite`: a value that overflows the
+float range, as inf, nan or a Python OverflowError, raises DomainError naming
+the function and its arguments.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import functools
 import math
 from typing import Optional
 
-from .errors import DomainError, ThresholdError
+from .errors import DomainError
 from .params import OperatorKind, OperatorParams, check_integer, check_point
 
 # v(v+1)...(v+m-1) = sum_k RISING_COEF[m][k] * v^k  (k = 1..m)
@@ -59,9 +63,10 @@ def _scaled(n: float) -> tuple[int, float]:
 
 
 def _finite(formula):
-    """A closed form that raises DomainError where it is not finite: the
-    powers of n in a display overflow first (n = 1e200, x = 1), and a King
-    or central moment at a tiny n overflows (n = 1e-300, x = 1e10)."""
+    """A closed form that raises DomainError where it is not finite: x^4 in
+    a raw moment overflows at a huge x (x = 1e80), the powers of n in a
+    display overflow first (n = 1e200, x = 1), and a King or central moment
+    at a tiny n overflows (n = 1e-300, x = 1e10)."""
 
     @functools.wraps(formula)
     def checked(params, *args):
@@ -77,42 +82,34 @@ def _finite(formula):
     return checked
 
 
+@_finite
 def jain_moment(params: OperatorParams, m: int, x: float) -> float:
-    """Exact raw moment P(t^m, x) of the Jain operator, m = 0..4.
-
-    Raises DomainError where the moment overflows the float range.
-    """
+    """Exact raw moment P(t^m, x) of the Jain operator, m = 0..4."""
     m = check_integer(m, "moment order", 0, 4)
     check_point(x)
-    return _jain_moment(params.n, params.beta, m, x, *_scaled(params.n))
+    return _jain_moment(params.beta, m, x, *_scaled(params.n))
 
 
-def _jain_moment(n, b, m, x, e, ns):
+def _jain_moment(b, m, x, e, ns):
     """:func:`jain_moment` past its checks, (e, ns) = _scaled(n): t / n^k is
-    ldexp(t / ns^k, -e k), as n^k may overflow where the moment does not."""
+    ldexp(t / ns^k, -e k), as n^k may overflow where the moment does not.
+    Unchecked: it may return inf or raise OverflowError."""
     a = 1.0 / (1.0 - b)
-    try:
-        if m == 0:
-            mom = 1.0
-        elif m == 1:
-            mom = a * x
-        elif m == 2:
-            mom = a * a * x * x + math.ldexp(a**3 * x / ns, -e)
-        elif m == 3:
-            mom = (a**3 * x**3 + math.ldexp(3 * a**4 * x**2 / ns, -e)
-                   + math.ldexp((1 + 2 * b) * a**5 * x / ns**2, -e * 2))
-        else:
-            mom = (
-                a**4 * x**4
-                + math.ldexp(6 * a**5 * x**3 / ns, -e)
-                + math.ldexp((7 + 8 * b) * a**6 * x**2 / ns**2, -e * 2)
-                + math.ldexp((1 + 8 * b + 6 * b * b) * a**7 * x / ns**3, -e * 3)
-            )
-    except OverflowError:  # float ** raises where * and / give inf
-        mom = math.inf
-    if mom == math.inf:
-        raise DomainError(f"Jain moment P(t^{m}, x) overflows at x={x} (n={n}, beta={b})")
-    return mom
+    if m == 0:
+        return 1.0
+    if m == 1:
+        return a * x
+    if m == 2:
+        return a * a * x * x + math.ldexp(a**3 * x / ns, -e)
+    if m == 3:
+        return (a**3 * x**3 + math.ldexp(3 * a**4 * x**2 / ns, -e)
+                + math.ldexp((1 + 2 * b) * a**5 * x / ns**2, -e * 2))
+    return (
+        a**4 * x**4
+        + math.ldexp(6 * a**5 * x**3 / ns, -e)
+        + math.ldexp((7 + 8 * b) * a**6 * x**2 / ns**2, -e * 2)
+        + math.ldexp((1 + 8 * b + 6 * b * b) * a**7 * x / ns**3, -e * 3)
+    )
 
 
 @_finite
@@ -122,8 +119,7 @@ def jain_moment_display(params: OperatorParams, m: int, x: float) -> float:
     They agree with :func:`jain_moment` at beta = 0 but not for beta > 0;
     tests measure the gap rather than asserting equality.
     """
-    if m not in (3, 4):
-        raise DomainError(f"display formulas exist for m in {{3, 4}}, got {m}")
+    m = check_integer(m, "display order", 3, 4)
     check_point(x)
     n, b = params.n, params.beta
     a = 1.0 / (1.0 - b)
@@ -140,29 +136,22 @@ def jain_moment_display(params: OperatorParams, m: int, x: float) -> float:
     )
 
 
+@_finite
 def d_moment_exact(params: OperatorParams, m: int, x: float) -> float:
     """Exact raw moment D(t^m, x) of the hybrid operator via recombination.
 
     Authoritative oracle for the operator's monomial values; needs
-    n > (m+1)c.  Raises DomainError where the moment overflows the float
-    range.
+    n > (m+1)c.
     """
     m = check_integer(m, "moment order", 0, 4)
     check_point(x)
     if m == 0:
         return 1.0
     params.require_order(m)
-    n, c, b = params.n, params.c, params.beta
-    e, ns, ns_m, denom, steps = _hybrid_plan(n, c, m)
-    try:
-        terms = [coef * math.ldexp(_jain_moment(n, b, k, x, e, ns), shift) / power
-                 for k, coef, shift, power in steps]
-        mom = ns_m / denom * math.fsum(terms)
-    except OverflowError:  # in fsum
-        mom = math.inf
-    if mom == math.inf:
-        raise DomainError(f"hybrid moment D(t^{m}, x) overflows at x={x} (n={n}, c={c})")
-    return mom
+    e, ns, ns_m, denom, steps = _hybrid_plan(params.n, params.c, m)
+    terms = [coef * math.ldexp(_jain_moment(params.beta, k, x, e, ns), shift) / power
+             for k, coef, shift, power in steps]
+    return ns_m / denom * math.fsum(terms)
 
 
 # Plans of d_moment_exact kept; each is a few floats.
@@ -197,8 +186,7 @@ def d_moment_display(params: OperatorParams, m: int, x: float) -> float:
     x^3 n^3 term enters negatively where the exact recombination is
     positive), so its gap to :func:`d_moment_exact` does not vanish.
     """
-    if m not in (3, 4):
-        raise DomainError(f"display formulas exist for m in {{3, 4}}, got {m}")
+    m = check_integer(m, "display order", 3, 4)
     check_point(x)
     params.require_order(m)
     n, c, b = params.n, params.c, params.beta
@@ -242,11 +230,7 @@ def d_central_moment(params: OperatorParams, k: int, x: float) -> float:
             + math.ldexp(ns * x * (2 - 2 * b + b * b), -e) / (denom * (1 - b) ** 3)
         )
     if k == 4:
-        params.require_order(4)
-        return math.fsum(
-            math.comb(4, j) * (-x) ** (4 - j) * d_moment_exact(params, j, x)
-            for j in range(5)
-        )
+        return _central4(d_moment_exact, params, x)
     raise DomainError(f"central moments implemented for k in {{1, 2, 4}}, got {k}")
 
 
@@ -268,16 +252,8 @@ def king_transform(params: OperatorParams, x: float) -> float:
     """r_n(x) = (n-2c)(1-beta) x / n: the point transform that makes the
     King-type operator reproduce constants and the identity exactly."""
     check_point(x)
-    if not (params.n > 2 * params.c):
-        raise ThresholdError(
-            f"king transform needs n > 2c (n={params.n}, c={params.c})"
-        )
+    params.require_order(1)
     return (params.n - 2 * params.c) * (1.0 - params.beta) * x / params.n
-
-
-def _king_require(params: OperatorParams, m: int) -> None:
-    # m <= 2 needs n > 3c; m = 3 needs n > 4c; m = 4 needs n > 5c.
-    params.require_order(max(m, 2))
 
 
 @_finite
@@ -289,7 +265,7 @@ def king_moment(params: OperatorParams, m: int, x: float) -> float:
     """
     m = check_integer(m, "moment order", 0, 4)
     check_point(x)
-    _king_require(params, m)
+    params.require_order(max(m, 2))
     if m == 0:
         return 1.0
     if m == 1:
@@ -305,10 +281,9 @@ def king_moment(params: OperatorParams, m: int, x: float) -> float:
 @_finite
 def king_moment_display(params: OperatorParams, m: int, x: float) -> float:
     """The printed asymptotic King t^3/t^4 main terms, verbatim (reference only)."""
-    if m not in (3, 4):
-        raise DomainError(f"display formulas exist for m in {{3, 4}}, got {m}")
+    m = check_integer(m, "display order", 3, 4)
     check_point(x)
-    _king_require(params, m)
+    params.require_order(m)
     n, c, b = params.n, params.c, params.beta
     q = b * b - 2 * b + 2
     if m == 3:
@@ -323,21 +298,24 @@ def king_central_moment(params: OperatorParams, k: int, x: float) -> float:
     """Exact King central moments: mu*1 = 0, mu*2 closed form, mu*4 binomial."""
     check_point(x)
     if k == 1:
-        _king_require(params, 1)
+        params.require_order(2)
         return 0.0
     if k == 2:
-        _king_require(params, 2)
+        params.require_order(2)
         n, c, b = params.n, params.c, params.beta
         return c * x * x / (n - 3 * c) + (2 - 2 * b + b * b) * x / (
             (n - 3 * c) * (1 - b) ** 2
         )
     if k == 4:
-        params.require_order(4)
-        return math.fsum(
-            math.comb(4, j) * (-x) ** (4 - j) * king_moment(params, j, x)
-            for j in range(5)
-        )
+        return _central4(king_moment, params, x)
     raise DomainError(f"central moments implemented for k in {{1, 2, 4}}, got {k}")
+
+
+def _central4(raw, params: OperatorParams, x: float) -> float:
+    """mu4 as the binomial expansion over the raw moments ``raw``,
+    fsum-compensated against the near-cancellation of its terms."""
+    params.require_order(4)
+    return math.fsum(math.comb(4, j) * (-x) ** (4 - j) * raw(params, j, x) for j in range(5))
 
 
 def closed_moment(kind: OperatorKind, params: OperatorParams, m: int, x: float) -> float:

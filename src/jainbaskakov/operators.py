@@ -124,7 +124,7 @@ from typing import Optional
 import numpy as np
 
 from . import _core
-from .errors import ConvergenceError, ThresholdError
+from .errors import ConvergenceError
 from .functions import TestFunction, get_function
 from .kernels import (_EPS, _GL_CHUNK, kernel_expectations, magnitude_bound,
                       require_integrable)
@@ -629,10 +629,7 @@ def eval_king(
     """King-type operator value: the hybrid sum with basis point r_n(x)."""
     cfg = cfg or _DEFAULT_CONFIG
     check_point(x)
-    if not (params.n > 3 * params.c):
-        raise ThresholdError(
-            f"king operator needs n > 3c (n={params.n}, c={params.c})"
-        )
+    params.require_order(2)
     r = king_transform(params, x)
     if x > 0:
         # before the atom shortcut, which r = 0 would take

@@ -8,8 +8,9 @@ The operator family is indexed by a triple (n, c, beta):
 * ``beta in [0, 1)`` -- the generalized-Poisson (Jain) basis parameter.
   beta = 0 reduces the basis to Poisson weights.
 
-Moment formulas of order j are only finite for ``n > (j+1)c``; each consumer
-checks its own threshold via :func:`require_order`.
+Moment formulas of order j are only finite for ``n > (j+1)c``, which
+:meth:`OperatorParams.require_order` alone checks (``kernels.require_integrable``
+checks it for the growth degree of a function).
 """
 
 from __future__ import annotations
@@ -74,11 +75,12 @@ class OperatorParams:
             )
 
     def require_order(self, j: int) -> None:
-        """Check the order-j moment threshold n > (j+1)c."""
+        """Check n > (j+1)c, where the Baskakov kernel's moments of order
+        up to j exist: j = 0 for the kernel itself, 1 for the King
+        transform, 2 for the King operator, j for an order-j moment."""
         if not (self.n > (j + 1) * self.c):
             raise ThresholdError(
-                f"order-{j} formula needs n > {j + 1}c "
-                f"(n={self.n}, c={self.c})"
+                f"order-{j} moments need n > {j + 1}c, got n={self.n}, c={self.c}"
             )
 
 

@@ -1,12 +1,17 @@
 """The package's public surface: every exported name resolves, no module
-imports a name it never uses, and the README's quick tour runs."""
+imports a name it never uses, the console script names the CLI's entry point,
+and the README's quick tour runs."""
 
 import ast
+import importlib
 from pathlib import Path
+
+import pytest
 
 import jainbaskakov
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_all_names_resolve():
@@ -90,3 +95,14 @@ def test_readme_quick_tour_runs():
     tour = README.read_text().split("## Library quick tour", 1)[1]
     code = tour.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(code, str(README), "exec"), {})
+
+
+def test_console_script_names_the_cli_main():
+    # pyproject's [project.scripts] is read only at install time: a renamed
+    # module or function would install a jainbaskakov that fails at start
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"jainbaskakov": "jainbaskakov.cli:main"}
+    module, attr = scripts["jainbaskakov"].split(":")
+    assert callable(getattr(importlib.import_module(module), attr))

@@ -454,6 +454,43 @@ def test_bad_flag_value_exits_2(tmp_path, argv, key):
     assert repr(key) in err["error"]["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["weighted", "--beta", "inv-n"], ["voronovskaja", "--n", "16,32"], ["eval", "--func", "e1"]])
+def test_flag_prefix_exits_2(argv):
+    # a flag is spelled in full: --beta is not taken for --beta-schedule
+    from jainbaskakov import cli
+
+    code, _, err = _parse_exit(cli.build_parser(argv[0]), argv)
+    assert code == 2 and "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    (["--c", "1", "--n-values", "2,4"], 0),
+    (["--c", "0.75", "--n-values", "1,2", "--beta-schedule", "const"], 4)])
+def test_weighted_majorant_empty_where_n_at_most_2c(tmp_path, argv, exit_code):
+    # the e1 majorant 2c/(n-2c) + n beta/((n-2c)(1-beta)) exists for n > 2c
+    # only: below it the cell is empty, not a division by zero or a
+    # negative number (the second sweep's error does not decrease: exit 4)
+    code, err = run_main("weighted", "--function", "recip-sq", *argv,
+                         "--output", str(tmp_path / "w"))
+    assert (code, err) == (exit_code, None)
+    with open(tmp_path / "w.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    c = float(argv[1])
+    assert [r["majorant"] == "" for r in rows] == [int(r["n"]) <= 2 * c for r in rows]
+    assert all(float(r["majorant"]) > 0 for r in rows if r["majorant"])
+
+
+@pytest.mark.parametrize("function", ["recip-sq", "e1"])
+def test_weighted_large_lambda_runs_without_warnings(tmp_path, function):
+    # (1 + x^2)^(1 + lambda) overflows: the weighted ratio there is 0, with
+    # no OverflowError (the bounded tail) and no numpy warning (the grid)
+    cp = run_cli("weighted", "--function", function, "--lambda", "400",
+                 "--n-values", "16,32", "--grid-points", "9", "--output", str(tmp_path / "w"),
+                 env_extra={"PYTHONWARNINGS": "error"})
+    assert (cp.returncode, cp.stderr) == (0, "")
+
+
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_fractional_n_values_exit_2(tmp_path, source):
     argv = ["converge", "--output", str(tmp_path / "c")]

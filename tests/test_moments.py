@@ -7,6 +7,7 @@ measure that gap exactly rather than asserting equality.
 """
 
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -17,6 +18,7 @@ from jainbaskakov import (
     EvalConfig,
     OperatorParams,
     ThresholdError,
+    baskakov_kernel_log,
     d_central_moment,
     d_moment_display,
     d_moment_exact,
@@ -32,6 +34,7 @@ from jainbaskakov import (
     king_transform,
 )
 from jainbaskakov import moments
+from jainbaskakov.analysis import weighted_majorant_e1
 from jainbaskakov.kernels import kernel_moment_exact
 from jainbaskakov.moments import d_central_moment4_display
 from jainbaskakov.params import check_integer, check_point
@@ -76,7 +79,7 @@ class TestJainMoments:
     @pytest.mark.parametrize("m, n, x", [(4, 1e-80, 1e85), (2, 1e-150, 1e155)])
     def test_overflow_is_a_domain_error(self, m, n, x):
         # x**4 raises OverflowError, x * x rounds to inf
-        with pytest.raises(DomainError, match=rf"P\(t\^{m}, x\) overflows"):
+        with pytest.raises(DomainError, match=re.escape(f"jain_moment({m}, {x}) overflows")):
             jain_moment(OperatorParams(n, 1, 0.0), m, x)
 
     def test_large_n_evaluates(self):
@@ -170,7 +173,7 @@ class TestHybridMoments:
     def test_overflow_is_a_domain_error(self, n, x):
         # the first overflows in the recombination (it returned inf), the
         # second in the Jain moment it recombines
-        with pytest.raises(DomainError, match=r"moment [DP]\(t\^4, x\) overflows"):
+        with pytest.raises(DomainError, match=re.escape(f"d_moment_exact(4, {x}) overflows")):
             d_moment_exact(OperatorParams(n, 1, 0.0), 4, x)
 
     def test_display_t4_gap_shrinks(self):
@@ -254,7 +257,7 @@ def _d_moment_reference(params, m, x):
         denom *= math.ldexp(n - i * c, -e)
     try:
         terms = [
-            coef * math.ldexp(moments._jain_moment(n, b, k, x, e, ns), -e * (m - k))
+            coef * math.ldexp(moments._jain_moment(b, k, x, e, ns), -e * (m - k))
             / ns ** (m - k)
             for k, coef in moments.RISING_COEF[m].items()
         ]
@@ -359,6 +362,44 @@ def test_display_overflow_is_a_domain_error(display, args):
     # at n = 1e200, and an inf over inf gives nan (King t^3)
     with pytest.raises(DomainError, match=rf"{display.__name__}\(.*\) overflows"):
         display(OperatorParams(1e200, 1, 0.1), *args)
+
+
+# Every public closed form as a call on (params, x): the order j of its
+# threshold n > (j+1)c (None: it has none), and the (n, c, beta, x) where it
+# overflows the float range (None: it cannot).
+_TINY_N = (1e-300, 1e-302, 0.0, 1e10)
+_HUGE_N = (1e200, 1, 0.1, 1.0)
+
+
+_CLOSED_FORMS = [
+    ("jain_moment", lambda p, x: jain_moment(p, 4, x), None, (1e-80, 1, 0.0, 1e85)),
+    ("jain_moment_display", lambda p, x: jain_moment_display(p, 3, x), None, _HUGE_N),
+    ("d_moment_exact", lambda p, x: d_moment_exact(p, 4, x), 4, (10.0, 1, 0.0, 1e77)),
+    ("d_moment_display", lambda p, x: d_moment_display(p, 3, x), 3, _HUGE_N),
+    ("d_central_moment", lambda p, x: d_central_moment(p, 2, x), 2, _TINY_N),
+    ("d_central_moment4_display", d_central_moment4_display, 4, _HUGE_N),
+    ("king_moment", lambda p, x: king_moment(p, 2, x), 2, _TINY_N),
+    ("king_moment_display", lambda p, x: king_moment_display(p, 4, x), 4, _HUGE_N),
+    ("king_central_moment", lambda p, x: king_central_moment(p, 2, x), 2, _TINY_N),
+    ("king_transform", king_transform, 1, None),
+    ("baskakov_kernel_log", lambda p, x: baskakov_kernel_log(p, 1, x), 0, None),
+    ("weighted_majorant_e1", lambda p, x: weighted_majorant_e1(p.n, p.c, p.beta), 1, None),
+    ("eval_king", lambda p, x: eval_king(p, get_function("e0"), x), 2, None),
+]
+
+
+@pytest.mark.parametrize("name, call, j, overflow", _CLOSED_FORMS,
+                         ids=[case[0] for case in _CLOSED_FORMS])
+def test_one_domain_policy(name, call, j, overflow):
+    # an overflow is a DomainError naming the function, and n = (j+1)c the
+    # one ThresholdError message, which states the condition
+    if overflow is not None:
+        *params, x = overflow
+        with pytest.raises(DomainError, match=rf"^{name}\(.*\) overflows"):
+            call(OperatorParams(*params), x)
+    if j is not None:
+        with pytest.raises(ThresholdError, match=re.escape(f"n > {j + 1}c, got n={j + 1}.0, c=1.0")):
+            call(OperatorParams(j + 1.0, 1.0, 0.1), 1.0)
 
 
 class TestKingMoments:
@@ -492,7 +533,7 @@ class TestTinyN:
 
     def test_jain_moment_overflow_is_a_domain_error(self):
         # x / n^2 = 1e400
-        with pytest.raises(DomainError, match=r"P\(t\^3, x\) overflows"):
+        with pytest.raises(DomainError, match=r"jain_moment\(3, 1.0\) overflows"):
             jain_moment(OperatorParams(1e-200, 1, 0.0), 3, 1.0)
 
     @pytest.mark.parametrize("n, c, b, m, x", [
