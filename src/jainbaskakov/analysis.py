@@ -196,7 +196,9 @@ def _weighted_tail_bound(params, f, lam, cap) -> float:
     """Sup of |D f - f| / (1+x^2)^(1+lam) beyond the cap, from growth metadata.
 
     Uses (1+x^2) >= x^2, so each numerator monomial becomes a decreasing
-    power of x and can be bounded at x = cap.
+    power of x and can be bounded at x = cap.  Past the float range the
+    bound is inf where a power of a cap below 1 overflows, and 0 where the
+    bounded tail's weight does.
     """
     n, c = params.n, params.c
     d = f.growth_degree
@@ -205,13 +207,15 @@ def _weighted_tail_bound(params, f, lam, cap) -> float:
             return 2.0 * f.sup_bound / (1.0 + cap * cap) ** (1.0 + lam)
         except OverflowError:  # a weight past the float range: the ratio is below it
             return 0.0
-    if d <= 1:
-        # |Df| + |f| <= M (2 + x + D(t, x)),  D(t,x) = k1 x
-        k1 = n / ((n - 2 * c) * (1.0 - params.beta))
-        return f.m_bound * (
-            2.0 * cap ** (-2.0 - 2.0 * lam) + (1.0 + k1) * cap ** (-1.0 - 2.0 * lam)
-        )
-    if d == 2:
+    if d > 2:
+        raise DomainError("weighted norms are defined for growth degree <= 2")
+    try:
+        if d <= 1:
+            # |Df| + |f| <= M (2 + x + D(t, x)),  D(t,x) = k1 x
+            k1 = n / ((n - 2 * c) * (1.0 - params.beta))
+            return f.m_bound * (
+                2.0 * cap ** (-2.0 - 2.0 * lam) + (1.0 + k1) * cap ** (-1.0 - 2.0 * lam)
+            )
         # |Df| + |f| <= M (2 + x^2 + A x^2 + B x)
         a1 = 1.0 / (1.0 - params.beta)
         denom = (n - 2 * c) * (n - 3 * c)
@@ -222,7 +226,8 @@ def _weighted_tail_bound(params, f, lam, cap) -> float:
             + big_b * cap ** (-1.0 - 2.0 * lam)
             + (1.0 + big_a) * cap ** (-2.0 * lam)
         )
-    raise DomainError("weighted norms are defined for growth degree <= 2")
+    except OverflowError:  # a power past the float range (cap < 1): so is the bound
+        return math.inf
 
 
 def weighted_norm_error(

@@ -73,7 +73,7 @@ def _write_csv(path, fieldnames, rows):
 
 
 def _jsonable(value):
-    if isinstance(value, float) and math.isnan(value):
+    if isinstance(value, float) and not math.isfinite(value):  # JSON has no nan or inf
         return None
     if isinstance(value, (np.integer,)):
         return int(value)

@@ -152,7 +152,8 @@ register(
 
 
 def _recip_sq(t):
-    return 1.0 / (1.0 + np.asarray(t, dtype=float) ** 2)
+    with np.errstate(over="ignore"):  # t^2 = inf past t = 1.3e154, where f is 0
+        return 1.0 / (1.0 + np.asarray(t, dtype=float) ** 2)
 
 
 register(

@@ -63,7 +63,9 @@ def jain_basis_log(params: OperatorParams, x: float, v: int) -> float:
 def baskakov_kernel_log(params: OperatorParams, v: int, t: float) -> float:
     """log p(t) for the order-v kernel (v >= 1), through log-gamma.
 
-    Limits at t = 0: finite (log c) for v = 1, -inf for v >= 2.
+    Limits at t = 0: finite (log c) for v = 1, -inf for v >= 2.  Where c t
+    leaves the normal range, log(ct) is taken as log c + log t; where n/c
+    overflows, DomainError.
     """
     n, c = params.n, params.c
     v = check_integer(v, "v", 1, _V_INDEX_MAX)
@@ -72,10 +74,15 @@ def baskakov_kernel_log(params: OperatorParams, v: int, t: float) -> float:
     nc = n / c
     if t == 0:
         return math.log(c) if v == 1 else -math.inf
+    if nc == math.inf:
+        raise DomainError(f"baskakov_kernel_log({v}, {t}) overflows at n={n}, c={c}, "
+                          f"beta={params.beta}")
     lg = gammaln(nc + v - 1) - gammaln(v) - gammaln(nc)
-    return float(
-        math.log(c) + lg + (v - 1) * math.log(c * t) - (nc + v - 1) * math.log1p(c * t)
-    )
+    ct = c * t
+    log_ct = math.log(ct) if 2.0**-1022 <= ct < math.inf else math.log(c) + math.log(t)
+    # past the float range log1p(ct) = log(ct) + log1p(1/ct) is log(ct)
+    log1p_ct = math.log1p(ct) if ct < math.inf else log_ct
+    return float(math.log(c) + lg + (v - 1) * log_ct - (nc + v - 1) * log1p_ct)
 
 
 def kernel_moment_exact(params: OperatorParams, v: int, j: int) -> float:

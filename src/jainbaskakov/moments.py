@@ -30,8 +30,9 @@ King-type moments are the hybrid moments evaluated at the transformed point
 r_n(x) = (n-2c)(1-beta)x/n, which preserves constants and the identity.
 
 Every public closed form here is :func:`_finite`: a value that overflows the
-float range, as inf, nan or a Python OverflowError, raises DomainError naming
-the function and its arguments.
+float range, as inf, nan, a Python OverflowError or a division by a product
+that underflows to 0, raises DomainError naming the function and its
+arguments.
 """
 
 from __future__ import annotations
@@ -65,14 +66,17 @@ def _scaled(n: float) -> tuple[int, float]:
 def _finite(formula):
     """A closed form that raises DomainError where it is not finite: x^4 in
     a raw moment overflows at a huge x (x = 1e80), the powers of n in a
-    display overflow first (n = 1e200, x = 1), and a King or central moment
-    at a tiny n overflows (n = 1e-300, x = 1e10)."""
+    display overflow first (n = 1e200, x = 1) or underflow to a zero divisor
+    (n = 1e-170), and a King or central moment at a tiny n overflows
+    (n = 1e-300, x = 1e10)."""
 
     @functools.wraps(formula)
     def checked(params, *args):
         try:
             value = formula(params, *args)
-        except OverflowError:  # float ** raises where * and / give inf
+        except (OverflowError, ZeroDivisionError):
+            # float ** raises where * and / give inf, and / raises where a
+            # product of powers of a tiny n underflows to 0
             value = math.inf
         if not math.isfinite(value):
             raise DomainError(f"{formula.__name__}({', '.join(map(str, args))}) overflows at "

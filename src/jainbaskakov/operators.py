@@ -105,8 +105,13 @@ were computed, and a rule row depends on no other v of its chunk, so the
 stored values are the same bits too.  The cache keeps at most CACHE_TABLES
 tables, dropping the least recently used.
 
-A block reads the table by one slice (views) from the first v whose bound
-is above the skip budget to the last; a v skipped inside would be summed,
+The series reads mbound as one float per block, at V, before the block's
+terms (and one per left bound of :func:`_left_window`); a block bound that
+is not finite raises DomainError there, before f is evaluated.  The
+per-term bounds of a block are read only by the hybrid provider, as a view
+of its table, for the skip rule: it reads the table by one slice (views)
+from the first v whose bound w(v) mbound(v) is above the skip budget to
+the last; a v skipped inside would be summed,
 which no evaluation seen has needed.  The atom at v = 0 costs no integral:
 it joins a run kept from v = 1, else is a term w(0) f(0) apart.  A warm
 evaluation of a few hundred terms is mostly fixed cost, about 31 us of
@@ -124,7 +129,7 @@ from typing import Optional
 import numpy as np
 
 from . import _core
-from .errors import ConvergenceError
+from .errors import ConvergenceError, DomainError
 from .functions import TestFunction, get_function
 from .kernels import (_EPS, _GL_CHUNK, kernel_expectations, magnitude_bound,
                       require_integrable)
@@ -431,28 +436,31 @@ def _left_window(nx, beta, d, tail_eps, gcf, mag_at):
     return v_lo, block, left_tail
 
 
-def _series_eval(params, basis_x, provider, mag, mag_at, f, hybrid, cfg, x_report):
+def _series_eval(params, basis_x, provider, mag_at, f, hybrid, cfg, x_report):
     """Adaptive blockwise summation over a window of the basis index v.
 
-    ``mag(v0, count)`` gives the a-priori bounds mbound(v) on the terms'
-    values for v = v0 .. v0+count-1, and ``mag_at(v)`` one as a float; they
-    do not decrease in v and grow by at most (1 + 1/v)^d from v to v + 1, d
-    the growth degree of ``f``.  ``provider(v0, w, mbound, gcf)``, gcf the
+    ``mag_at(v)`` gives the a-priori bound mbound(v) on the term's value as
+    a float; it does not decrease in v and grows by at most (1 + 1/v)^d
+    from v to v + 1, d the growth degree of ``f``.  The series reads it once
+    per block, at the block's last index V, before the block's terms; a
+    bound there that is not finite raises DomainError, as no later block
+    could then stop the series.  ``provider(v0, w, gcf)``, gcf the
     threshold scale of :func:`_growth_correction`, returns per-block (terms
     w f in an array of its own, skipped_tail_increment,
-    quad_error_increment).  Each block adds its rounding bound to
-    ``rounding_est`` (module docstring).  Summation starts at
-    :func:`_left_window`'s v_lo, whose left bound joins the skipped tail, in
-    blocks of its one length.  After each block, terms past its last index
-    V are bounded by :func:`_tail_bound` with q = :func:`_ratio_sup`: every
-    weight ratio past V is at most the larger of rho(V) = (m/(V+1))
-    exp(V beta/m - beta) and its limit beta e^(1-beta) (log rho is
-    quasi-convex in v; module docstring), so with the growth factor
-    (1 + 1/V)^d the tail is a geometric series.  The series stops at the first block after which the
-    skipped terms, the left bound and this tail add up to at most
-    ``tail_eps * gcf``.  The tail is taken as 0 where w(V) mbound(V)
-    underflows to 0 and q < 1, that is past the mode; before the mode the
-    bound is inf, so an underflowed block below the bulk never stops it.
+    quad_error_increment); a provider that skips terms reads their bounds
+    itself.  Each block adds its rounding bound to ``rounding_est`` (module
+    docstring).  Summation starts at :func:`_left_window`'s v_lo, whose
+    left bound joins the skipped tail, in blocks of its one length.  After
+    each block, terms past V are bounded by :func:`_tail_bound` with q =
+    :func:`_ratio_sup`: every weight ratio past V is at most the larger of
+    rho(V) = (m/(V+1)) exp(V beta/m - beta) and its limit beta e^(1-beta)
+    (log rho is quasi-convex in v; module docstring), so with the growth
+    factor (1 + 1/V)^d the tail is a geometric series.  The series stops at
+    the first block after which the skipped terms, the left bound and this
+    tail add up to at most ``tail_eps * gcf``.  The tail is taken as 0
+    where w(V) mbound(V) underflows to 0 and q < 1, that is past the mode;
+    before the mode the bound is inf, so an underflowed block below the
+    bulk never stops it.
 
     A law whose mean nx/(1 - beta) is not below V_MAX (or is not finite)
     keeps about half its mass past the cap, more than any useful tail_eps
@@ -473,14 +481,15 @@ def _series_eval(params, basis_x, provider, mag, mag_at, f, hybrid, cfg, x_repor
 
     for v0 in range(v_lo, V_MAX, block):
         w = _core.jain_weights(nx, beta, v0, block)
-        mbound = mag(v0, block)
-        w_last, mb_last = float(w[-1]), float(mbound[-1])
-        terms, sk_inc, qerr_inc = provider(v0, w, mbound, gcf)
+        big_v = v0 + block - 1
+        w_last, mb_last = float(w[-1]), mag_at(big_v)
+        if not math.isfinite(mb_last):
+            raise DomainError(f"v-series term bound not finite at v={big_v}, n={params.n}")
+        terms, sk_inc, qerr_inc = provider(v0, w, gcf)
         val_run += float(np.add.reduce(terms))
         quad_err += qerr_inc
         skipped += sk_inc
 
-        big_v = v0 + block - 1
         over_block, at_last = _block_roundings(nx, beta, abs_log_nx, v0, big_v, d)
         factor = _sum_gamma(block) + math.expm1(over_block)
         rounding += (factor * float(np.add.reduce(np.abs(terms, out=terms)))
@@ -543,15 +552,17 @@ def _atom_result(x, f):
 
 
 def _jain_mag(f, n):
-    """mbound(v) of the Jain series: sup|f|, or M(1 + (v/n)^d)."""
+    """mbound(v) of the Jain series as a float, by a one-element numpy
+    power: sup|f|, or M(1 + (v/n)^d), inf where (v/n)^d overflows."""
     d = f.growth_degree
 
-    def mag(v0, count):
+    def mag_at(v):
         if f.bounded:
-            return np.full(count, f.sup_bound)
-        return f.m_bound * (1.0 + (np.arange(v0, v0 + count, dtype=np.float64) / n) ** d)
+            return float(f.sup_bound)
+        with np.errstate(over="ignore"):
+            return float(f.m_bound * (1.0 + (np.array([v], dtype=np.float64) / n) ** d)[0])
 
-    return mag
+    return mag_at
 
 
 def eval_jain(
@@ -567,15 +578,12 @@ def eval_jain(
         return _atom_result(x, f)
 
     n = params.n
-    mag = _jain_mag(f, n)
 
-    def provider(v0, w, _mbound, _gcf):
+    def provider(v0, w, _gcf):
         t = np.arange(v0, v0 + len(w), dtype=np.float64) / n
         return w * np.asarray(f.fn(t), dtype=np.float64), 0.0, 0.0
 
-    # one bound by the block's numpy power, which can differ from ** in the last bit
-    return _series_eval(params, x, provider, mag, lambda v: float(mag(v, 1)[0]), f, False,
-                        cfg, x_report=x)
+    return _series_eval(params, x, provider, _jain_mag(f, n), f, False, cfg, x_report=x)
 
 
 def _eval_hybrid(params, f, x, basis_x, cfg):
@@ -584,8 +592,8 @@ def _eval_hybrid(params, f, x, basis_x, cfg):
         return _atom_result(x, f)
     table = DEFAULT_CACHE.table(params, f, cfg)
 
-    def provider(v0, w, mbound, gcf):
-        bound = w * mbound
+    def provider(v0, w, gcf):
+        bound = w * table.mag(v0, len(w))
         keep = bound > cfg.tail_eps * _SKIP_FACTOR * gcf
         if v0 == 0:  # the atom joins a run kept from v = 1, else stands apart
             keep[0] = keep[1]
@@ -604,8 +612,7 @@ def _eval_hybrid(params, f, x, basis_x, cfg):
                    else np.concatenate((bound[atom:lo], bound[hi:])))
         return terms, float(np.add.reduce(skipped)), qerr
 
-    return _series_eval(params, basis_x, provider, table.mag, table.mag_at, f, True, cfg,
-                        x_report=x)
+    return _series_eval(params, basis_x, provider, table.mag_at, f, True, cfg, x_report=x)
 
 
 def eval_jain_baskakov(

@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -489,6 +490,51 @@ def test_weighted_large_lambda_runs_without_warnings(tmp_path, function):
                  "--n-values", "16,32", "--grid-points", "9", "--output", str(tmp_path / "w"),
                  env_extra={"PYTHONWARNINGS": "error"})
     assert (cp.returncode, cp.stderr) == (0, "")
+
+
+def test_weighted_tail_bound_past_the_float_range(tmp_path):
+    # cap^(-2 - 2 lambda) overflows for a cap below 1: the tail bound of an
+    # unbounded f is inf, not an OverflowError, and null in JSON, which has
+    # no inf (json.dump would write Infinity)
+    argv = ["weighted", "--function", "e1", "--domain-cap", "0.5", "--lambda", "600",
+            "--n-values", "16,32", "--grid-points", "9"]
+    for fmt in ("csv", "json"):
+        assert run_main(*argv, "--format", fmt, "--output", str(tmp_path / fmt)) == (0, None)
+    with open(tmp_path / "csv.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["tail_bound"] for r in rows] == ["inf", "inf"]
+    assert 0.0 < float(rows[1]["value"]) < float(rows[0]["value"])
+
+    def no_constant(name):
+        raise AssertionError(f"{name} is not JSON")
+
+    doc = json.loads((tmp_path / "json.json").read_text(), parse_constant=no_constant)
+    assert [r["tail_bound"] for r in doc["rows"]] == [None, None]
+    assert [r["value"] for r in doc["rows"]] == [float(r["value"]) for r in rows]
+
+
+@pytest.mark.parametrize("function", ["recip-sq", "e0", "e1", "exp-neg"])
+def test_weighted_cap_past_the_series_cap_exits_3(tmp_path, function):
+    # n x at the cap 1e155 puts the law's mean past the v-series cap: a
+    # ConvergenceError, with no numpy warning first (recip-sq's square
+    # overflows past t = 1.3e154, where f is 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, err = run_main("weighted", "--function", function, "--domain-cap", "1e155",
+                             "--n-values", "16,32", "--grid-points", "9",
+                             "--output", str(tmp_path / "w"))
+    assert (code, err["error"]["type"]) == (3, "ConvergenceError")
+
+
+def test_moments_overflowing_term_bound_exits_3(tmp_path):
+    # mbound(v) = 1 + (v/n)^2 overflows at n = 1e-170: a DomainError at the
+    # first block, not a scan to the v-series cap through numpy warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, err = run_main("moments", "--operator", "jain", "--n", "1e-170", "--x", "1e-150",
+                             "--output", str(tmp_path / "m"))
+    assert (code, err["error"]["type"]) == (3, "DomainError")
+    assert "not finite at v=255, n=1e-170" in err["error"]["message"]
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])

@@ -186,6 +186,18 @@ class TestBaskakovKernel:
         assert baskakov_kernel_log(p, 3, 0.5) == pytest.approx(
             math.log(3.0 / 8.0), rel=1e-14
         )
+        # c t past the float range, above it and below its normal range:
+        # log(ct) is log c + log t there, against 40-digit mpmath
+        for n, c, v, t in [(1e200, 1e199, 1, 1e200), (1e200, 1e199, 3, 1e200),
+                           (1e-299, 1e-300, 2, 1e-300)]:
+            with mpmath.workdps(40):
+                n_, c_, t_ = mpmath.mpf(n), mpmath.mpf(c), mpmath.mpf(t)
+                nc = n_ / c_
+                expect = (mpmath.log(c_) + mpmath.loggamma(nc + v - 1) - mpmath.loggamma(v)
+                          - mpmath.loggamma(nc) + (v - 1) * mpmath.log(c_ * t_)
+                          - (nc + v - 1) * mpmath.log1p(c_ * t_))
+            got = baskakov_kernel_log(OperatorParams(n, c, 0.0), v, t)
+            assert got == pytest.approx(float(expect), rel=1e-14)
 
     def test_t_zero_limits(self):
         p = OperatorParams(6, 2, 0.0)
@@ -201,6 +213,9 @@ class TestBaskakovKernel:
                 baskakov_kernel_log(p, 1, t)
         with pytest.raises(ThresholdError):
             baskakov_kernel_log(OperatorParams(1.5, 2, 0.0), 1, 1.0)
+        # n/c overflows: an error, not a numpy warning and nan
+        with pytest.raises(DomainError, match=r"baskakov_kernel_log\(1, 1.0\) overflows"):
+            baskakov_kernel_log(OperatorParams(1e300, 1e-300, 0.0), 1, 1.0)
 
 
 class TestKernelMoments:

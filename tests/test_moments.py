@@ -366,35 +366,43 @@ def test_display_overflow_is_a_domain_error(display, args):
 
 # Every public closed form as a call on (params, x): the order j of its
 # threshold n > (j+1)c (None: it has none), and the (n, c, beta, x) where it
-# overflows the float range (None: it cannot).
+# overflows the float range (none: it cannot).  At _DIVISOR_N a power of n
+# in a display underflows to a zero divisor, which float division raises
+# on, as does (n-2c)...(n-5c) at _TINY_GAP.
 _TINY_N = (1e-300, 1e-302, 0.0, 1e10)
 _HUGE_N = (1e200, 1, 0.1, 1.0)
+_DIVISOR_N = (1e-170, 1e-172, 0.1, 1e-150)
+_TINY_GAP = (2.0**-255, math.nextafter(2.0**-255 / 5, 0.0), 0.0, 1.0)
 
 
 _CLOSED_FORMS = [
-    ("jain_moment", lambda p, x: jain_moment(p, 4, x), None, (1e-80, 1, 0.0, 1e85)),
-    ("jain_moment_display", lambda p, x: jain_moment_display(p, 3, x), None, _HUGE_N),
-    ("d_moment_exact", lambda p, x: d_moment_exact(p, 4, x), 4, (10.0, 1, 0.0, 1e77)),
-    ("d_moment_display", lambda p, x: d_moment_display(p, 3, x), 3, _HUGE_N),
-    ("d_central_moment", lambda p, x: d_central_moment(p, 2, x), 2, _TINY_N),
-    ("d_central_moment4_display", d_central_moment4_display, 4, _HUGE_N),
-    ("king_moment", lambda p, x: king_moment(p, 2, x), 2, _TINY_N),
-    ("king_moment_display", lambda p, x: king_moment_display(p, 4, x), 4, _HUGE_N),
-    ("king_central_moment", lambda p, x: king_central_moment(p, 2, x), 2, _TINY_N),
-    ("king_transform", king_transform, 1, None),
-    ("baskakov_kernel_log", lambda p, x: baskakov_kernel_log(p, 1, x), 0, None),
-    ("weighted_majorant_e1", lambda p, x: weighted_majorant_e1(p.n, p.c, p.beta), 1, None),
-    ("eval_king", lambda p, x: eval_king(p, get_function("e0"), x), 2, None),
+    ("jain_moment", lambda p, x: jain_moment(p, 4, x), None, [(1e-80, 1, 0.0, 1e85)]),
+    ("jain_moment_display", lambda p, x: jain_moment_display(p, 3, x), None,
+     [_HUGE_N, _DIVISOR_N]),
+    ("d_moment_exact", lambda p, x: d_moment_exact(p, 4, x), 4,
+     [(10.0, 1, 0.0, 1e77), _TINY_GAP]),
+    ("d_moment_display", lambda p, x: d_moment_display(p, 3, x), 3, [_HUGE_N, _DIVISOR_N]),
+    ("d_central_moment", lambda p, x: d_central_moment(p, 2, x), 2, [_TINY_N]),
+    ("d_central_moment4_display", d_central_moment4_display, 4, [_HUGE_N, _DIVISOR_N]),
+    ("king_moment", lambda p, x: king_moment(p, 2, x), 2, [_TINY_N]),
+    ("king_moment_display", lambda p, x: king_moment_display(p, 4, x), 4,
+     [_HUGE_N, _DIVISOR_N]),
+    ("king_central_moment", lambda p, x: king_central_moment(p, 2, x), 2, [_TINY_N]),
+    ("king_transform", king_transform, 1, []),
+    # n/c overflows
+    ("baskakov_kernel_log", lambda p, x: baskakov_kernel_log(p, 1, x), 0,
+     [(1e300, 1e-300, 0.0, 1.0)]),
+    ("weighted_majorant_e1", lambda p, x: weighted_majorant_e1(p.n, p.c, p.beta), 1, []),
+    ("eval_king", lambda p, x: eval_king(p, get_function("e0"), x), 2, []),
 ]
 
 
-@pytest.mark.parametrize("name, call, j, overflow", _CLOSED_FORMS,
+@pytest.mark.parametrize("name, call, j, overflows", _CLOSED_FORMS,
                          ids=[case[0] for case in _CLOSED_FORMS])
-def test_one_domain_policy(name, call, j, overflow):
+def test_one_domain_policy(name, call, j, overflows):
     # an overflow is a DomainError naming the function, and n = (j+1)c the
     # one ThresholdError message, which states the condition
-    if overflow is not None:
-        *params, x = overflow
+    for *params, x in overflows:
         with pytest.raises(DomainError, match=rf"^{name}\(.*\) overflows"):
             call(OperatorParams(*params), x)
     if j is not None:

@@ -2,6 +2,7 @@
 (positivity, linearity, monotonicity, boundedness, caching, failure modes),
 and the certified tail bound of the v-series against 40-digit mpmath."""
 
+import dataclasses
 import functools
 import math
 import random
@@ -395,6 +396,29 @@ class TestCacheAndLimits:
         with pytest.raises(DomainError, match=r"jain_moment\(4, 1e\+85\) overflows"):
             eval_jain(OperatorParams(1e-80, 1, 0), e4, 1e85, cfg)  # nx = 1e5
 
+    def test_overflowing_term_bound_raises_at_the_first_block(self, monkeypatch):
+        # mbound(v) = 1 + (v/n)^2 overflows from v = 1 at n = 1e-170, though
+        # P(t^2, x) = x^2 + x/n = 1e20 is finite; mbound does not decrease,
+        # so no block could stop the series: the first block's bound read
+        # raises, with no warning, before f is evaluated
+        blocks = []
+        real = core.jain_weights
+
+        def counted(nx, beta, v0, count):
+            blocks.append(v0)
+            return real(nx, beta, v0, count)
+
+        def unevaluated(t):
+            raise AssertionError("f was evaluated")
+
+        monkeypatch.setattr(core, "jain_weights", counted)
+        f = dataclasses.replace(get_function("e2"), fn=unevaluated)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"not finite at v=255, n=1e-170"):
+                eval_jain(OperatorParams(1e-170, 1, 0), f, 1e-150)
+        assert blocks == [0]
+
     def test_negative_x_rejected(self, cfg):
         p = OperatorParams(10, 1, 0.0)
         for fn in (eval_jain, eval_jain_baskakov, eval_king):
@@ -567,21 +591,39 @@ class TestIntegralTable:
 def test_each_weight_block_is_computed_once(monkeypatch):
     # the window [v_lo, mean + k spread) of the Poisson law with mean 3000
     # holds all of the series in one block, and the stopping rule needs
-    # nothing but the tail bounds, so no block is computed twice
-    blocks = []
+    # nothing but the tail bounds, so no block is computed twice; each
+    # block reads its bound mbound once, at its last index (the reads of
+    # the window before the series are dropped)
+    blocks, reads = [], []
     real = core.jain_weights
 
     def counted(nx, beta, v0, count):
         blocks.append((v0, count))
         return real(nx, beta, v0, count)
 
+    def reading(mag_at):
+        def read(*args):
+            reads.append(args[-1])
+            return mag_at(*args)
+
+        return read
+
+    real_window, real_jain_mag = ops._left_window, ops._jain_mag
+
+    def window(*args):
+        out = real_window(*args)
+        reads.clear()
+        return out
+
     monkeypatch.setattr(core, "jain_weights", counted)
+    monkeypatch.setattr(ops, "_left_window", window)
+    monkeypatch.setattr(ops, "_jain_mag", lambda f, n: reading(real_jain_mag(f, n)))
     got = ops.basis_mass(OperatorParams(1000.0, 1.0, 0.0), 3.0)
-    mag = ops._jain_mag(get_function("e0"), 1000.0)
-    v_lo, first, _ = ops._left_window(3000.0, 0.0, 0, EvalConfig().tail_eps, 1.0,
-                                      lambda v: float(mag(v, 1)[0]))
+    v_lo, first, _ = real_window(3000.0, 0.0, 0, EvalConfig().tail_eps, 1.0,
+                                 real_jain_mag(get_function("e0"), 1000.0))
     assert 2000 < v_lo < 3000 < v_lo + first < 4000
     assert blocks == [(v_lo, first)]
+    assert reads == [v_lo + first - 1]
     assert got == float.fromhex("0x1.fffffffffe702p-1")  # as in series_bitwise.json
     # a hybrid series reads the integral table once per block, here over
     # two blocks (beta = 0.9, x = 3: the window is wider than _BLOCK_MAX)
@@ -593,20 +635,22 @@ def test_each_weight_block_is_computed_once(monkeypatch):
         return real_get(table, v)
 
     monkeypatch.setattr(ops._IntegralTable, "get", get)
+    monkeypatch.setattr(ops._IntegralTable, "mag_at", reading(ops._IntegralTable.mag_at))
     blocks.clear()
     eval_jain_baskakov(OperatorParams(300.0, 1.0, 0.9), get_function("e2"), 3.0)
     assert len(blocks) == 2 and len(lookups) == 2
     assert all(isinstance(v, slice) for v in lookups)
+    assert reads == [v0 + count - 1 for v0, count in blocks]
 
 
-def _mask_provider(table, cfg, v0, w, mbound, gcf):
+def _mask_provider(table, cfg, v0, w, gcf):
     """The hybrid provider as a mask over the whole block, each kept v read
     by a slice of its own, its terms the product of the weights and the
     values zero-filled past the kept v: the reference for the one slice
     read.  The atom's error, 0, joins the quadrature-error sum only where v
     = 1 is kept too, as the provider then reads it with the run."""
     v_arr = np.arange(v0, v0 + len(w))
-    contrib_bound = w * mbound
+    contrib_bound = w * table.mag(v0, len(w))
     keep = (contrib_bound > cfg.tail_eps * ops._SKIP_FACTOR * gcf) | (v_arr == 0)
     vals = np.zeros_like(w)
     reads = [table.get(slice(v, v + 1)) for v in v_arr[keep].tolist()]
@@ -647,10 +691,10 @@ def test_hybrid_blocks_match_the_mask_reference(monkeypatch, cfg, window):
     real = ops._series_eval
 
     def series(params, basis_x, provider, *args, **kwargs):
-        def checked(v0, w, mbound, gcf):
-            got = provider(v0, w, mbound, gcf)
+        def checked(v0, w, gcf):
+            got = provider(v0, w, gcf)
             table = ops.DEFAULT_CACHE.table(p, f, cfg)
-            *want, keep = _mask_provider(table, cfg, v0, w, mbound, gcf)
+            *want, keep = _mask_provider(table, cfg, v0, w, gcf)
             np.testing.assert_array_equal(got[0], want[0])
             assert got[1:] == tuple(want[1:])
             kinds.add(_block_kind(v0, keep))
@@ -680,8 +724,8 @@ def test_interior_hole_is_summed(monkeypatch, cfg):
     outputs = []
 
     def series(params, basis_x, provider, *args, **kwargs):
-        def recording(v0, w, mbound, gcf):
-            terms, skipped, qerr = provider(v0, w, mbound, gcf)
+        def recording(v0, w, gcf):
+            terms, skipped, qerr = provider(v0, w, gcf)
             outputs.append((v0, terms.copy(), skipped, qerr))
             return terms, skipped, qerr
 
@@ -791,8 +835,7 @@ def _window(kind, p, f, x, tail_eps=EvalConfig().tail_eps):
         def mag_at(v):
             return float(kernels.magnitude_bound(p, f, np.array([v]))[0])
     else:
-        def mag_at(v):
-            return float(ops._jain_mag(f, p.n)(v, 1)[0])
+        mag_at = ops._jain_mag(f, p.n)
     gcf = ops._growth_correction(p, f, basis_x, hybrid)
     nx = p.n * basis_x
     v_lo, _, left_tail = ops._left_window(nx, p.beta, f.growth_degree, tail_eps, gcf, mag_at)
@@ -1211,8 +1254,8 @@ def _summed_blocks(monkeypatch, evaluate):
     real = ops._series_eval
 
     def series(params, basis_x, provider, *args, **kwargs):
-        def recording(v0, w, mbound, gcf):
-            out = provider(v0, w, mbound, gcf)
+        def recording(v0, w, gcf):
+            out = provider(v0, w, gcf)
             blocks.append(out[0].copy())
             return out
 
