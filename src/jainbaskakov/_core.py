@@ -42,8 +42,6 @@ def jain_log_weights(nx: float, beta: float, v0: int, count: int) -> np.ndarray:
     out += np.log(nx)
     out -= m
     out -= log_fact
-    if v0 == 0:
-        out[0] = -nx
     return out
 
 

@@ -165,8 +165,10 @@ def _kernel_expectation(params, v, fn, cfg, scale):
         lp = bm1 * log1p_s(-s) - lbeta
         if vm1:
             lp += vm1 * log_s(s)
-        t = s / (c * (1.0 - s))
-        return exp_s(lp) * float(fn(t))
+        density = exp_s(lp)
+        if density == 0.0:  # f need not be finite where the density underflows
+            return 0.0
+        return density * float(fn(s / (c * (1.0 - s))))
 
     pts = []
     if v + big > 2.0:

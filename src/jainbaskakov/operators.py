@@ -60,14 +60,11 @@ v <= 19, and r(20) > r(19) (past the mean 6), so it is tight there.  On
 that domain every ratio below v_lo is at least r(v_lo - 1), so
 w(u) <= w(v_lo) q^(v_lo-u) with q = 1/r(v_lo - 1); every mbound above does
 not decrease in v (E_0[t^d] = 0 at the atom), so the left tail is at most
-w(v_lo) mbound(v_lo) q/(1-q), rounded like the right one.  v_lo falls back
-to 0 where the domain condition fails, where q >= 1, or where this bound is
-not below the skip budget ``tail_eps * 2^-26 * gcf``.  v_lo starts at the
-Gaussian edge floor(mean - k spread); on a wide law, whose edge can be
-lifted by more terms than lifting costs, it starts at 1 where the edge is
-below 1 and rises by Newton steps on the log of this bound towards half the
-budget, each certified by the bound before v_lo moves.  The bound joins
-``est_tail_bound``.
+w(v_lo) mbound(v_lo) q/(1-q), rounded like the right one.  v_lo is the
+Gaussian edge floor(mean - k spread), certified by one read of this bound;
+it falls back to 0 where the edge is below 1, where the domain condition
+fails, where q >= 1, or where the bound is not below the skip budget
+``tail_eps * 2^-26 * gcf``.  The bound joins ``est_tail_bound``.
 :func:`basis_mass` is the Jain series of f = 1.
 
 ``rounding_est`` bounds the floating-point error of ``value`` given the
@@ -106,7 +103,7 @@ stored values are the same bits too.  The cache keeps at most CACHE_TABLES
 tables, dropping the least recently used.
 
 The series reads mbound as one float per block, at V, before the block's
-terms (and one per left bound of :func:`_left_window`); a block bound that
+terms (and one at the edge in :func:`_left_window`); a block bound that
 is not finite raises DomainError there, before f is evaluated.  The
 per-term bounds of a block are read only by the hybrid provider, as a view
 of its table, for the skip rule: it reads the table by one slice (views)
@@ -257,7 +254,7 @@ class KernelIntegralCache:
         self._tables: dict[tuple, _IntegralTable] = {}
 
     def table(self, params: OperatorParams, f: TestFunction, cfg: EvalConfig) -> _IntegralTable:
-        key = (params.n, params.c, cfg.quad_rel_tol, f.name, id(f))
+        key = (params.n, params.c, cfg.quad_rel_tol, id(f))
         tab = self._tables.pop(key, None)
         if tab is None:
             tab = _IntegralTable(params, f, cfg)
@@ -281,15 +278,6 @@ V_MAX = 10**6
 # mean + k spread: 256 to 8192 terms.
 _BLOCK_START = 256
 _BLOCK_MAX = 8192
-
-# A law is wide where (k - 1) spread, the most that lifting v_lo above the
-# Gaussian edge can save, exceeds this many terms; only there is v_lo lifted.
-# A lift step reads one left bound and one mbound, 4-11 us on a warm table
-# (Intel Xeon, 2 cores, numpy 2.4) against about 19 ns a summed term, and a
-# wide law takes 1 to 6 of them.  Every dense-grid, CLI-golden and sweep
-# evaluation is narrow, and starts at the edge with one bound read.
-_SEARCH_TERMS = 700
-
 
 def _ratio_sup(nx, beta, v, d):
     """An upper bound, rounded up, on the term ratio b(u+1)/b(u) over u >= v.
@@ -373,22 +361,21 @@ def _log_weight(nx, beta, v):
 
 
 def _left_bound(nx, beta, v_lo, d, mb_lo):
-    """(bound, log_r): a bound on sum_{u<v_lo} w(u) mbound(u), mbound(v_lo) =
-    ``mb_lo``, by the module docstring's left certificate, inf outside its
-    domain or past the mode; and the log r(v_lo - 1), rounded down, that it
-    reads (0 outside the domain)."""
+    """A bound on sum_{u<v_lo} w(u) mbound(u), mbound(v_lo) = ``mb_lo``, by
+    the module docstring's left certificate; inf outside its domain or past
+    the mode."""
     if not 3.0 * beta * beta * v_lo <= 2.0 * nx * (nx - beta) * (1.0 - 16.0 * _EPS):
-        return math.inf, 0.0
+        return math.inf
     # log r(v_lo - 1), rounded down: each of its three terms is within 4 eps
     # of its size, and (v_lo - 1) log1p(beta/m) < 1
     log_r, head = _log_ratio(nx, beta, v_lo - 1.0)
     log_r -= 16.0 * _EPS * (2.0 + abs(head))
     if not log_r > 0.0:
-        return math.inf, log_r
+        return math.inf
     q = math.nextafter(math.exp(-log_r), math.inf)
     log_w, log_nx, log_m, m, log_fact = _log_weight(nx, beta, v_lo)
     rounding = _log_weight_rounding(abs(log_nx), v_lo, abs(log_m), m, log_fact, d)
-    return _tail_bound(math.exp(log_w), mb_lo, q, rounding), log_r
+    return _tail_bound(math.exp(log_w), mb_lo, q, rounding)
 
 
 def _left_window(nx, beta, d, tail_eps, gcf, mag_at):
@@ -396,42 +383,20 @@ def _left_window(nx, beta, d, tail_eps, gcf, mag_at):
 
     Returns (v_lo, block, left_tail): the series sums from v_lo in blocks
     ``block`` long, and left_tail bounds sum_{u<v_lo} w(u) mbound(u),
-    mbound(v) = mag_at(v), by :func:`_left_bound`.  v_lo starts at the
-    Gaussian edge floor(mean - k spread), or at 1 on a wide law,
-    (k - 1) spread > ``_SEARCH_TERMS``, whose edge is below 1.  Where the
-    start's bound is not below the skip budget ``tail_eps * 2^-26 * gcf``,
-    v_lo = 0 and left_tail = 0.  On a wide law v_lo is then lifted by
-    Newton steps on log left_tail, whose slope is about log r(v_lo - 1),
-    towards half the budget; a step moves v_lo only where the bound there
-    is below the budget, and one that fails is halved.
+    mbound(v) = mag_at(v), by :func:`_left_bound`.  v_lo is the Gaussian
+    edge floor(mean - k spread); where the edge is below 1, or its bound is
+    not below the skip budget ``tail_eps * 2^-26 * gcf``, v_lo = 0 and
+    left_tail = 0.
     """
     mean = nx / (1.0 - beta)
     spread = math.sqrt(nx) / (1.0 - beta) ** 1.5
     budget = tail_eps * _SKIP_FACTOR * gcf
-    # in logs, as budget may underflow to 0 and mag be inf
-    log_budget = math.log(tail_eps) + math.log(_SKIP_FACTOR)
-    k = math.sqrt(-2.0 * log_budget)
+    # in logs, as budget may underflow to 0
+    k = math.sqrt(-2.0 * (math.log(tail_eps) + math.log(_SKIP_FACTOR)))
     v_lo = math.floor(mean - k * spread)
-    wide = (k - 1.0) * spread > _SEARCH_TERMS
-    if wide:
-        v_lo = max(v_lo, 1)
-    left_tail = math.inf
-    if v_lo > 0:
-        left_tail, log_r = _left_bound(nx, beta, v_lo, d, mag_at(v_lo))
+    left_tail = _left_bound(nx, beta, v_lo, d, mag_at(v_lo)) if v_lo > 0 else math.inf
     if not left_tail < budget:
         v_lo, left_tail = 0, 0.0
-    while wide and v_lo > 0:
-        # towards half the budget; V_MAX caps a step that overflows (gcf = inf)
-        step = (log_budget + math.log(gcf / 2.0) - math.log(left_tail)) / log_r
-        step = math.floor(min(step, V_MAX))
-        while step >= 1:
-            tail, log_r_up = _left_bound(nx, beta, v_lo + step, d, mag_at(v_lo + step))
-            if tail < budget:
-                break
-            step //= 2
-        if step < 1:
-            break
-        v_lo, left_tail, log_r = v_lo + step, tail, log_r_up
     block = min(max(math.ceil(mean + k * spread) - v_lo, _BLOCK_START), _BLOCK_MAX)
     return v_lo, block, left_tail
 

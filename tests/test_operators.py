@@ -351,7 +351,8 @@ class TestCacheAndLimits:
     def test_series_cap_reached_with_the_mean_below_it(self, cfg, monkeypatch):
         # nx = 600 at beta = 0.95 (mean 12,000) passes the mean check against
         # a cap of 20,000; its heavy right tail needs about 41,000 terms, so
-        # the series sums from the window's start up to the cap and raises
+        # the series sums from v = 0 (its Gaussian edge is below 1) up to the
+        # cap and raises
         monkeypatch.setattr(ops, "V_MAX", 20_000)
         blocks = []
         real = core.jain_weights
@@ -364,9 +365,8 @@ class TestCacheAndLimits:
         p, f = OperatorParams(300, 1, 0.95), get_function("e1")
         with pytest.raises(ConvergenceError, match="within v <= 20000"):
             eval_jain(p, f, 2.0, cfg)
-        v_lo = _window(OperatorKind.JAIN, p, f, 2.0)[1]
-        assert v_lo > 0
-        assert blocks == [v_lo, v_lo + 8192, v_lo + 16384]
+        assert _window(OperatorKind.JAIN, p, f, 2.0)[1] == 0
+        assert blocks == [0, 8192, 16384]
         assert blocks[-1] < 20_000 <= blocks[-1] + 8192
 
     @pytest.mark.parametrize("kind, n, beta, x", [
@@ -626,7 +626,7 @@ def test_each_weight_block_is_computed_once(monkeypatch):
     assert reads == [v_lo + first - 1]
     assert got == float.fromhex("0x1.fffffffffe702p-1")  # as in series_bitwise.json
     # a hybrid series reads the integral table once per block, here over
-    # two blocks (beta = 0.9, x = 3: the window is wider than _BLOCK_MAX)
+    # three blocks (beta = 0.9, x = 3: the window is wider than _BLOCK_MAX)
     lookups = []
     real_get = ops._IntegralTable.get
 
@@ -638,7 +638,7 @@ def test_each_weight_block_is_computed_once(monkeypatch):
     monkeypatch.setattr(ops._IntegralTable, "mag_at", reading(ops._IntegralTable.mag_at))
     blocks.clear()
     eval_jain_baskakov(OperatorParams(300.0, 1.0, 0.9), get_function("e2"), 3.0)
-    assert len(blocks) == 2 and len(lookups) == 2
+    assert len(blocks) == 3 and len(lookups) == 3
     assert all(isinstance(v, slice) for v in lookups)
     assert reads == [v0 + count - 1 for v0, count in blocks]
 
@@ -760,21 +760,20 @@ def _former_rounding(nx, beta, v_first, v_last, d):
 
 def _former_left_bound(nx, beta, v_lo, d, mb_lo):
     """The left certificate composed of parts that each take their own
-    logs, and the log r(v_lo - 1) it reads: the reference for the shared
-    ones in ops._left_bound."""
+    logs: the reference for the shared ones in ops._left_bound."""
     if not 3.0 * beta * beta * v_lo <= 2.0 * nx * (nx - beta) * (1.0 - 16.0 * ops._EPS):
-        return math.inf, 0.0
+        return math.inf
     log_r, head = ops._log_ratio(nx, beta, v_lo - 1.0)
     log_r -= 16.0 * ops._EPS * (2.0 + abs(head))
     if not log_r > 0.0:
-        return math.inf, log_r
+        return math.inf
     q = math.nextafter(math.exp(-log_r), math.inf)
     m = nx + v_lo * beta
     w = math.exp(math.log(nx) + (v_lo - 1.0) * math.log(m) - m - math.lgamma(v_lo + 1.0))
     if q >= 1.0:
-        return math.inf, log_r
+        return math.inf
     scale = mb_lo * math.exp(_former_rounding(nx, beta, v_lo, v_lo, d)) * q / (1.0 - q)
-    return math.nextafter((w + 2.0**-1074) * scale, math.inf), log_r
+    return math.nextafter((w + 2.0**-1074) * scale, math.inf)
 
 
 # The certificates of the v-series (operators module docstring): the weight
@@ -997,11 +996,19 @@ class TestTailCertificate:
 
     def test_left_bound_covers_the_exact_majorant(self):
         # w(v_lo) mbound(v_lo) / (r(v_lo - 1) - 1) from 40-digit weights,
-        # against the bound the series adds
-        x_cases = (1.0,) + _JAIN_XS  # nx 300 to 5000
-        cases = [(OperatorKind.JAIN, beta, x) for beta in _JAIN_BETAS for x in x_cases]
-        cases += [(kind, beta, x) for kind in (OperatorKind.JAIN_BASKAKOV, OperatorKind.KING)
-                  for beta in (0.0, 0.1, 0.5, 0.8, 0.95) for x in x_cases]
+        # against the bound the series adds.  Past x = 1..16.7 (nx 300 to
+        # 5000; at beta >= 0.8 some edges lie below 1), basis points nx of
+        # 3000 to 27,000, whose edges are certified at every beta (means
+        # below V_MAX)
+        laws = [(OperatorKind.JAIN, beta) for beta in _JAIN_BETAS]
+        laws += [(kind, beta) for kind in (OperatorKind.JAIN_BASKAKOV, OperatorKind.KING)
+                 for beta in (0.0, 0.1, 0.5, 0.8, 0.95)]
+        cases = []
+        for kind, beta in laws:
+            # the x whose basis point is nx / n (King's r_n(x) = (n - 2)(1 - beta)x/n)
+            scale = _JAIN_N if kind is not OperatorKind.KING else (_JAIN_N - 2.0) * (1.0 - beta)
+            cases += [(kind, beta, x) for x in (1.0,) + _JAIN_XS]
+            cases += [(kind, beta, nx / scale) for nx in np.geomspace(3000.0, 27000.0, 8)]
         windowed = 0
         for kind, beta, x in cases:
             p = OperatorParams(_JAIN_N, 1.0, beta)
@@ -1024,15 +1031,18 @@ class TestTailCertificate:
     def test_left_bounds_refuse_outside_the_certificate(self):
         # past the mode q = 1/r(v_lo - 1) >= 1, and past the domain r need
         # not fall: no bound, so the window falls back to v = 0
-        assert ops._left_bound(600.0, 0.5, 1300, 0, 1.0)[0] == math.inf
-        assert ops._left_bound(3.0, 0.5, 20, 0, 1.0) == (math.inf, 0.0)
-        bound, log_r = ops._left_bound(3.0, 0.5, 2, 0, 1.0)
-        assert bound < math.inf and 0.0 < log_r < ops._log_ratio(3.0, 0.5, 1.0)[0]
+        assert ops._left_bound(600.0, 0.5, 1300, 0, 1.0) == math.inf
+        assert ops._left_bound(3.0, 0.5, 20, 0, 1.0) == math.inf
+        # inside both, log r(v_lo - 1) is rounded down: the bound covers the
+        # 40-digit majorant
+        bound = ops._left_bound(3.0, 0.5, 2, 0, 1.0)
+        with mpmath.workdps(40):
+            assert math.inf > bound >= _mp_weight(3.0, 0.5, 2) / (_mp_ratio(3.0, 0.5, 1) - 1)
 
     def test_shared_logs_match_the_former_compositions(self):
         # _left_bound and a block's two roundings take log nx, log m and
         # log V! once; they give the bits of the compositions that took
-        # them apart for each use, and _left_bound the log r it read
+        # them apart for each use
         rng = random.Random(3)
         finite = 0
         for _ in range(3000):
@@ -1044,8 +1054,8 @@ class TestTailCertificate:
             mb = 10.0 ** rng.uniform(-3, 3)
             got = ops._left_bound(nx, beta, v_lo, d, mb)
             want = _former_left_bound(nx, beta, v_lo, d, mb)
-            assert list(map(float.hex, got)) == list(map(float.hex, want))
-            finite += got[0] < math.inf
+            assert float.hex(got) == float.hex(want)
+            finite += got < math.inf
             v0 = rng.randint(0, 3 * math.ceil(mean) + 10)
             big_v = v0 + rng.choice([0, 255, 511, 8191])
             want = (_former_rounding(nx, beta, v0, big_v, d),
@@ -1055,43 +1065,28 @@ class TestTailCertificate:
         assert finite > 1000
 
     def test_left_edge_covers_the_exact_majorant(self):
-        # a narrow law starts at the Gaussian edge floor(mean - k spread), a
-        # wide one, (k - 1) spread > _SEARCH_TERMS, at or above it (at 1 or
-        # above where the edge is below 1), certified by the same bound:
-        # wherever v_lo > 0, the bound covers the 40-digit majorant, and
-        # otherwise the window starts at 0
+        # every law starts at the Gaussian edge floor(mean - k spread),
+        # certified by its bound: wherever v_lo > 0 it is the edge and the
+        # bound covers the 40-digit majorant, and otherwise the window
+        # starts at 0
         rng = random.Random(17)
         names = ("e0", "e1", "e2", "e3", "e4", "exp-neg", "sin")
-        # Jain e4 at (300, 1, 0.95), x = 2: a wide law whose edge is below 1
-        fixed = [(OperatorKind.JAIN, get_function("e4"), 0.95, 600.0, EvalConfig().tail_eps,
-                  OperatorParams(300.0, 1.0, 0.95))]
-        cases = edges = certified = wide = lifted = 0
-        while cases < 400:
-            if fixed:
-                kind, f, beta, nx, tail_eps, p = fixed.pop()
-            else:
-                kind, f = rng.choice(list(OperatorKind)), get_function(rng.choice(names))
-                beta, nx = rng.uniform(0.0, 0.95), 10.0 ** rng.uniform(0.0, 5.0)
-                tail_eps = rng.choice((1e-6, 1e-12, 1e-15))
-                p = OperatorParams(rng.uniform(3.0 * f.growth_degree + 8.0, 1000.0), 1.0, beta)
-            spread = math.sqrt(nx) / (1.0 - beta) ** 1.5
+        edges = certified = 0
+        for _ in range(400):
+            kind, f = rng.choice(list(OperatorKind)), get_function(rng.choice(names))
+            beta, nx = rng.uniform(0.0, 0.95), 10.0 ** rng.uniform(0.0, 5.0)
+            tail_eps = rng.choice((1e-6, 1e-12, 1e-15))
+            p = OperatorParams(rng.uniform(3.0 * f.growth_degree + 8.0, 1000.0), 1.0, beta)
             k = math.sqrt(-2.0 * (math.log(tail_eps) + math.log(ops._SKIP_FACTOR)))
-            is_wide = (k - 1.0) * spread > ops._SEARCH_TERMS
-            cases += 1
             x = nx / p.n if kind is not OperatorKind.KING else nx / ((p.n - 2.0) * (1.0 - beta))
             nx, v_lo, left_tail = _window(kind, p, f, x, tail_eps)
             edge = math.floor(nx / (1.0 - beta) - k * math.sqrt(nx) / (1.0 - beta) ** 1.5)
-            edges += edge >= 1 or is_wide
+            edges += edge >= 1
             if v_lo == 0:
                 assert left_tail == 0.0
                 continue
             certified += 1
-            if is_wide:
-                wide += 1
-                assert v_lo >= max(edge, 1), (kind, p, f.name, x, tail_eps)
-                lifted += v_lo > max(edge, 1)
-            else:
-                assert v_lo == edge, (kind, p, f.name, x, tail_eps)
+            assert v_lo == edge, (kind, p, f.name, x, tail_eps)
             if kind is OperatorKind.JAIN:
                 mb = _jain_mbound(f, p.n)(np.array([float(v_lo)]))[0]
             else:
@@ -1099,58 +1094,57 @@ class TestTailCertificate:
             with mpmath.workdps(40):
                 mass = _mp_weight(nx, beta, v_lo) / (_mp_ratio(nx, beta, v_lo - 1) - 1)
                 assert left_tail >= mass * mpmath.mpf(float(mb)), (kind, p, f.name, x, tail_eps)
-        print(f"v_lo certified in {certified} of {edges} cases where the edge is >= 1 or the"
-              f" law wide ({cases} cases; {lifted} of {wide} wide ones lifted)")
-        assert certified >= 0.9 * edges > 0 and lifted >= 0.9 * wide > 0
+        print(f"v_lo certified in {certified} of {edges} cases where the edge is >= 1")
+        assert certified >= 0.9 * edges > 0
 
-    def test_left_window_lifts_only_wide_laws(self, monkeypatch):
-        # a narrow law, (k - 1) spread <= _SEARCH_TERMS, reads one left
-        # bound, at its edge; a wide one is lifted by certified steps and
-        # ends at or above its edge, with its bound below the skip budget
+    def test_left_window_starts_at_the_certified_edge(self, monkeypatch):
+        # one rule for every law: v_lo is the Gaussian edge floor(mean -
+        # k spread), read by one left bound, wherever the edge is >= 1 and
+        # that bound is below the skip budget, and 0 with a left tail of 0
+        # elsewhere
         calls = []
         real = ops._left_bound
         monkeypatch.setattr(ops, "_left_bound", lambda *args: calls.append(args) or real(*args))
-        for tail_eps in (1e-6, 1e-12, 1e-15):
+        rng = random.Random(24)
+        outcomes = set()
+        for _ in range(2000):
+            nx, beta = 10.0 ** rng.uniform(-1.0, 5.5), rng.uniform(0.0, 0.95)
+            tail_eps = rng.choice((1e-6, 1e-12, 1e-15))
+            d, gcf = rng.randint(0, 4), 10.0 ** rng.uniform(0.0, 8.0)
+            mb = 10.0 ** rng.uniform(-3.0, 3.0)
             k = math.sqrt(-2.0 * (math.log(tail_eps) + math.log(ops._SKIP_FACTOR)))
-            for beta in (0.0, 0.3, 0.6):
-                for ratio in (0.5, 0.99, 1.01, 2.0):
-                    spread = ratio * ops._SEARCH_TERMS / (k - 1.0)
-                    nx = (spread * (1.0 - beta) ** 1.5) ** 2
-                    edge = math.floor(nx / (1.0 - beta) - k * spread)
-                    calls.clear()
-                    v_lo, _, left_tail = ops._left_window(nx, beta, 0, tail_eps, 1.0,
-                                                          lambda v: 1.0)
-                    case = (tail_eps, beta, ratio)
-                    if ratio < 1.0:
-                        assert [c[2] for c in calls] == [edge] * (edge >= 1), case
-                        assert v_lo == max(edge, 0), case
-                    else:
-                        assert calls[0][2] == max(edge, 1) <= v_lo, case
-                    assert (v_lo > 0) == (0.0 < left_tail < tail_eps * ops._SKIP_FACTOR), case
-        # the grid parameters take the edge; Jain at beta = 0.5, nx = 2700 lifts it
+            edge = math.floor(nx / (1.0 - beta) - k * math.sqrt(nx) / (1.0 - beta) ** 1.5)
+            calls.clear()
+            v_lo, _, left_tail = ops._left_window(nx, beta, d, tail_eps, gcf, lambda v: mb)
+            bound = real(nx, beta, edge, d, mb) if edge >= 1 else math.inf
+            passes = bound < tail_eps * ops._SKIP_FACTOR * gcf
+            case = (nx, beta, tail_eps, d, gcf, mb)
+            assert [c[2] for c in calls] == [edge] * (edge >= 1), case
+            assert (v_lo, left_tail) == ((edge, bound) if passes else (0, 0.0)), case
+            outcomes.add((edge >= 1, passes))
+        assert outcomes == {(False, False), (True, False), (True, True)}
+        # an evaluation reads one left bound: the grid parameters, and Jain
+        # e4 at beta = 0.5, nx = 2700, at its edge
         calls.clear()
         eval_jain_baskakov(OperatorParams(300.0, 1.0, 0.1), get_function("e2"), 1.7)
         eval_king(OperatorParams(300.0, 1.0, 0.1), get_function("exp-neg"), 2.95)
-        assert len(calls) == 2
-        calls.clear()
         eval_jain(OperatorParams(300.0, 1.0, 0.5), get_function("e4"), 9.0)
         edge = math.floor(2700.0 / 0.5 - math.sqrt(-2.0 * math.log(1e-12 * ops._SKIP_FACTOR))
                           * math.sqrt(2700.0) / 0.5**1.5)
-        assert calls[0][2] == edge < calls[-1][2] and len(calls) > 1
+        assert len(calls) == 3 and calls[-1][2] == edge
 
     @pytest.mark.parametrize("kind", list(OperatorKind))
     def test_left_search_with_zero_bounds(self, kind):
-        # f = 0 with zero bounds on a wide law: nothing lies below to bound,
-        # and the bound is the least subnormal it adds for rounding wherever
-        # the window starts
+        # f = 0 with zero bounds on a law whose edge is certified: nothing
+        # lies below to bound, and the bound is the least subnormal it adds
+        # for rounding
         zero = TestFunction("zero", fn=lambda t: 0.0 * np.asarray(t, dtype=float),
                             m_bound=0.0, bounded=True, sup_bound=0.0)
-        p = OperatorParams(300.0, 1.0, 0.9)
+        p = OperatorParams(300.0, 1.0, 0.1)
         nx, v_lo, left_tail = _window(kind, p, zero, 3.0)
         k = math.sqrt(-2.0 * math.log(EvalConfig().tail_eps * ops._SKIP_FACTOR))
-        spread = math.sqrt(nx) / 0.1**1.5
-        assert (k - 1.0) * spread > ops._SEARCH_TERMS
-        assert v_lo >= max(1, math.floor(nx / 0.1 - k * spread)) and left_tail == 2.0**-1074
+        assert v_lo == math.floor(nx / 0.9 - k * math.sqrt(nx) / 0.9**1.5) > 0
+        assert left_tail == 2.0**-1074
         res = ops.eval_operator(kind, p, zero, 3.0)
         assert res.value == 0.0 and res.est_tail_bound < 1e-300
 
@@ -1302,7 +1296,7 @@ class TestRoundingBound:
         terms = np.concatenate(blocks)
         assert len(terms) == res.v_terms_used
         if kind is OperatorKind.JAIN:
-            assert [len(b) for b in blocks] == [ops._BLOCK_MAX] * 13
+            assert [len(b) for b in blocks] == [ops._BLOCK_MAX] * 15
         if name == "sin":
             assert terms.min() < 0.0 < terms.max()
         assert abs(res.value - math.fsum(terms.tolist())) <= res.rounding_est

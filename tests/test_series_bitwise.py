@@ -1,188 +1,28 @@
 """Bit-for-bit regression of the v-series engine.
 
 ``tests/golden/series_bitwise.json`` holds ``float.hex`` of every result
-field for hybrid, King and Jain evaluations and for the adaptive basis mass.
-The Jain and basis-mass rows were recorded with the scalar (per-v) series
-code that the array-backed one replaced; the hybrid and King rows were
-re-recorded when the integral tables moved to the Gauss-Legendre rule, which
-moved their values in the last digits.  All rows were re-recorded when the
-series began to stop on a certified geometric tail bound: the two Jain rows
-at beta = 0.95, which had been summed until the weights underflow, now stop
-at 40,704 and 155,392 terms instead of 589,568 and 761,600, and moved by
-less than their new ``est_tail_bound``; elsewhere only ``est_tail_bound``
-moved.  A truncated sum can land farther from the exact value than one run
-to underflow: at x = 2 the new value is 3.5e-5 from the 40-digit closed
-form, the old one 1.6e-5 (both within the bound of 5.2e-5).
-
-The evaluation rows were re-recorded again when the series began to sum
-over a certified window [v_lo, ...) instead of from v = 0: ``v_terms_used``
-now counts the terms summed, and ``est_tail_bound`` holds the left bound
-too.  The basis-mass rows and the rows at x = 0 and 0.013 (v_lo = 0, one
-block of 256) did not change.  The values that moved, against the previous
-recording (parent) and the 40-digit value (exact: the closed-form moment,
-or for exp-neg the series of Tricomi-U kernel expectations), with the new
-``est_tail_bound + quad_error_est`` (bound):
-
-    row                      |new - parent|  |new - exact|  |parent - exact|  bound
-    jain-baskakov e2 1.7         3.4e-12        6.6e-13        2.7e-12       1.1e-13
-    jain-baskakov e2 2.95        1.8e-15        4.3e-12        4.3e-12       3.5e-13
-    jain-baskakov exp-neg 1.7    3.8e-14        2.8e-14        1.0e-14       4.6e-15
-    king e2 2.95                 1.8e-15        1.5e-12        1.5e-12       2.8e-13
-    king exp-neg 0.5             1.1e-16        3.5e-14        3.5e-14       1.9e-14
-    jain e4 beta 0.95 x 2        4.8e-5         1.3e-5         3.5e-5        2.7e-6
-    jain e4 beta 0.95 x 16.7     0.10           0.69           0.79          0.15
-
-The two moves larger than their new bound (jain-baskakov at x = 1.7, jain
-at x = 2) are within the parent's own bound (4.1e-12, 5.2e-5), which was
-larger because the parent stopped on a wider tail.  The distance to the
-exact value beyond the bound is the log-space rounding of the weights,
-about eps nx log(nx) |value|, which no reported bound holds (CHANGES.md).
-All rows were re-recorded when each block's value moved from an exactly
-rounded ``math.fsum`` to numpy's pairwise ``np.sum`` and the results gained
-``rounding_est``, the certified bound on the rounding of the weights and of
-the sums.  ``v_terms_used`` and ``est_tail_bound`` did not change; the
-hybrid and King ``quad_error_est`` moved in its last bits away from x = 0
-(its sum is now rounded up).  The values that moved, against the previous recording
-(parent) and, where a closed form exists, the 40-digit value (exact), with
-the new ``rounding_est`` and the new ``est_tail_bound + quad_error_est +
-rounding_est`` (bound):
-
-    row                      |new - parent|  rounding_est  |new - exact|  |parent - exact|  bound
-    jain-baskakov e2 0.5         5.6e-17        2.0e-12        1.8e-14        1.8e-14       2.0e-12
-    jain-baskakov exp-neg 0.013  1.1e-16        4.1e-12
-    king e2 1.7                  4.4e-16        5.3e-11        4.3e-13        4.3e-13       5.3e-11
-    king exp-neg 2.95            6.9e-18        1.7e-12
-    jain e4 beta 0.95 x 16.7     3.8e-6         57             0.69           0.69          57
-    jain e4 beta 0.95 x 2        4.7e-10        2.1e-3         1.3e-5         1.3e-5        2.1e-3
-    basis mass (1000, 0, 3)      2 ulp                                   (0x1.fffffffffe704p-1)
-
-Every move lies within the new ``rounding_est``, and the distance to the
-exact value did not change at two digits.
-
-The evaluation rows were re-recorded when the rounding of a block sum of
-count terms became gamma_(count+2), which holds for any summation order,
-in place of a bound on the depth of numpy's pairwise scheme.  ``value``,
-``v_terms_used``, ``est_tail_bound`` and the basis-mass rows did not
-change.  ``rounding_est`` rose in 19 of the 23 rows, by 0.02 % (jain e4
-at x = 16.7) to 0.62 % (the hybrid and King rows at x = 0.013), and
-``quad_error_est`` in the 16 hybrid and King rows away from x = 0, by
-5e-15 to 1.4e-13 relative (its 1 + 2 gamma scaling).
-
-One row was re-recorded when the series began to stop on one rule, its
-certified tail against ``tail_eps * gcf``, in place of the tail against
-``tail_eps * (1 + |value|) * gcf`` together with a basis-mass rule.  Only
-jain e4 at beta = 0.95, x = 5000/300 moved, for which gcf is about the
-value, so the old threshold was about tail_eps value^2:
-
-    row                      v_terms_used     est_tail_bound  |new - exact|  |parent - exact|  rounding_est
-    jain e4 beta 0.95 x 16.7 98,304 -> 106,496  0.15 -> 3.1e-4     0.83           0.69             57
-
-The truncation tail shrank; the distance to the exact value grew within
-``rounding_est``, which the log-space rounding of the weights dominates.
-Every other row, and every basis-mass row, kept its bits.
-
-Fourteen rows were added, with the code unchanged, before the warm scalar
-path began to read the integral table by slices: the hybrid and King
-operators at beta = 0.9, x = 3 (windows wider than one block), at n = 16,
-x = 0.02 with e4 (the atom kept beside a skipped tail), and at the grid
-parameters with tail_eps 1e-6 and 1e-15.
-
-Twenty rows and two basis-mass rows were re-recorded when a v-series on a
-narrow law (one whose search for the window's start could lift it by no
-more than the search costs) began to start at the certified Gaussian edge
-floor(mean - k spread) in place of that search: the hybrid and King rows
-at n = 300, beta = 0.1, x = 0.5, 1.7 and 2.95, and at x = 1.7 with
-tail_eps 1e-6 and 1e-15.  Each sums 4 to 32 more terms, and its
-``est_tail_bound`` and ``rounding_est`` moved with the window.  The rows at
-x = 0 and 0.013 and at n = 16 (v_lo = 0), and all wide-law rows (jain,
-beta = 0.9, basis mass at beta = 0.95) kept their bits.  The values that
-moved, against the previous recording (parent) and, for e2, the 40-digit
-closed form (exact), with the new ``rounding_est`` and ``est_tail_bound +
-quad_error_est + rounding_est`` (bound):
-
-    row                          |new - parent|  |new - exact|  |parent - exact|  rounding_est  bound
-    jain-baskakov e2 0.5             5.6e-17        1.78e-14       1.78e-14        2.0e-12     2.0e-12
-    jain-baskakov e2 1.7             4.4e-16        6.63e-13       6.62e-13        7.4e-11     7.4e-11
-    jain-baskakov exp-neg 1.7        2.8e-17                                       3.1e-12     3.1e-12
-    king e2 1.7                      4.4e-16        4.34e-13       4.34e-13        5.3e-11     5.3e-11
-    king e2 2.95                     1.8e-15        1.53e-12       1.54e-12        2.7e-10     2.7e-10
-    king exp-neg 0.5                 1.1e-16                                       3.4e-12     3.4e-12
-    king exp-neg 1.7                 2.8e-17                                       3.3e-12     3.3e-12
-    jain-baskakov e2 1.7 (1e-6)      4.4e-16        2.51e-13       2.51e-13        7.0e-11     7.0e-11
-    king e2 1.7 (1e-6)               4.4e-16        7.92e-13       7.91e-13        5.0e-11     5.0e-11
-    king e2 1.7 (1e-15)              4.4e-16        4.34e-13       4.34e-13        5.4e-11     5.4e-11
-    jain-baskakov exp-neg 1.7 (1e-15) 2.8e-17                                      3.1e-12     3.1e-12
-    basis mass (50, 0.3, 1)          1 ulp, towards 1                          (0x1.fffffffffff6ep-1)
-    basis mass (1000, 0, 3)          2 ulp, away from 1                        (0x1.fffffffffe702p-1)
-
-The other nine moved rows kept their value.  Every move lies within the
-new ``rounding_est``, and the distance to the exact value did not change at
-two digits: these are moves of the rounding of the sums, five of them
-farther from the exact value and two closer.
-
-Six rows were re-recorded when every block of a series became as long as
-its first, in place of doubling, and the search for the window's start
-began to target its certified left condition, with mbound at the search's
-upper end, in place of max(gcf, mbound) there.  The King rows at
-beta = 0.9, x = 3 now sum two blocks as long as the first (7,436 and 7,438
-terms in place of 11,157), King e2 from v_lo = 34 in place of 33; the
-search lifted v_lo of jain-baskakov e2 at beta = 0.9, x = 3 (3,324 to
-3,333) and of the three Jain rows (55,499 to 55,604 at x = 16.7, 2,348 to
-2,388 at x = 2 and 4,144 to 4,145 at beta = 0.5), which sum as many terms
-as before but for one fewer at beta = 0.5.  The values that moved, against
-the previous recording (parent) and the 40-digit closed form (exact), with
-the new ``est_tail_bound + quad_error_est + rounding_est`` (bound), which
-``rounding_est`` dominates:
-
-    row                            |new - parent|  |new - exact|  |parent - exact|  bound
-    jain-baskakov e2 beta 0.9 x 3      5.7e-13        7.79e-10        7.79e-10     3.77e-7
-    king e2 beta 0.9 x 3               3.2e-13        1.21e-12        1.53e-12     1.16e-9
-    jain e4 beta 0.95 x 16.7           1.7e-5         0.835           0.835        57.3
-    jain e4 beta 0.95 x 2              1.2e-7         1.35e-5         1.33e-5      2.09e-3
-
-King exp-neg at beta = 0.9, x = 3 and Jain e4 at beta = 0.5, x = 9 kept
-their value; their ``v_terms_used``, ``est_tail_bound`` and
-``rounding_est`` moved.  Every move lies within the new bound, and every
-basis-mass row kept its bits.
-
-Six rows were re-recorded when the window's start on a wide law became
-the certified Gaussian edge (or v = 1 where the edge is below 1) lifted by
-certified Newton steps towards half the skip budget, in place of a
-separate search.  v_lo rose on every wide-law row: jain-baskakov e2 3,333
-to 3,400 and exp-neg 3,324 to 3,325 at beta = 0.9, x = 3; King e2 34 to 37
-there, now over two blocks of 3,715 (7,430 terms in place of 7,436); Jain
-e4 55,604 to 56,387 at x = 16.7, 2,388 to 2,631 at x = 2 and 4,145 to
-4,158 at beta = 0.5, x = 9 (2,647 terms in place of 2,660).  The values
-that moved, against the previous recording (parent) and the 40-digit
-closed form (exact), with the new ``est_tail_bound + quad_error_est +
-rounding_est`` (bound), which ``rounding_est`` dominates:
-
-    row                            |new - parent|  |new - exact|  |parent - exact|  bound
-    jain-baskakov e2 beta 0.9 x 3      2.5e-12        7.76e-10        7.79e-10     3.79e-7
-    king e2 beta 0.9 x 3               5.3e-15        1.20e-12        1.21e-12     1.16e-9
-    jain e4 beta 0.95 x 16.7           1.3e-4         0.835           0.835        57.3
-    jain e4 beta 0.95 x 2              6.2e-7         1.41e-5         1.35e-5      2.09e-3
-
-jain-baskakov exp-neg at beta = 0.9, x = 3 and Jain e4 at beta = 0.5,
-x = 9 kept their value; their ``est_tail_bound`` and ``rounding_est``
-moved.  ``est_tail_bound`` fell on every moved row but King e2
-(3.28e-13 to 3.33e-13, the larger left bound of the higher v_lo).  Every
-move lies within the new bound, every narrow-law row (n = 300,
-beta = 0.1, and n = 16) and every basis-mass row kept its bits.
-
-Any change to summation order, stopping rule, quadrature or cache layout
-that moves a single bit fails here.  The golden file records the numpy and
-scipy versions it was made with, and numpy's SIMD dispatch targets active on
-the CPU (the rows hold the bits of numpy's ``exp``, ``log`` and power, which
-take a path by them), and a failing comparison names them next to the
-running ones.
+field (value, v_terms_used, est_tail_bound, quad_error_est, rounding_est)
+for hybrid, King and Jain evaluations and for the adaptive basis mass: the
+grid parameters (300, 1, 0.1) at five points, windows wider than one block
+(beta = 0.9, x = 3), the atom kept beside a skipped tail (n = 16), the grid
+point x = 1.7 at a loose and a tight tail_eps, and the heavy Jain e4 laws
+at beta = 0.5 and 0.95.  Any change to summation order, window, stopping
+rule, quadrature or cache layout that moves a single bit fails here.  The
+golden file records the numpy and scipy versions it was made with, and
+numpy's SIMD dispatch targets active on the CPU (the rows hold the bits of
+numpy's ``exp``, ``log`` and power, which take a path by them), and a
+failing comparison names them next to the running ones.
 
 Re-record only when a change is meant to move results:
 
     PYTHONPATH=src python tests/test_series_bitwise.py --record
 
 It prints, for each row that moved, the fields that moved and
-|new - parent| of the value next to the new ``rounding_est``.
+|new - parent| of the value next to the new ``rounding_est``.  A re-record
+holds only where every moved value lies within its new
+``est_tail_bound + quad_error_est + rounding_est`` of the value before, and
+CHANGES.md lists each moved row with that distance (and, where a closed
+form exists, its distance to the 40-digit value).
 """
 
 import json
@@ -313,8 +153,8 @@ def test_record_reports_the_moved_rows(golden):
 
 
 def _label(row) -> str:
-    """A row's operator, function, parameters and point, as the tables above
-    name them."""
+    """A row's operator, function, parameters and point, as a re-record
+    lists them."""
     if "mass" in row:
         return f"basis mass ({row['n']:g}, {row['beta']:g}, {float.fromhex(row['x']):g})"
     eps = f" ({row['tail_eps']:g})" if "tail_eps" in row else ""
