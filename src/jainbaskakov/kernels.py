@@ -14,16 +14,20 @@ Two building blocks drive every operator here:
 Under s = ct/(1+ct) the kernel measure becomes c/(n-c) times a
 Beta(v, n/c-1) law on (0, 1), so kernel integrals are computed as Beta
 expectations E_v[f].  :func:`kernel_expectations` computes a whole array
-of v at once by an embedded Gauss-Legendre pair in u = log(s/(1-s)),
-with an error estimate from the pair, a truncation bound from the
-concavity of the log density and a rounding bound; a v whose estimate
-misses the tolerance falls back to adaptive Gauss-Kronrod quadrature
-(QUADPACK) on the unit interval, :func:`_kernel_expectation`, the only
-caller of ``quad``.  The monomial integrals have the exact product form
+of v at once by an embedded Gauss-Legendre pair: in s itself for v = 1..4,
+in u = log(s/(1-s)) for larger v, each with an error estimate from the
+pair, a truncation bound from the concavity of the log density and a
+rounding bound.  A v whose estimate misses the tolerance falls back to
+adaptive Gauss-Kronrod quadrature (QUADPACK) on the unit interval,
+:func:`_kernel_expectation`, the only caller of ``quad``; scipy is
+imported there, on the first fallback, so a process whose integrals all
+pass a rule never loads it.  The monomial integrals have the exact
+product form
 
     int t^j p(t) dt = c * v(v+1)...(v+j-1) / ((n-c)(n-2c)...(n-(j+1)c))
 
-valid for n > (j+1)c.  All Gamma factors are taken through log-gamma.
+valid for n > (j+1)c.  All Gamma factors are taken through log-gamma
+(:func:`_core.lgam`, gammaln's algorithm).
 """
 
 from __future__ import annotations
@@ -32,8 +36,6 @@ import functools
 import math
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import betaln, expit, gammaln
 
 from . import _core
 from .errors import ConvergenceError, DomainError, IntegrabilityError
@@ -77,7 +79,7 @@ def baskakov_kernel_log(params: OperatorParams, v: int, t: float) -> float:
     if nc == math.inf:
         raise DomainError(f"baskakov_kernel_log({v}, {t}) overflows at n={n}, c={c}, "
                           f"beta={params.beta}")
-    lg = gammaln(nc + v - 1) - gammaln(v) - gammaln(nc)
+    lg = _core.lgam(nc + v - 1) - _core.lgam(v) - _core.lgam(nc)
     ct = c * t
     log_ct = math.log(ct) if 2.0**-1022 <= ct < math.inf else math.log(c) + math.log(t)
     # past the float range log1p(ct) = log(ct) + log1p(1/ct) is log(ct)
@@ -136,6 +138,15 @@ def magnitude_bound(params: OperatorParams, f, v) -> np.ndarray:
     return f.m_bound * (1.0 + expectation_moments(params, v, f.growth_degree))
 
 
+def quad(*args, **kwargs):
+    """scipy.integrate.quad, imported on the first call: QUADPACK serves
+    only the fallback :func:`_kernel_expectation`, so a process whose kernel
+    integrals all pass a rule never loads scipy."""
+    from scipy.integrate import quad as quadpack
+
+    return quadpack(*args, **kwargs)
+
+
 def _kernel_expectation(params, v, fn, cfg, scale):
     """E[f(t(S))] with S ~ Beta(v, n/c - 1), by adaptive quadrature.
 
@@ -146,6 +157,8 @@ def _kernel_expectation(params, v, fn, cfg, scale):
     them up or having detected roundoff first, raises ConvergenceError.
     Returns (value, error_estimate).
     """
+    from scipy.special import betaln
+
     n, c = params.n, params.c
     big = n / c - 1.0  # second Beta parameter
     vm1 = v - 1.0
@@ -210,6 +223,9 @@ _GL_K = 64
 # call's cost is mostly fixed: 0.45 ms for 32 v against 0.2 ms for one, on
 # a 2-core Xeon.
 _GL_CHUNK = 32
+# v up to this are integrated in s by _gauss_legendre_s: in u their left
+# tail decays only like e^(v u), too slowly for the logit window.
+_S_RULE_V = 4
 # QUADPACK's error estimate is not a bound: on the integrands near the
 # integrability threshold, singular at s = 1, it fell short of the actual
 # error by up to 2.4x (n = (d + 1.3)c, checked against mpmath), so a
@@ -266,7 +282,8 @@ _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 /
 def _stirling_rest(x):
     """log Gamma(x) less its Stirling part (x - 1/2) log x - x + log(2 pi)/2:
     by eight terms of the asymptotic series for x >= 8 (truncation error below
-    1e-16), and from ``gammaln`` below 8, where both parts are below 10."""
+    1e-16), and from :func:`_core.lgam` below 8, where both parts are below
+    10."""
     x = np.asarray(x, dtype=np.float64)
     small = x < 8.0
     xs = np.where(small, 8.0, x)
@@ -277,9 +294,22 @@ def _stirling_rest(x):
     series = np.zeros_like(xs)
     for coef in reversed(_STIRLING):
         series = series * r2 + coef
-    xd = np.where(small, x, 1.0)
-    direct = gammaln(xd) - ((xd - 0.5) * np.log(xd) - xd + _HALF_LOG_2PI)
-    return np.where(small, direct, series / xs)
+    out = series / xs
+    xd = x[small]
+    out[small] = _core.log_gamma(xd) - ((xd - 0.5) * np.log(xd) - xd + _HALF_LOG_2PI)
+    return out
+
+
+def _expit(x):
+    """scipy's expit, 1/(1 + e^-x), over a 1-d array with libm's exp, so
+    with its bits; 0 where e^-x overflows."""
+    out = []
+    for y in x.tolist():
+        try:
+            out.append(1.0 / (1.0 + math.exp(-y)))
+        except OverflowError:
+            out.append(0.0)
+    return np.array(out)
 
 
 def _log_peak(v, big):
@@ -343,6 +373,20 @@ def _log_step(delta, v, big):
     return curve - bend, curve + bend
 
 
+def _rule_setup(params, f, cfg):
+    """(c, B = n/c - 1, d, M, M c^-d, drop) for a rule: the envelope
+    |f| <= M (1 + t^d) with t^d = (ct)^d c^-d (M the sup of a bounded f, with
+    d = 0 and no t^d part), and the drop of the log density from its peak
+    to the window's edges."""
+    c = params.c
+    if f.bounded:
+        d, env, env_d = 0, f.sup_bound, 0.0
+    else:
+        d, env = f.growth_degree, f.m_bound
+        env_d = f.m_bound * c ** -d
+    return c, params.n / c - 1.0, d, env, env_d, math.log(1.0 / cfg.quad_rel_tol) + 10.0
+
+
 def _gauss_legendre(params, f, v, cfg):
     """E_v[f] for the float array ``v`` by the embedded Gauss-Legendre pair in
     u = log(s/(1-s)); returns (values, error estimates).
@@ -363,14 +407,7 @@ def _gauss_legendre(params, f, v, cfg):
     phi and phi + d u are concave, so each tail is at most e^phi / |phi'| at
     the window's edge -- plus a bound on the rounding of phi and of the sum.
     """
-    n, c = params.n, params.c
-    big = n / c - 1.0
-    if f.bounded:
-        d, env, env_d = 0, f.sup_bound, 0.0
-    else:
-        d, env = f.growth_degree, f.m_bound
-        env_d = f.m_bound * c ** -d
-    drop = math.log(1.0 / cfg.quad_rel_tol) + 10.0  # log-density drop to the edges
+    c, big, d, env, env_d, drop = _rule_setup(params, f, cfg)
     spread = math.sqrt(2.0 * drop)
     u0 = np.log(v / big)
     left = -spread * np.sqrt(1.0 / v + 1.0 / big) - drop / v
@@ -394,19 +431,79 @@ def _gauss_legendre(params, f, v, cfg):
         tails = np.zeros_like(v)
         for col, edge, sign in ((-2, left, 1.0), (-1, right, -1.0)):
             phi_e = peak + step[:, col]
-            slope = sign * (v - (v + big) * expit(u0 + edge))
+            slope = sign * (v - (v + big) * _expit(u0 + edge))
             tails += env * np.exp(phi_e) / slope
             if env_d:
                 tails += env_d * np.exp(phi_e + d * (u0 + edge)) / (slope + sign * d)
     return q[:, 1], np.abs(q[:, 1] - q[:, 0]) + tails + rounding
 
 
+def _gauss_legendre_s(params, f, v, cfg):
+    """E_v[f] for the float array ``v`` of integers 1 .. _S_RULE_V by the
+    embedded Gauss-Legendre pair in s itself, on [0, s_R]; returns (values,
+    error estimates).
+
+    The Beta(v, B) density s^(v-1) (1-s)^(B-1) / Beta(v, B) is smooth at
+    s = 0, with log Beta(v, B) = log (v-1)! - sum_{i<v} log(B+i): exact for
+    integer v, with no gamma function, and finite for every B in the float
+    range.  The envelope density s^a (1-s)^b, a = v-1+d, b = B-1-d (d the
+    growth degree), is about the Gamma(a+1) law of b w, w = -log(1-s); the
+    window ends at w = (a + z)/b, z a Gaussian width sqrt(2 drop (a+1)) plus
+    the drop itself, past the mode a/b by more than the law needs to fall
+    by the drop.  Where b > 0 the density and the envelope are both
+    log-concave in s, so each tail beyond s_R is at most e^psi / |psi'|
+    there, psi their log; otherwise s_R = 1 and there is no tail.
+
+    The error estimate is |Q_2K - Q_K|, plus those tails of the envelope
+    |f| <= M (1 + t^d) (or the sup of a bounded f), plus a bound on the
+    rounding of the log density, of t and of the sum, sized as in
+    :func:`_gauss_legendre`.
+    """
+    c, big, d, env, env_d, drop = _rule_setup(params, f, cfg)
+    lbeta, lbeta_size = np.empty_like(v), np.empty_like(v)
+    for i, k in enumerate(v.astype(int).tolist()):
+        log_fact, logs = math.log(math.factorial(k - 1)), [math.log(big + j) for j in range(k)]
+        lbeta[i] = log_fact - sum(logs)
+        lbeta_size[i] = log_fact + sum(map(abs, logs))
+    a, b = v - 1.0 + d, big - 1.0 - d
+    reach = a + math.sqrt(2.0 * drop) * np.sqrt(a + 1.0) + drop
+    s_right = -np.expm1(-reach / b) if b > 0.0 else np.ones_like(v)
+    half = 0.5 * s_right
+    nodes, weights = _gl_rule()
+    vm1 = (v - 1.0)[:, None]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        s = half[:, None] * (1.0 + nodes)
+        rest = 1.0 - s
+        log_s, log_rest = np.log(s), np.log1p(-s)
+        t = s / (c * rest)
+        g = (np.exp(vm1 * log_s + (big - 1.0) * log_rest - lbeta[:, None])
+             * np.asarray(f.fn(t), dtype=np.float64))
+        q = half[:, None] * np.einsum("ij,jk->ik", g, weights)
+        # s and 1 - s carry a relative rounding of eps and eps s/(1-s)
+        odds = s / rest
+        node_size = (vm1 * (np.abs(log_s) + 1.0) + abs(big - 1.0) * (np.abs(log_rest) + odds)
+                     + lbeta_size[:, None] + (d + 1) * (np.abs(np.log(t)) + odds + 2.0) + _GL_K)
+        rounding = 2.0 * _EPS * half * np.einsum("ij,j->i", np.abs(g) * node_size, weights[:, 1])
+        tails = np.zeros_like(v)
+        if b > 0.0:
+            phi_r = (v - 1.0) * np.log(s_right) + (big - 1.0) * np.log1p(-s_right) - lbeta
+            slope = (v - 1.0) / s_right - (big - 1.0) / (1.0 - s_right)
+            tails += env * np.exp(phi_r) / -slope
+            if env_d:
+                bend = d / (s_right * (1.0 - s_right))
+                tails += env_d * np.exp(phi_r + d * np.log(s_right / (1.0 - s_right))) / -(
+                    slope + bend)
+            tails[s_right == 1.0] = 0.0  # the window is all of [0, 1] there
+    return q[:, 1], np.abs(q[:, 1] - q[:, 0]) + tails + rounding
+
+
 def kernel_expectations(params, f, v, cfg, mag, needed=None):
     """(E_v[f], error estimates) for the sorted integer array ``v`` >= 1.
 
-    ``mag`` holds a-priori bounds on |E_v[f]|.  Each v is tried with the
-    Gauss-Legendre rule of :func:`_gauss_legendre`, in chunks of _GL_CHUNK.
-    A v whose estimate misses max(quad_rel_tol |value|, _MAG_FLOOR
+    ``mag`` holds a-priori bounds on |E_v[f]|.  Each v up to _S_RULE_V is
+    tried with the Gauss-Legendre pair in s, :func:`_gauss_legendre_s`, and
+    each larger v with the pair in u, :func:`_gauss_legendre`, in chunks of
+    _GL_CHUNK.  A v whose estimate misses max(quad_rel_tol |value|, _MAG_FLOOR
     quad_rel_tol mag) -- a kink, an oscillation the nodes cannot resolve, a
     slowly decaying tail -- is computed by :func:`_kernel_expectation`
     instead, with its ConvergenceError.  Such a value reports _QUAD_SAFETY
@@ -426,7 +523,10 @@ def kernel_expectations(params, f, v, cfg, mag, needed=None):
     values = np.empty(len(v))
     errors = np.empty(len(v))
     vf = np.asarray(v, dtype=np.float64)
-    for lo in range(0, len(v), _GL_CHUNK):
+    small = int(np.searchsorted(vf, _S_RULE_V, side="right"))
+    if small:
+        values[:small], errors[:small] = _gauss_legendre_s(params, f, vf[:small], cfg)
+    for lo in range(small, len(v), _GL_CHUNK):
         part = slice(lo, lo + _GL_CHUNK)
         values[part], errors[part] = _gauss_legendre(params, f, vf[part], cfg)
     redo = ~(errors <= cfg.quad_rel_tol * np.maximum(np.abs(values), _MAG_FLOOR * mag))
@@ -437,7 +537,7 @@ def kernel_expectations(params, f, v, cfg, mag, needed=None):
     for i in np.flatnonzero(redo).tolist():
         vi = int(v[i])
         values[i], err = _kernel_expectation(params, vi, f.fn, cfg, float(mag[i]))
-        lgam = abs(gammaln(vi)) + abs(gammaln(big)) + abs(gammaln(vi + big))
+        lgam = abs(_core.lgam(vi)) + abs(_core.lgam(big)) + abs(_core.lgam(vi + big))
         errors[i] = _QUAD_SAFETY * err + 4.0 * _EPS * lgam * abs(values[i])
     return values, errors
 

@@ -92,10 +92,11 @@ its error estimate and the a-priori bound on |E_v[f]| in arrays indexed by
 v and answers a whole block of v in one lookup.  The v a block finds
 missing are computed in one call of :func:`kernels.kernel_expectations`,
 together with every other unfilled v >= 1 of the aligned chunks of
-``kernels._GL_CHUNK`` (32) that hold them: a vectorised Gauss-Legendre rule
-in the logit variable, whose reported error is its K/2K difference plus a
-truncation and a rounding bound.  A v asked for whose estimate misses
-``quad_rel_tol`` goes to QUADPACK; a v not asked for is stored only where
+``kernels._GL_CHUNK`` (32) that hold them: a vectorised Gauss-Legendre rule,
+in s for v = 1..4 and in the logit variable past them, whose reported
+error is its K/2K difference plus a truncation and a rounding bound.  A v
+asked for whose estimate misses ``quad_rel_tol`` goes to QUADPACK (which
+loads scipy on its first call); a v not asked for is stored only where
 the rule's estimate meets it, and otherwise stays unfilled until a block
 asks for it.  So QUADPACK runs for the same v as if only the v asked for
 were computed, and a rule row depends on no other v of its chunk, so the

@@ -1,9 +1,14 @@
 """The package's public surface: every exported name resolves, no module
-imports a name it never uses, the console script names the CLI's entry point,
-and the README's quick tour runs."""
+imports a name it never uses, scipy loads only with a QUADPACK fallback, the
+console script names the CLI's entry point, and the README's quick tour
+runs."""
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -88,6 +93,43 @@ def test_no_module_imports_a_name_it_never_uses():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in used]
     assert not unused, unused
+
+
+_SCIPY_PROBE = """
+import json, sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+import jainbaskakov.cli
+from jainbaskakov import OperatorParams, eval_jain_baskakov, eval_king, get_function
+from jainbaskakov.operators import DEFAULT_CACHE
+loaded = [scipy_modules()]
+p = OperatorParams(300, 1, 0.1)
+for evaluate in (eval_jain_baskakov, eval_king):
+    for name in ("e2", "exp-neg"):
+        for x in (0.013, 1.0, 3.0):
+            DEFAULT_CACHE.clear()
+            evaluate(p, get_function(name), x)
+loaded.append(scipy_modules())
+# at n = 20 the rule in u refuses v = 5 of exp-neg, which QUADPACK computes
+eval_jain_baskakov(OperatorParams(20, 1, 0), get_function("exp-neg"), 0.25)
+loaded.append(scipy_modules())
+print(json.dumps(loaded))
+"""
+
+
+def test_scipy_loads_only_for_a_quadpack_fallback():
+    # in a fresh interpreter, importing the CLI and cold-cache hybrid and
+    # King evaluations whose kernel integrals all pass a rule load no scipy
+    # module; the first QUADPACK fallback loads scipy.integrate
+    src = str(Path(jainbaskakov.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cp = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], capture_output=True, text=True,
+                        env=env, timeout=120)
+    assert cp.returncode == 0, cp.stderr
+    after_import, after_rules, after_fallback = json.loads(cp.stdout)
+    assert after_import == [] and after_rules == []
+    assert "scipy.integrate" in after_fallback
 
 
 def test_readme_quick_tour_runs():

@@ -319,11 +319,11 @@ def test_golden_files_bit_exact(command, tmp_path):
 
 
 def test_golden_runs_send_the_same_v_to_quadpack(tmp_path, monkeypatch):
-    # a table fills whole aligned chunks by the Gauss-Legendre rule, but
+    # a table fills whole aligned chunks by the Gauss-Legendre rules, but
     # QUADPACK runs only for the v a series asks for: each golden
     # configuration on a cold cache makes as many QUADPACK calls as when
     # tables filled only those v.  A pass of the cli-goldens benchmark runs
-    # weighted three times: 206 + 2 * 14 = 234 calls.
+    # weighted three times: 132 + 2 * 2 = 136 calls.
     from jainbaskakov import kernels, operators
 
     calls = []
@@ -341,8 +341,8 @@ def test_golden_runs_send_the_same_v_to_quadpack(tmp_path, monkeypatch):
         assert run_main(*argv, "--output", str(tmp_path / command)) == (0, None)
         made[command] = len(calls)
     operators.DEFAULT_CACHE.clear()
-    assert made == {"eval": 6, "moments": 127, "converge": 25, "voronovskaja": 29,
-                    "bound": 5, "weighted": 14}
+    assert made == {"eval": 2, "moments": 95, "converge": 13, "voronovskaja": 19,
+                    "bound": 1, "weighted": 2}
 
 
 @pytest.mark.parametrize(

@@ -405,12 +405,13 @@ class TestGaussLegendreRule:
         kernel_integral(OperatorParams(2.3, 1, 0.0), 250, f, cfg)
 
     def test_node_budget_leaves_the_rule_first(self, fallbacks):
-        # QUADPACK's budget is its own: every v is tried by the rule first,
-        # and only those whose estimate misses the tolerance reach QUADPACK
+        # QUADPACK's budget is its own: every v is tried by a rule first (v =
+        # 1..4 by the pair in s), and only those whose estimate misses the
+        # tolerance reach QUADPACK
         p, f = OperatorParams(20, 1, 0.0), get_function("exp-neg")
         v = np.arange(1, 12)
         kernels.kernel_expectations(p, f, v, EvalConfig(), magnitude_bound(p, f, v))
-        assert fallbacks == [1, 2, 3, 4, 5]
+        assert fallbacks == [5]
 
     def test_log_density_matches_high_precision(self):
         # the log density at the mode and the step away from it, each to a
@@ -500,6 +501,87 @@ class TestGaussLegendreRule:
             assert abs(res.value - exact(p, 2, x)) <= bound < 1e-15
 
 
+# n/c from just past the thresholds to 1e200, c taking turns over 1, 1.3, 2.
+# The monomials are checked at every n/c, against their product form; the
+# functions with no closed form take turns, one per n/c (each 40-digit
+# quadrature takes about 0.1 s).
+_S_RULE_NC = (3.01, 4.2, 5.5, 16.0, 300.0, 3e4, 1e6, 1e10, 1e200)
+_S_RULE_C = (1.0, 1.3, 2.0)
+_NO_CLOSED_FORM = ("exp-neg", "t-exp-neg", "recip-sq", "sin", "abs-shift")
+
+
+def _mp_expectation_s(n, c, v, name):
+    """E_v[f] at 40 digits, in s: the Beta(v, B) density through
+    log1p(-s), with log Beta(v, B) = log (v-1)! - sum_{i<v} log(B+i) (a ratio
+    of gamma functions would cancel 200 digits at B = 1e200), and break points
+    at the mean v/(v+B) times 1, 4, 16 and 64: at B = 1e200 the mass lies
+    within 1e-198 of s = 0, where a plain quad on [0, 1] finds none of it.
+    The integral ends at 256 means or at 1.  Monomials by their product
+    form."""
+    with mpmath.workdps(40):
+        n, c = mpmath.mpf(n), mpmath.mpf(c)
+        b = n / c - 1
+        if name[1:].isdigit():
+            return mpmath.fprod((v + i) / (n - (i + 2) * c) for i in range(int(name[1:])))
+        lb = mpmath.log(mpmath.factorial(v - 1)) - mpmath.fsum(mpmath.log(b + i) for i in range(v))
+        # past 256 means the mass left is below e^-200 of the whole
+        mean = v / (v + b)
+        pts = {mpmath.mpf(0), min(mean * 256, mpmath.mpf(1))}
+        pts |= {mean * 4**k for k in range(4) if mean * 4**k < 1}
+        if name == "abs-shift" and c / (1 + c) < max(pts):
+            pts.add(c / (1 + c))
+        fn = _MP_FUNCTIONS[name]
+        return mpmath.quad(lambda s: mpmath.exp((v - 1) * mpmath.log(s) + (b - 1) * mpmath.log1p(-s)
+                                                - lb) * fn(s / (c * (1 - s))), sorted(pts))
+
+
+class TestSmallVRule:
+    """v = 1..4 by the Gauss-Legendre pair in s (kernels._gauss_legendre_s)
+    against 40 digits: each value the rule accepts lies within its reported
+    error, and each v it refuses reaches QUADPACK."""
+
+    def test_accepted_values_within_their_error(self, cfg, monkeypatch):
+        fallbacks = []
+        real = kernels._kernel_expectation
+
+        def spy(params, v, *args):
+            fallbacks.append(v)
+            return real(params, v, *args)
+
+        monkeypatch.setattr(kernels, "_kernel_expectation", spy)
+        v = np.arange(1, kernels._S_RULE_V + 1)
+        accepted = refused = 0
+        for i, nc in enumerate(_S_RULE_NC):
+            c = _S_RULE_C[i % 3]
+            p = OperatorParams(nc * c, c, 0.0)
+            for name in ("e0", "e1", "e2", "e3", "e4", _NO_CLOSED_FORM[i % 5]):
+                f = get_function(name)
+                if not nc > f.growth_degree + 1:
+                    continue
+                mag = magnitude_bound(p, f, v)
+                value, err = kernels._gauss_legendre_s(p, f, v.astype(float), cfg)
+                ok = err <= cfg.quad_rel_tol * np.maximum(np.abs(value), kernels._MAG_FLOOR * mag)
+                # past a moderate n/c every v is the rule's, kink and all
+                assert ok.all() or nc < 300, (nc, name)
+                for k in range(len(v)):
+                    fallbacks.clear()
+                    try:
+                        got = kernels.kernel_expectations(p, f, v[k : k + 1], cfg, mag[k : k + 1])
+                    except ConvergenceError:
+                        got = None
+                    if not ok[k]:
+                        assert fallbacks == [v[k]], (nc, name, v[k])
+                        refused += 1
+                        continue
+                    # alone, the row has the bits it has among the others
+                    assert fallbacks == [], (nc, name, v[k])
+                    assert (got[0][0], got[1][0]) == (value[k], err[k]), (nc, name, v[k])
+                    ref = _mp_expectation_s(p.n, c, int(v[k]), name)
+                    assert abs(value[k] - ref) <= err[k], (nc, c, name, v[k], value[k], err[k])
+                    accepted += 1
+        assert accepted > 0 and refused > 0
+
+
 class TestWeightBlocks:
     def test_block_fill_matches_scalar_api(self):
         from jainbaskakov._core import jain_log_weights
@@ -519,12 +601,15 @@ class TestWeightBlocks:
         np.testing.assert_array_equal(whole, pieces)
 
     def test_log_factorial_table_matches_gammaln(self):
-        # blocks below, across, up to and above the table's cap give the
-        # direct values bit for bit, from v0 = 0 (no shifted view), v0 = 1
-        # (the first one) and on, at beta = 0 too, and so do their exps
+        # blocks below, across, up to and above the table's cap: below it the
+        # weights take gammaln's bits from the table, from v0 = 0 (no shifted
+        # view), v0 = 1 (the first one) and on, at beta = 0 too, and so do
+        # their exps; above it log v! is the Stirling branch on numpy's log,
+        # within an ulp of gammaln
         from scipy.special import gammaln
 
-        from jainbaskakov._core import _LOG_FACT_CAP, jain_log_weights, jain_weights
+        from jainbaskakov._core import (
+            _LOG_FACT_CAP, _lgam_stirling, jain_log_weights, jain_weights)
 
         count = 256
         for nx, beta in ((5000.0, 0.95), (37.5, 0.0), (0.3, 0.5)):
@@ -532,8 +617,43 @@ class TestWeightBlocks:
                        _LOG_FACT_CAP + 7):
                 v = np.arange(v0, v0 + count, dtype=np.float64)
                 m = nx + v * beta
-                direct = np.log(nx) + (v - 1.0) * np.log(m) - m - gammaln(v + 1.0)
+                log_fact = gammaln(v + 1.0)
+                above = v >= _LOG_FACT_CAP
+                log_fact[above] = _lgam_stirling(v[above] + 1.0, np.log(v[above] + 1.0))
+                assert np.all(np.abs(log_fact - gammaln(v + 1.0))
+                              <= np.spacing(gammaln(v + 1.0)))
+                direct = np.log(nx) + (v - 1.0) * np.log(m) - m - log_fact
                 # at v = 0, log nx - log nx and log 0! are exactly 0
                 assert v0 > 0 or direct[0] == -nx
                 np.testing.assert_array_equal(jain_log_weights(nx, beta, v0, count), direct)
                 np.testing.assert_array_equal(jain_weights(nx, beta, v0, count), np.exp(direct))
+
+    def test_log_gamma_port_matches_gammaln(self):
+        # Cephes' lgam, as gammaln runs it, bit for bit: the whole log v!
+        # table, seeded reals in (0, 1e12], both sides of each branch
+        # switch (13, 1000, 1e8, the overflow threshold) and the limits
+        from scipy.special import gammaln
+
+        from jainbaskakov import _core
+
+        np.testing.assert_array_equal(_core._LOG_FACT, gammaln(_core._V + 1.0))
+        rng = np.random.default_rng(25)
+        switches = [np.nextafter(s, d) for s in (13.0, 1000.0, 1e8, 2.556348e305)
+                    for d in (0.0, s, np.inf)]
+        x = np.concatenate((rng.uniform(0.0, 13.0, 10000), 10.0 ** rng.uniform(-300, 12, 10000),
+                            np.arange(1.0, 200.0), switches, [5e-324, 2.0, 3.0, 1e306]))
+        x = x[x > 0.0]
+        np.testing.assert_array_equal([_core.lgam(float(y)) for y in x], gammaln(x))
+        np.testing.assert_array_equal(_core.log_gamma(x[x <= 1e305]), gammaln(x[x <= 1e305]))
+        for y in (math.inf, math.nan):
+            assert _core.lgam(y) is y
+
+    def test_expit_matches_scipy(self):
+        # 1/(1 + exp(-x)) with libm's exp is scipy's expit, bit for bit,
+        # also where exp(-x) overflows (0) and at the limits
+        from scipy.special import expit
+
+        rng = np.random.default_rng(25)
+        x = np.concatenate((rng.normal(0.0, 40.0, 20000), [-709.78, -709.79, -800.0, 800.0,
+                                                          0.0, -np.inf, np.inf, np.nan]))
+        np.testing.assert_array_equal(kernels._expit(x), expit(x))

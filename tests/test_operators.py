@@ -111,6 +111,17 @@ class TestEvalJainBaskakov:
         assert res.value == 0.0
 
 
+@pytest.mark.parametrize("evaluate", [eval_jain_baskakov, eval_king])
+@pytest.mark.parametrize("n", [3e4, 1e5, 3e5, 1e6])
+@pytest.mark.parametrize("nx", [10.0, 300.0])
+def test_constant_at_large_n_within_the_reported_bounds(evaluate, n, nx):
+    # both operators reproduce e0; at nx = 10 v = 1..4 carry weight, whose
+    # integrals QUADPACK truncated from n/c of a few 1e4 (e0 was 0.98751
+    # with bounds of 1e-11), and which the pair in s computes
+    res = evaluate(OperatorParams(n, 1, 0), get_function("e0"), nx / n)
+    assert abs(res.value - 1.0) <= res.est_tail_bound + res.quad_error_est + res.rounding_est
+
+
 class TestEvalKing:
     def test_linear_functions_preserved(self, cfg):
         lin = combine("lin", 1.0, get_function("e0"), 2.5, get_function("e1"))
@@ -461,20 +472,28 @@ class TestCacheAndLimits:
 class TestIntegralTable:
     @pytest.fixture
     def spies(self, monkeypatch):
-        """The v each rule call computes, the v sent to QUADPACK and the two
-        unspied functions."""
+        """The v each rule call computes (the pair in s or in u), the v sent
+        to QUADPACK, and unspied: the rule for one v and QUADPACK."""
         ruled, fallback = [], []
-        real_rule, real_quad = kernels._gauss_legendre, kernels._kernel_expectation
+        real_quad = kernels._kernel_expectation
 
-        def rule(params, f_, v, cfg_):
-            ruled.extend(v.astype(int).tolist())
-            return real_rule(params, f_, v, cfg_)
+        def spied(real):
+            def rule(params, f_, v, cfg_):
+                ruled.extend(v.astype(int).tolist())
+                return real(params, f_, v, cfg_)
+            return rule
+
+        def real_rule(params, f_, v, cfg_):
+            small = v[0] <= kernels._S_RULE_V
+            return (rules["_gauss_legendre_s" if small else "_gauss_legendre"])(params, f_, v, cfg_)
 
         def quad(params, v, fn, cfg_, scale):
             fallback.append(v)
             return real_quad(params, v, fn, cfg_, scale)
 
-        monkeypatch.setattr(kernels, "_gauss_legendre", rule)
+        rules = {name: getattr(kernels, name) for name in ("_gauss_legendre_s", "_gauss_legendre")}
+        for name, real in rules.items():
+            monkeypatch.setattr(kernels, name, spied(real))
         monkeypatch.setattr(kernels, "_kernel_expectation", quad)
         return types.SimpleNamespace(ruled=ruled, fallback=fallback, rule=real_rule,
                                      quad=real_quad)
@@ -506,7 +525,8 @@ class TestIntegralTable:
         first = list(range(1, chunk))
         assert ruled == first  # the chunk of v = 1..9, ascending, each v once
         assert fallback == refused(asked)
-        assert 1 in fallback and 9 not in fallback  # v = 1 decays only like e^u
+        # v = 1..4 by the pair in s; in u, v = 5 decays only like e^(5u)
+        assert fallback == [5, 6, 7]
         left_out = [v for v in refused(first) if v not in asked]
         assert len(tab) == len(first) - len(left_out)
         for v, val, err in zip(range(10), values.tolist(), errors.tolist()):
@@ -528,23 +548,24 @@ class TestIntegralTable:
         assert tab.get(slice(7, 7))[0].shape == (0,)
 
     def test_chunk_fill_keeps_quadpack_to_the_v_asked_for(self, cfg, spies):
-        # exp-neg at n = 20: the rule refuses v = 1..5 (the left tail decays
-        # like e^(v u)); asking for v = 9 rules its whole chunk but sends
-        # nothing to QUADPACK and leaves the refused v unfilled
+        # exp-neg at n = 20: the pair in s takes v = 1..4 and the rule in u
+        # refuses v = 5 (its left tail decays like e^(5u)); asking for v = 9
+        # rules its whole chunk but sends nothing to QUADPACK and leaves the
+        # refused v unfilled
         p, f = OperatorParams(20, 1, 0.0), get_function("exp-neg")
         ruled, fallback = spies.ruled, spies.fallback
         tab = ops._IntegralTable(p, f, cfg)
         tab.get(slice(9, 10))
         assert ruled == list(range(1, kernels._GL_CHUNK))
         assert fallback == []
-        assert tab._filled[1:6].tolist() == [False] * 5
-        assert len(tab) == kernels._GL_CHUNK - 6
+        assert tab._filled[1:7].tolist() == [True] * 4 + [False, True]
+        assert len(tab) == kernels._GL_CHUNK - 2
         ruled.clear()
-        value, err = tab.get(slice(1, 2))
-        assert ruled == [1, 2, 3, 4, 5]
-        assert fallback == [1]
-        assert len(tab) == kernels._GL_CHUNK - 5
-        ref, ref_err = spies.quad(p, 1, f.fn, cfg, float(kernels.magnitude_bound(p, f, 1)))
+        value, err = tab.get(slice(5, 6))
+        assert ruled == [5]
+        assert fallback == [5]
+        assert len(tab) == kernels._GL_CHUNK - 1
+        ref, ref_err = spies.quad(p, 5, f.fn, cfg, float(kernels.magnitude_bound(p, f, 5)))
         assert abs(value[0] - ref) <= err[0] + ref_err
 
     def test_slice_requests_match_one_v_at_a_time(self, cfg, monkeypatch):
