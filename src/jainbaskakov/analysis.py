@@ -91,15 +91,17 @@ def modulus2(f: TestFunction, h0: float, cfg: Optional[EvalConfig] = None) -> fl
     """Second-order modulus: sup over 0 < h <= h0 and x of
     |f(x+2h) - 2f(x+h) + f(x)|.
 
-    Defined for bounded functions only (the sup over [0, inf) is taken on
-    [0, domain_cap], justified by the registry's decay/periodicity).
+    Defined for bounded functions only, growth degree 0 in f's envelope
+    (:class:`~jainbaskakov.functions.TestFunction`); the sup over [0, inf)
+    is taken on [0, domain_cap], justified by the registry's
+    decay/periodicity.
     """
     cfg = cfg or EvalConfig()
     check_point(h0, "step bound h0")
-    if not f.bounded:
+    if f.growth_degree:
         raise UnboundedFunctionError(
-            f"{f.name} declares no bound; the second-order modulus over "
-            "[0, inf) is only computed for bounded functions"
+            f"{f.name} has growth degree {f.growth_degree}; the second-order modulus "
+            "over [0, inf) is only computed for bounded functions (degree 0)"
         )
     if h0 == 0:
         return 0.0
@@ -135,7 +137,7 @@ def check_direct_bound(
     """
     cfg = cfg or EvalConfig()
     check_point(m_const, "m_const")
-    if not f.bounded:
+    if f.growth_degree:
         raise UnboundedFunctionError("the direct bound applies to bounded f")
     params.require_order(2)
     val = eval_jain_baskakov(params, f, x, cfg).value
@@ -198,13 +200,13 @@ def _weighted_tail_bound(params, f, lam, cap) -> float:
     Uses (1+x^2) >= x^2, so each numerator monomial becomes a decreasing
     power of x and can be bounded at x = cap.  Past the float range the
     bound is inf where a power of a cap below 1 overflows, and 0 where the
-    bounded tail's weight does.
+    bounded tail's weight does.  For growth degree 0, |Df| + |f| <= 2M.
     """
     n, c = params.n, params.c
     d = f.growth_degree
-    if f.bounded:
+    if not d:
         try:
-            return 2.0 * f.sup_bound / (1.0 + cap * cap) ** (1.0 + lam)
+            return 2.0 * f.m_bound / (1.0 + cap * cap) ** (1.0 + lam)
         except OverflowError:  # a weight past the float range: the ratio is below it
             return 0.0
     if d > 2:

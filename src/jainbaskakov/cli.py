@@ -31,10 +31,14 @@ from . import analysis
 from .errors import ConvergenceError, DomainError, ThresholdError
 from .functions import ALIASES, REGISTRY, get_function, shifted_power
 from .moments import (
-    closed_moment,
     d_central_moment,
-    display_moment,
+    d_moment_display,
+    d_moment_exact,
+    jain_moment,
+    jain_moment_display,
     king_central_moment,
+    king_moment,
+    king_moment_display,
 )
 from .operators import eval_operator
 from .params import EvalConfig, OperatorKind, OperatorParams, check_point
@@ -317,6 +321,13 @@ def _cmd_eval(cfg):
 
 def _cmd_moments(cfg):
     kind = OperatorKind(cfg["operator"])
+    # (raw, displayed t^3/t^4, central) moments per kind, built at each call
+    # so that a patched or traced module binding is the one called
+    raw, display, central = {
+        OperatorKind.JAIN: (jain_moment, jain_moment_display, None),
+        OperatorKind.JAIN_BASKAKOV: (d_moment_exact, d_moment_display, d_central_moment),
+        OperatorKind.KING: (king_moment, king_moment_display, king_central_moment),
+    }[kind]
     params = OperatorParams(cfg["n"], cfg["c"], cfg["beta"])
     ecfg = _eval_config(cfg)
     x = cfg["x"]
@@ -337,7 +348,7 @@ def _cmd_moments(cfg):
     # not; any other DomainError of an exact row, such as a bad x, fails the run.
     for m in range(5):
         try:
-            closed = closed_moment(kind, params, m, x)
+            closed = raw(params, m, x)
             numeric = eval_operator(kind, params, get_function(f"e{m}"), x, ecfg).value
         except ThresholdError as exc:
             add_row(m, None, None, "exact", f"threshold: {exc}")
@@ -345,7 +356,7 @@ def _cmd_moments(cfg):
         add_row(m, closed, numeric, "exact")
         if m in (3, 4):
             try:
-                disp = display_moment(kind, params, m, x)
+                disp = display(params, m, x)
             except ThresholdError as exc:
                 add_row(m, None, numeric, "asymptotic", f"threshold: {exc}")
             except DomainError as exc:
@@ -353,8 +364,7 @@ def _cmd_moments(cfg):
             else:
                 add_row(m, disp, numeric, "asymptotic")
 
-    if kind is not OperatorKind.JAIN:
-        central = d_central_moment if kind is OperatorKind.JAIN_BASKAKOV else king_central_moment
+    if central is not None:
         for k in (1, 2, 4):
             try:
                 closed = central(params, k, x)

@@ -1,11 +1,10 @@
 """Named test functions on [0, inf) with growth/derivative metadata.
 
 The registry carries the fixed set used throughout the analysis harnesses
-and the CLI.  Each function declares a polynomial growth bound
-|f(t)| <= m_bound * (1 + t^growth_degree); bounded functions additionally
-declare their sup.  Declared derivatives are validated against central
-finite differences at registration, and the growth bound is spot-checked on
-a sample grid, so a bad registration fails fast.
+and the CLI.  Each function declares one growth envelope (see
+:class:`TestFunction`).  Declared derivatives are validated against central
+finite differences at registration, and the envelope is spot-checked on a
+sample grid, so a bad registration fails fast.
 """
 
 from __future__ import annotations
@@ -21,6 +20,14 @@ from .errors import DomainError
 
 @dataclass(frozen=True)
 class TestFunction:
+    """A function on [0, inf) with its growth envelope and derivatives.
+
+    The envelope is |f(t)| <= m_bound for growth_degree 0 (m_bound is a sup
+    of |f|: f is bounded), and |f(t)| <= m_bound (1 + t^growth_degree) for
+    growth_degree >= 1 (polynomial growth).  Every bound of the package
+    reads f's size from this pair alone.
+    """
+
     __test__ = False  # not a pytest class, despite the name
 
     name: str
@@ -29,25 +36,20 @@ class TestFunction:
     deriv2: Optional[Callable] = None
     growth_degree: int = 0
     m_bound: float = 1.0
-    bounded: bool = False
-    sup_bound: Optional[float] = None
 
 
 def _check_growth(f: TestFunction, cap: float = 50.0) -> None:
     t = np.linspace(0.0, cap, 401)
     vals = np.abs(np.asarray(f.fn(t), dtype=float))
-    bound = f.m_bound * (1.0 + t**f.growth_degree)
+    d = f.growth_degree
+    bound = f.m_bound * (1.0 + t**d) if d else np.full_like(t, f.m_bound)
     if np.any(vals > bound * (1.0 + 1e-12)):
         i = int(np.argmax(vals - bound))
+        envelope = f"M(1+t^{d})" if d else "M"
         raise DomainError(
-            f"{f.name}: growth bound M(1+t^{f.growth_degree}) violated at "
+            f"{f.name}: growth bound {envelope} violated at "
             f"t={t[i]:.3f}: |f|={vals[i]:.6g} > {bound[i]:.6g}"
         )
-    if f.bounded:
-        if f.sup_bound is None:
-            raise DomainError(f"{f.name}: bounded functions must declare sup_bound")
-        if np.any(vals > f.sup_bound * (1.0 + 1e-12)):
-            raise DomainError(f"{f.name}: sup_bound {f.sup_bound} violated")
 
 
 def _check_derivatives(f: TestFunction) -> None:
@@ -102,8 +104,6 @@ def _monomial(m: int) -> TestFunction:
             deriv2=_const_like(0.0),
             growth_degree=0,
             m_bound=1.0,
-            bounded=True,
-            sup_bound=1.0,
         )
     d2 = _const_like(0.0) if m == 1 else (lambda t, m=m: m * (m - 1) * np.asarray(t, dtype=float) ** (m - 2))
     return TestFunction(
@@ -132,8 +132,6 @@ register(
         deriv2=_exp_neg,
         growth_degree=0,
         m_bound=1.0,
-        bounded=True,
-        sup_bound=1.0,
     )
 )
 
@@ -145,8 +143,6 @@ register(
         deriv2=lambda t: -np.sin(np.asarray(t, dtype=float)),
         growth_degree=0,
         m_bound=1.0,
-        bounded=True,
-        sup_bound=1.0,
     )
 )
 
@@ -164,8 +160,6 @@ register(
         deriv2=lambda t: (6.0 * np.asarray(t, dtype=float) ** 2 - 2.0) * _recip_sq(t) ** 3,
         growth_degree=0,
         m_bound=1.0,
-        bounded=True,
-        sup_bound=1.0,
     )
 )
 
@@ -187,8 +181,6 @@ register(
         deriv2=lambda t: (np.asarray(t, dtype=float) - 2.0) * _exp_neg(t),
         growth_degree=0,
         m_bound=math.exp(-1.0),
-        bounded=True,
-        sup_bound=math.exp(-1.0),
     )
 )
 

@@ -130,11 +130,11 @@ def require_integrable(params: OperatorParams, f) -> None:
 def magnitude_bound(params: OperatorParams, f, v) -> np.ndarray:
     """A-priori bound on |E_v[f]|, elementwise over the integer(s) ``v``.
 
-    ``f.sup_bound`` for bounded f, else ``m_bound * (1 + E_v[t^d])`` with d
-    the growth degree.
+    From f's envelope (:class:`~jainbaskakov.functions.TestFunction`):
+    ``m_bound`` for growth degree d = 0, else ``m_bound * (1 + E_v[t^d])``.
     """
-    if f.bounded:
-        return np.full_like(v, f.sup_bound, dtype=np.float64)
+    if not f.growth_degree:
+        return np.full_like(v, f.m_bound, dtype=np.float64)
     return f.m_bound * (1.0 + expectation_moments(params, v, f.growth_degree))
 
 
@@ -374,16 +374,12 @@ def _log_step(delta, v, big):
 
 
 def _rule_setup(params, f, cfg):
-    """(c, B = n/c - 1, d, M, M c^-d, drop) for a rule: the envelope
-    |f| <= M (1 + t^d) with t^d = (ct)^d c^-d (M the sup of a bounded f, with
-    d = 0 and no t^d part), and the drop of the log density from its peak
-    to the window's edges."""
-    c = params.c
-    if f.bounded:
-        d, env, env_d = 0, f.sup_bound, 0.0
-    else:
-        d, env = f.growth_degree, f.m_bound
-        env_d = f.m_bound * c ** -d
+    """(c, B = n/c - 1, d, M, M c^-d, drop) for a rule: f's envelope
+    |f| <= M (1 + t^d) with t^d = (ct)^d c^-d (|f| <= M, with no t^d part,
+    for d = 0), and the drop of the log density from its peak to the
+    window's edges."""
+    c, d, env = params.c, f.growth_degree, f.m_bound
+    env_d = env * c ** -d if d else 0.0
     return c, params.n / c - 1.0, d, env, env_d, math.log(1.0 / cfg.quad_rel_tol) + 10.0
 
 
@@ -403,7 +399,7 @@ def _gauss_legendre(params, f, v, cfg):
     two edges take one pass of :func:`_log_step`.
 
     The error estimate is |Q_2K - Q_K|, plus the mass of the envelope
-    |f| <= M (1 + t^d) (or the sup of a bounded f) beyond the window --
+    |f| <= M (1 + t^d) (|f| <= M for d = 0) beyond the window --
     phi and phi + d u are concave, so each tail is at most e^phi / |phi'| at
     the window's edge -- plus a bound on the rounding of phi and of the sum.
     """
@@ -455,7 +451,7 @@ def _gauss_legendre_s(params, f, v, cfg):
     there, psi their log; otherwise s_R = 1 and there is no tail.
 
     The error estimate is |Q_2K - Q_K|, plus those tails of the envelope
-    |f| <= M (1 + t^d) (or the sup of a bounded f), plus a bound on the
+    |f| <= M (1 + t^d) (|f| <= M for d = 0), plus a bound on the
     rounding of the log density, of t and of the sum, sized as in
     :func:`_gauss_legendre`.
     """

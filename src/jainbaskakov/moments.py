@@ -39,10 +39,9 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Optional
 
 from .errors import DomainError
-from .params import OperatorKind, OperatorParams, check_integer, check_point
+from .params import OperatorParams, check_integer, check_point
 
 # v(v+1)...(v+m-1) = sum_k RISING_COEF[m][k] * v^k  (k = 1..m)
 RISING_COEF = {
@@ -321,26 +320,3 @@ def _central4(raw, params: OperatorParams, x: float) -> float:
     params.require_order(4)
     return math.fsum(math.comb(4, j) * (-x) ** (4 - j) * raw(params, j, x) for j in range(5))
 
-
-def closed_moment(kind: OperatorKind, params: OperatorParams, m: int, x: float) -> float:
-    """Dispatch the exact raw moment for any operator kind."""
-    kind = OperatorKind(kind)
-    if kind is OperatorKind.JAIN:
-        return jain_moment(params, m, x)
-    if kind is OperatorKind.JAIN_BASKAKOV:
-        return d_moment_exact(params, m, x)
-    return king_moment(params, m, x)
-
-
-def display_moment(
-    kind: OperatorKind, params: OperatorParams, m: int, x: float
-) -> Optional[float]:
-    """Dispatch the verbatim displayed t^3/t^4 formula, or None if not defined."""
-    kind = OperatorKind(kind)
-    if m not in (3, 4):
-        return None
-    if kind is OperatorKind.JAIN:
-        return jain_moment_display(params, m, x)
-    if kind is OperatorKind.JAIN_BASKAKOV:
-        return d_moment_display(params, m, x)
-    return king_moment_display(params, m, x)

@@ -490,10 +490,11 @@ def _cap_error(beta, nx):
 
 def _growth_correction(params, f, basis_x, hybrid: bool) -> float:
     """Scale factor for the stopping threshold: the operator's own moment of
-    f's growth degree (1 for bounded f below unit sup)."""
-    if f.bounded:
-        return max(1.0, f.sup_bound)
+    f's growth degree, or max(1, M) for d = 0, M the envelope's bound on
+    |f| (:class:`~jainbaskakov.functions.TestFunction`)."""
     d = f.growth_degree
+    if not d:
+        return max(1.0, f.m_bound)
     mom = d_moment_exact(params, d, basis_x) if hybrid else jain_moment(params, d, basis_x)
     return 1.0 + abs(mom)
 
@@ -519,12 +520,13 @@ def _atom_result(x, f):
 
 def _jain_mag(f, n):
     """mbound(v) of the Jain series as a float, by a one-element numpy
-    power: sup|f|, or M(1 + (v/n)^d), inf where (v/n)^d overflows."""
+    power: M for growth degree d = 0, else M(1 + (v/n)^d), inf where (v/n)^d
+    overflows."""
     d = f.growth_degree
 
     def mag_at(v):
-        if f.bounded:
-            return float(f.sup_bound)
+        if not d:
+            return float(f.m_bound)
         with np.errstate(over="ignore"):
             return float(f.m_bound * (1.0 + (np.array([v], dtype=np.float64) / n) ** d)[0])
 

@@ -21,8 +21,8 @@ def prefix_sum(nx: float, beta: float, stop: int, values) -> float:
 def combine(
     name: str, alpha: float, f: TestFunction, beta: float, g: TestFunction
 ) -> TestFunction:
-    """alpha*f + beta*g with conservatively merged metadata (for property tests)."""
-    bounded = f.bounded and g.bounded
+    """alpha*f + beta*g with conservatively merged metadata (for property tests):
+    the larger growth degree, and M the |alpha|, |beta| combination of both."""
 
     def lin(t):
         return alpha * np.asarray(f.fn(t), dtype=float) + beta * np.asarray(g.fn(t), dtype=float)
@@ -40,6 +40,4 @@ def combine(
         deriv2=d2,
         growth_degree=max(f.growth_degree, g.growth_degree),
         m_bound=abs(alpha) * f.m_bound + abs(beta) * g.m_bound,
-        bounded=bounded,
-        sup_bound=(abs(alpha) * f.sup_bound + abs(beta) * g.sup_bound) if bounded else None,
     )

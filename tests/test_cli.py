@@ -166,10 +166,10 @@ def test_moments_display_threshold_row_is_not_an_overflow(tmp_path, monkeypatch)
     from jainbaskakov import cli
     from jainbaskakov.errors import ThresholdError
 
-    def refuse(kind, params, m, x):
+    def refuse(params, m, x):
         raise ThresholdError(f"display order {m}")
 
-    monkeypatch.setattr(cli, "display_moment", refuse)
+    monkeypatch.setattr(cli, "jain_moment_display", refuse)
     code, err = run_main("moments", "--operator", "jain", "--n", "50", "--x", "1",
                          "--output", str(tmp_path / "m"))
     assert (code, err) == (0, None)

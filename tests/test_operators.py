@@ -12,7 +12,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from scipy.stats import poisson
 
@@ -183,8 +183,6 @@ class TestOperatorProperties:
             + np.abs(np.sin(np.asarray(t, dtype=float))),
             growth_degree=0,
             m_bound=2.0,
-            bounded=True,
-            sup_bound=2.0,
         )
         p = OperatorParams(18, 1, 0.15)
         for x in (0.2, 1.0, 2.5):
@@ -194,12 +192,12 @@ class TestOperatorProperties:
             )
 
     def test_boundedness(self, cfg):
-        # |D(f, x)| <= sup|f| for bounded f
+        # |D(f, x)| <= M for f of growth degree 0, M its bound on |f|
         for fname in ("exp-neg", "sin", "recip-sq", "t-exp-neg"):
             f = get_function(fname)
             p = OperatorParams(14, 1, 0.3)
             for x in (0.0, 0.5, 1.5, 4.0):
-                assert abs(eval_jain_baskakov(p, f, x, cfg).value) <= f.sup_bound + 1e-10
+                assert abs(eval_jain_baskakov(p, f, x, cfg).value) <= f.m_bound + 1e-10
 
     def test_eval_result_invariants(self, cfg):
         p = OperatorParams(30, 1, 0.4)
@@ -228,24 +226,46 @@ def _reported(res):
     return res.est_tail_bound + res.quad_error_est
 
 
+def _king_point_underflows(kind, p, x):
+    """r_n(x) underflows to 0 at x > 0 (x near the least subnormal): King
+    rejects the point, as test_basis_point_underflow_rejected pins."""
+    return kind is OperatorKind.KING and x > 0 and king_transform(p, x) == 0.0
+
+
+# A draw at which r_n(x) underflows, replayed on every run.
+_KING_UNDERFLOW = dict(kind=OperatorKind.KING, p=OperatorParams(7.0, 1.0, 0.5), x=5e-324)
+
+
 class TestOperatorPropertySearch:
     @given(kind=_KINDS, p=_PARAMS, x=st.floats(0.0, 4.0),
            name=st.sampled_from(["e0", "e1", "e2", "exp-neg", "recip-sq", "abs-shift",
                                  "t-exp-neg"]))
+    @example(**_KING_UNDERFLOW, name="e0")
     @settings(max_examples=20, deadline=None)
     def test_positivity(self, kind, p, x, name):
+        if _king_point_underflows(kind, p, x):
+            with pytest.raises(DomainError, match=r"r_n\(x\)"):
+                ops.eval_operator(kind, p, get_function(name), x)
+            return
         assert ops.eval_operator(kind, p, get_function(name), x).value >= 0.0
 
     @given(kind=_KINDS, p=_PARAMS, x=st.floats(0.0, 4.0),
            names=st.permutations(["e0", "e1", "e2", "exp-neg", "sin", "recip-sq",
                                   "t-exp-neg"]),
            al=st.floats(-2.0, 2.0), be=st.floats(-2.0, 2.0))
+    @example(**_KING_UNDERFLOW, names=["e0", "e1", "e2", "exp-neg", "sin", "recip-sq",
+                                       "t-exp-neg"], al=1.0, be=1.0)
     @settings(max_examples=20, deadline=None)
     def test_linearity_within_reported_error(self, kind, p, x, names, al, be):
         # the basis weights are the same in all three series, so their
         # rounding cancels; what is left is truncation and quadrature, which
         # the reported bounds cover, and the rounding of the sums
         f, g = get_function(names[0]), get_function(names[1])
+        if _king_point_underflows(kind, p, x):
+            for u in (combine("mix", al, f, be, g), f, g):
+                with pytest.raises(DomainError, match=r"r_n\(x\)"):
+                    ops.eval_operator(kind, p, u, x)
+            return
         try:
             lhs, rf, rg = (ops.eval_operator(kind, p, u, x)
                            for u in (combine("mix", al, f, be, g), f, g))
@@ -263,13 +283,11 @@ class TestOperatorPropertySearch:
     def test_king_reproduces_e0_and_e1(self, p, x, m):
         # beyond the reported bounds, the log-space weights round at about
         # nx log(nx) eps (nx at the King basis point)
-        nx = p.n * king_transform(p, x)
-        if x > 0 and nx == 0.0:
-            # r_n(x) underflows to 0 (x near the least subnormal): rejected,
-            # as test_basis_point_underflow_rejected pins
+        if _king_point_underflows(OperatorKind.KING, p, x):
             with pytest.raises(DomainError, match=r"r_n\(x\)"):
                 eval_king(p, get_function(f"e{m}"), x)
             return
+        nx = p.n * king_transform(p, x)
         res = eval_king(p, get_function(f"e{m}"), x)
         rounding = 8 * _EPS * (1.0 + nx) * math.log(2.0 + nx) * max(1.0, x)
         assert abs(res.value - x**m) <= _reported(res) + rounding
@@ -347,8 +365,7 @@ class TestCacheAndLimits:
                 table_cache.table(p, combine(f"inner{j}", 1.0, e0, 0.0, e0), cfg)
             return f.fn(t)
 
-        g = TestFunction("exp-neg-churn", churning, growth_degree=0, m_bound=1.0,
-                         bounded=True, sup_bound=1.0)
+        g = TestFunction("exp-neg-churn", churning, growth_degree=0, m_bound=1.0)
         for x, want in zip((0.3, 0.6, 0.9), clean):
             got = eval_jain_baskakov(p, g, x, cfg)
             assert (got.value, got.v_terms_used) == (want.value, want.v_terms_used)
@@ -606,7 +623,7 @@ class TestIntegralTable:
             e2.mag(5, 295), get_function("e2").m_bound * (1.0 + expectation_moments(p, v, 2))
         )
         sin = get_function("sin")
-        assert set(ops._IntegralTable(p, sin, cfg).mag(0, 50).tolist()) == {sin.sup_bound}
+        assert set(ops._IntegralTable(p, sin, cfg).mag(0, 50).tolist()) == {sin.m_bound}
 
 
 def test_each_weight_block_is_computed_once(monkeypatch):
@@ -841,8 +858,8 @@ def _jain(beta, x, name):
 
 
 def _jain_mbound(f, n):
-    if f.bounded:
-        return lambda v: np.full(v.shape, f.sup_bound)
+    if not f.growth_degree:
+        return lambda v: np.full(v.shape, f.m_bound)
     return lambda v: f.m_bound * (1.0 + (v / n) ** f.growth_degree)
 
 
@@ -985,8 +1002,8 @@ class TestTailCertificate:
                     res = _jain(beta, x, name)
                 else:
                     res = ops.eval_operator(kind, p, f, x)
-                if f.bounded:
-                    gcf = max(1.0, f.sup_bound)
+                if not f.growth_degree:
+                    gcf = max(1.0, f.m_bound)
                 elif kind is OperatorKind.JAIN:
                     gcf = 1.0 + abs(jain_moment(p, f.growth_degree, x))
                 else:
@@ -1010,7 +1027,7 @@ class TestTailCertificate:
                     nx = _JAIN_N * x
                     limit = beta * mpmath.exp(1 - mpmath.mpf(beta))
                     q = max(_mp_rho(nx, beta, big_v), limit) * (1 + mpmath.mpf(1) / big_v) ** d
-                    mb = f.sup_bound if f.bounded else f.m_bound * (1 + (mpmath.mpf(big_v) / _JAIN_N) ** d)
+                    mb = f.m_bound * (1 + (mpmath.mpf(big_v) / _JAIN_N) ** d if d else 1)
                     exact = _mp_weight(nx, beta, big_v) * mb * q / (1 - q)
                     # a last term that underflows reports a tail of 0
                     assert res.est_tail_bound >= exact or exact < mpmath.ldexp(1, -1075)
@@ -1160,7 +1177,7 @@ class TestTailCertificate:
         # lies below to bound, and the bound is the least subnormal it adds
         # for rounding
         zero = TestFunction("zero", fn=lambda t: 0.0 * np.asarray(t, dtype=float),
-                            m_bound=0.0, bounded=True, sup_bound=0.0)
+                            m_bound=0.0)
         p = OperatorParams(300.0, 1.0, 0.1)
         nx, v_lo, left_tail = _window(kind, p, zero, 3.0)
         k = math.sqrt(-2.0 * math.log(EvalConfig().tail_eps * ops._SKIP_FACTOR))
