@@ -80,8 +80,6 @@ def modulus1(f: TestFunction, a: float, delta: float, cfg: Optional[EvalConfig] 
         s = delta * j / MODULUS_SUBSTEPS
         t = x + s
         m = t <= a + 1e-12
-        if not np.any(m):
-            continue
         diff = np.abs(np.asarray(f.fn(t[m]), dtype=float) - fx[m])
         best = max(best, float(diff.max()))
     return best
@@ -195,7 +193,8 @@ def weighted_majorant_e1(n: float, c: float, beta: float) -> float:
 
 
 def _weighted_tail_bound(params, f, lam, cap) -> float:
-    """Sup of |D f - f| / (1+x^2)^(1+lam) beyond the cap, from growth metadata.
+    """Sup of |D f - f| / (1+x^2)^(1+lam) beyond the cap, from growth metadata
+    of degree d <= 2 (:func:`weighted_norm_error` refuses a larger one).
 
     Uses (1+x^2) >= x^2, so each numerator monomial becomes a decreasing
     power of x and can be bounded at x = cap.  Past the float range the
@@ -209,8 +208,6 @@ def _weighted_tail_bound(params, f, lam, cap) -> float:
             return 2.0 * f.m_bound / (1.0 + cap * cap) ** (1.0 + lam)
         except OverflowError:  # a weight past the float range: the ratio is below it
             return 0.0
-    if d > 2:
-        raise DomainError("weighted norms are defined for growth degree <= 2")
     try:
         if d <= 1:
             # |Df| + |f| <= M (2 + x + D(t, x)),  D(t,x) = k1 x

@@ -26,8 +26,8 @@ product form
 
     int t^j p(t) dt = c * v(v+1)...(v+j-1) / ((n-c)(n-2c)...(n-(j+1)c))
 
-valid for n > (j+1)c.  All Gamma factors are taken through log-gamma
-(:func:`_core.lgam`, gammaln's algorithm).
+valid for n > (j+1)c.  Every Gamma factor but QUADPACK's ``betaln`` comes
+from ``_core``: :func:`_core.lgam` (gammaln's algorithm) and the log v! table.
 """
 
 from __future__ import annotations
@@ -300,18 +300,6 @@ def _stirling_rest(x):
     return out
 
 
-def _expit(x):
-    """scipy's expit, 1/(1 + e^-x), over a 1-d array with libm's exp, so
-    with its bits; 0 where e^-x overflows."""
-    out = []
-    for y in x.tolist():
-        try:
-            out.append(1.0 / (1.0 + math.exp(-y)))
-        except OverflowError:
-            out.append(0.0)
-    return np.array(out)
-
-
 def _log_peak(v, big):
     """log of the Beta(v, big) density in u = log(s/(1-s)) at its mode
     log(v/big): v log s0 + big log(1-s0) - log Beta(v, big), s0 = v/(v+big).
@@ -373,6 +361,16 @@ def _log_step(delta, v, big):
     return curve - bend, curve + bend
 
 
+def _edge_slope(delta, v, big):
+    """|phi'(u0 + delta)| for phi and u0 of :func:`_log_step`, phi'(u) = v -
+    (v+big) e^u/(1+e^u) with e^u0 = v/big: in the form of
+    :func:`_gauss_legendre`, which does not cancel near the mode."""
+    right = delta >= 0.0
+    r, o = np.where(right, big, v), np.where(right, v, big)
+    a = np.abs(delta)
+    return r * -np.expm1(-a) / (1.0 + r / o * np.exp(-a))
+
+
 def _rule_setup(params, f, cfg):
     """(c, B = n/c - 1, d, M, M c^-d, drop) for a rule: f's envelope
     |f| <= M (1 + t^d) with t^d = (ct)^d c^-d (|f| <= M, with no t^d part,
@@ -401,7 +399,9 @@ def _gauss_legendre(params, f, v, cfg):
     The error estimate is |Q_2K - Q_K|, plus the mass of the envelope
     |f| <= M (1 + t^d) (|f| <= M for d = 0) beyond the window --
     phi and phi + d u are concave, so each tail is at most e^phi / |phi'| at
-    the window's edge -- plus a bound on the rounding of phi and of the sum.
+    the window's edge u0 + delta, |phi'| = r (1 - e^-a) / (1 + (r/o) e^-a)
+    with a = |delta|, r the rate of the edge's side and o the other
+    (:func:`_edge_slope`) -- plus a bound on the rounding of phi and of the sum.
     """
     c, big, d, env, env_d, drop = _rule_setup(params, f, cfg)
     spread = math.sqrt(2.0 * drop)
@@ -427,7 +427,7 @@ def _gauss_legendre(params, f, v, cfg):
         tails = np.zeros_like(v)
         for col, edge, sign in ((-2, left, 1.0), (-1, right, -1.0)):
             phi_e = peak + step[:, col]
-            slope = sign * (v - (v + big) * _expit(u0 + edge))
+            slope = _edge_slope(edge, v, big)
             tails += env * np.exp(phi_e) / slope
             if env_d:
                 tails += env_d * np.exp(phi_e + d * (u0 + edge)) / (slope + sign * d)
@@ -440,9 +440,9 @@ def _gauss_legendre_s(params, f, v, cfg):
     error estimates).
 
     The Beta(v, B) density s^(v-1) (1-s)^(B-1) / Beta(v, B) is smooth at
-    s = 0, with log Beta(v, B) = log (v-1)! - sum_{i<v} log(B+i): exact for
-    integer v, with no gamma function, and finite for every B in the float
-    range.  The envelope density s^a (1-s)^b, a = v-1+d, b = B-1-d (d the
+    s = 0, with log Beta(v, B) = log (v-1)! - sum_{i<v} log(B+i) (log (v-1)!
+    from ``_core``'s table), finite for every B in the float range.  The
+    envelope density s^a (1-s)^b, a = v-1+d, b = B-1-d (d the
     growth degree), is about the Gamma(a+1) law of b w, w = -log(1-s); the
     window ends at w = (a + z)/b, z a Gaussian width sqrt(2 drop (a+1)) plus
     the drop itself, past the mode a/b by more than the law needs to fall
@@ -456,11 +456,10 @@ def _gauss_legendre_s(params, f, v, cfg):
     :func:`_gauss_legendre`.
     """
     c, big, d, env, env_d, drop = _rule_setup(params, f, cfg)
-    lbeta, lbeta_size = np.empty_like(v), np.empty_like(v)
-    for i, k in enumerate(v.astype(int).tolist()):
-        log_fact, logs = math.log(math.factorial(k - 1)), [math.log(big + j) for j in range(k)]
-        lbeta[i] = log_fact - sum(logs)
-        lbeta_size[i] = log_fact + sum(map(abs, logs))
+    k = v.astype(int) - 1
+    logs = [math.log(big + j) for j in range(k[-1] + 1)]
+    lbeta = _core._LOG_FACT[k] - np.cumsum(logs)[k]
+    lbeta_size = _core._LOG_FACT[k] + np.cumsum(np.abs(logs))[k]
     a, b = v - 1.0 + d, big - 1.0 - d
     reach = a + math.sqrt(2.0 * drop) * np.sqrt(a + 1.0) + drop
     s_right = -np.expm1(-reach / b) if b > 0.0 else np.ones_like(v)
@@ -493,18 +492,18 @@ def _gauss_legendre_s(params, f, v, cfg):
     return q[:, 1], np.abs(q[:, 1] - q[:, 0]) + tails + rounding
 
 
-def kernel_expectations(params, f, v, cfg, mag, needed=None):
+def kernel_expectations(params, f, v, cfg, needed=None):
     """(E_v[f], error estimates) for the sorted integer array ``v`` >= 1.
 
-    ``mag`` holds a-priori bounds on |E_v[f]|.  Each v up to _S_RULE_V is
-    tried with the Gauss-Legendre pair in s, :func:`_gauss_legendre_s`, and
-    each larger v with the pair in u, :func:`_gauss_legendre`, in chunks of
-    _GL_CHUNK.  A v whose estimate misses max(quad_rel_tol |value|, _MAG_FLOOR
-    quad_rel_tol mag) -- a kink, an oscillation the nodes cannot resolve, a
-    slowly decaying tail -- is computed by :func:`_kernel_expectation`
-    instead, with its ConvergenceError.  Such a value reports _QUAD_SAFETY
-    times QUADPACK's estimate plus the rounding of its ``betaln`` (which
-    QUADPACK cannot see: it scales the integrand).
+    Each v up to _S_RULE_V is tried with the Gauss-Legendre pair in s,
+    :func:`_gauss_legendre_s`, and each larger v with the pair in u,
+    :func:`_gauss_legendre`, in chunks of _GL_CHUNK.  A v whose estimate
+    misses max(quad_rel_tol |value|, _MAG_FLOOR quad_rel_tol mag), mag
+    f's envelope bound :func:`magnitude_bound` -- a kink, an oscillation
+    the nodes cannot resolve, a slowly decaying tail -- is computed by
+    :func:`_kernel_expectation` instead, with its ConvergenceError.  Such a
+    value reports _QUAD_SAFETY times QUADPACK's estimate plus the rounding
+    of its ``betaln`` (which QUADPACK cannot see: it scales the integrand).
 
     ``needed`` (a boolean mask over ``v``; every v by default) marks the v
     that must be answered.  A v not needed whose rule estimate misses the
@@ -525,6 +524,7 @@ def kernel_expectations(params, f, v, cfg, mag, needed=None):
     for lo in range(small, len(v), _GL_CHUNK):
         part = slice(lo, lo + _GL_CHUNK)
         values[part], errors[part] = _gauss_legendre(params, f, vf[part], cfg)
+    mag = magnitude_bound(params, f, v)
     redo = ~(errors <= cfg.quad_rel_tol * np.maximum(np.abs(values), _MAG_FLOOR * mag))
     if needed is not None:
         errors[redo & ~needed] = np.inf
@@ -553,6 +553,5 @@ def kernel_integral(
     cfg = cfg or EvalConfig()
     v = check_integer(v, "v", 1, _V_INDEX_MAX)
     require_integrable(params, f)
-    vs = np.array([v])
-    val, _ = kernel_expectations(params, f, vs, cfg, magnitude_bound(params, f, vs))
+    val, _ = kernel_expectations(params, f, np.array([v]), cfg)
     return params.c / (params.n - params.c) * float(val[0])

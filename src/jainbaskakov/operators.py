@@ -221,9 +221,8 @@ class _IntegralTable:
             self._reserve(int(span[-1]) + 1)
             span = span[~self._filled[span]]
             asked = (span >= v.start) & (span < v.stop)
-            values, errors = kernel_expectations(
-                self.params, self.f, span, self.cfg, self._mag[span], needed=asked
-            )
+            values, errors = kernel_expectations(self.params, self.f, span, self.cfg,
+                                                 needed=asked)
             keep = asked | (errors < np.inf)
             new = span[keep]
             self._values[new], self._errors[new] = values[keep], errors[keep]

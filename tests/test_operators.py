@@ -338,8 +338,8 @@ class TestCacheAndLimits:
         computed = []
         real = ops.kernel_expectations
 
-        def spy(params, f, v, cfg_, mag, needed):
-            values, errors = real(params, f, v, cfg_, mag, needed)
+        def spy(params, f, v, cfg_, needed):
+            values, errors = real(params, f, v, cfg_, needed)
             # what the table stores: the v asked for and those the rule answered
             computed.extend((f.name, vi) for vi in v[needed | (errors < np.inf)].tolist())
             return values, errors
@@ -596,10 +596,10 @@ class TestIntegralTable:
         real = ops.kernel_expectations
         asked = []
 
-        def spy(params, f_, span, cfg_, mag, needed):
+        def spy(params, f_, span, cfg_, needed):
             assert not tab._filled[span].any()
             asked.extend(span[needed].tolist())
-            return real(params, f_, span, cfg_, mag, needed=needed)
+            return real(params, f_, span, cfg_, needed=needed)
 
         monkeypatch.setattr(ops, "kernel_expectations", spy)
         tab = ops._IntegralTable(p, f, cfg)
