@@ -1,5 +1,6 @@
 """Hot basis-weight kernels: vectorized generalized-Poisson weight blocks,
-and the log-gamma function they share with the kernel rules.
+at consecutive v or on a lattice of one step, and the log-gamma function
+they share with the kernel rules.
 
 These two block fills sit under every operator evaluation.  They are
 numpy-vectorized; a Cython variant (scalar libm loop with an
@@ -95,23 +96,26 @@ _V = np.arange(_LOG_FACT_CAP, dtype=np.float64)
 _LOG_FACT = log_gamma(_V + 1.0)
 
 
-def jain_log_weights(nx: float, beta: float, v0: int, count: int) -> np.ndarray:
-    """Log generalized-Poisson weights log w(v) for v = v0 .. v0+count-1.
+def jain_log_weights(nx: float, beta: float, v0: int, count: int, step: int = 1) -> np.ndarray:
+    """Log generalized-Poisson weights log w(v) for v = v0, v0 + step, ...,
+    ``count`` of them.
 
     w(v) = nx * (nx + v*beta)^(v-1) * exp(-(nx + v*beta)) / v!,  nx > 0.
     Built in one output array, each operation in the order of
-    log nx + (v-1) log m - m - log v!, m = nx + v*beta.
+    log nx + (v-1) log m - m - log v!, m = nx + v*beta; a weight's bits do
+    not depend on the step or the other v of the call.
     """
-    if v0 + count <= _LOG_FACT_CAP:
-        v = _V[v0 : v0 + count]
-        log_fact = _LOG_FACT[v0 : v0 + count]
+    stop = v0 + step * count
+    if stop <= _LOG_FACT_CAP:
+        v = _V[v0:stop:step]
+        log_fact = _LOG_FACT[v0:stop:step]
         # v - 1 as a view of the same table (exact); v0 = 0 has no view
-        v_less = _V[v0 - 1 : v0 - 1 + count] if v0 else v - 1.0
+        v_less = _V[v0 - 1 : stop - 1 : step] if v0 else v - 1.0
     else:
-        v = np.arange(v0, v0 + count, dtype=np.float64)
-        below = max(_LOG_FACT_CAP - v0, 0)
-        x = v[below:] + 1.0
-        log_fact = np.concatenate((_LOG_FACT[v0:], _lgam_stirling(x, np.log(x))))
+        v = np.arange(v0, stop, step, dtype=np.float64)
+        below = _LOG_FACT[v0:_LOG_FACT_CAP:step]
+        x = v[len(below):] + 1.0
+        log_fact = np.concatenate((below, _lgam_stirling(x, np.log(x))))
         v_less = v - 1.0
     m = v * beta
     m += nx
@@ -123,7 +127,7 @@ def jain_log_weights(nx: float, beta: float, v0: int, count: int) -> np.ndarray:
     return out
 
 
-def jain_weights(nx: float, beta: float, v0: int, count: int) -> np.ndarray:
+def jain_weights(nx: float, beta: float, v0: int, count: int, step: int = 1) -> np.ndarray:
     """exp of :func:`jain_log_weights`, in place."""
-    out = jain_log_weights(nx, beta, v0, count)
+    out = jain_log_weights(nx, beta, v0, count, step)
     return np.exp(out, out=out)

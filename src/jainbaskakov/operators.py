@@ -13,15 +13,33 @@ basis in v:
 
 The v-series is summed over a window of v in blocks of one length, each
 block as numpy arrays with one pairwise ``np.add.reduce``.  The window
-starts at v_lo >= 0 (:func:`_left_window`); its first block runs to about
-mean + k spread of the law, mean nx/(1-beta) and spread
-sqrt(nx)/(1-beta)^1.5, k = sqrt(-2 log(tail_eps 2^-26)), and is never
-shorter than ``_BLOCK_START`` nor longer than ``_BLOCK_MAX``; every later
-block is as long as the first.  (Longer blocks measured slower per term.)
-Summation stops once a certified bound on the terms left out on both
-sides is at most ``tail_eps * gcf``, gcf the threshold scale of
-:func:`_growth_correction`: one budget, on one scale, that does not depend
-on the value summed so far.  ``v_terms_used`` counts the terms summed.
+starts at v_lo >= 0 (:func:`_left_window`) and its first block runs to
+about mean + k spread of the law, mean nx/(1-beta) and spread
+sqrt(nx)/(1-beta)^1.5, k = sqrt(-2 log(tail_eps 2^-26)).  Summation stops
+once a certified bound on the terms left out on both sides is at most
+``tail_eps * gcf``, gcf the threshold scale of :func:`_growth_correction`:
+one budget, on one scale, that does not depend on the value summed so far.
+``v_terms_used`` counts the points summed.
+
+A law whose window starts at v = 0 is summed at every v, its first block
+never shorter than ``_BLOCK_START`` nor longer than ``_BLOCK_MAX`` and every
+later block as long as the first.  (Longer blocks measured slower per
+term.)  An interior law (v_lo > 0) is smooth and bell-shaped in v, so a
+trapezoid sum of step h errs by only about e^(-2 pi^2 (spread/h)^2)
+(Poisson summation; Trefethen & Weideman, SIAM Review 56, 2014, sec. 5).
+With h the largest power of two <= spread/2 (:func:`_stride`), the series
+sums g = h/2 times the terms at the multiples of g from the first one >=
+v_lo, so that nearby x share their lattice points (and kernel integrals),
+and forms the step-h sum from every other point, the multiples of h: about
+2k spread/g, 76 to 152, points a law, whatever its width.  The two sums
+differ by about the step-h sum's error, far more than the step-g sum's at
+spread/g >= 4; the difference joins ``quad_error_est`` (an estimate, as
+the kernel rule's K/2K difference is).  Where it exceeds ``tail_eps * gcf``
+plus twice ``rounding_est`` (the two sums' own rounding, for wide laws
+mostly that of the weights) -- a kink or an aliased oscillation of f in
+v -- the law is summed again at every v.  At h = 2 the lattice would be
+every v, so such laws are summed at every v from the start; as every
+interior law has spread above k >= 6, that needs spread below 8.
 
 The right bound is a geometric majorant of sum_{v>V} w(v) mbound(v), V the
 last index of the block and mbound the a-priori bound on |f(v/n)| or
@@ -40,7 +58,9 @@ E_v[t^d] steps by (v+d)/v.  So with
 q = max(rho(V), beta e^(1-beta)) (1 + 1/V)^d every later term is at most q
 times the one before, and for q < 1 the tail is at most
 w(V) mbound(V) q/(1-q) (inf otherwise), with q rounded up and w(V)
-inflated by the log-space rounding of its computed value.  The rounding
+inflated by the log-space rounding of its computed value.  On a lattice of
+step g the points past V weigh g w(V+ig) mbound(V+ig), at most
+g w(V) mbound(V) (q^g)^i: their tail is g w(V) mbound(V) q^g/(1-q^g).  The rounding
 of the summed terms is reported apart, in ``rounding_est`` (below).
 
 The left bound covers sum_{u<v_lo} w(u) mbound(u).  With g(v) = log r(v)
@@ -60,7 +80,9 @@ v <= 19, and r(20) > r(19) (past the mean 6), so it is tight there.  On
 that domain every ratio below v_lo is at least r(v_lo - 1), so
 w(u) <= w(v_lo) q^(v_lo-u) with q = 1/r(v_lo - 1); every mbound above does
 not decrease in v (E_0[t^d] = 0 at the atom), so the left tail is at most
-w(v_lo) mbound(v_lo) q/(1-q), rounded like the right one.  v_lo is the
+w(v_lo) mbound(v_lo) q/(1-q), rounded like the right one; on a lattice of
+step g each point below v_lo is within w(v_lo) mbound(v_lo) q^(v_lo-u) as
+well, so g times the bound covers their weight.  v_lo is the
 Gaussian edge floor(mean - k spread), certified by one read of this bound;
 it falls back to 0 where the edge is below 1, where the domain condition
 fails, where q >= 1, or where the bound is not below the skip budget
@@ -81,17 +103,19 @@ the sizes of the terms of its logarithm, as in the tail bound; over a block
 those sizes are largest at its last index, but for |log m|, which is
 quasi-convex in m and so largest at one of the block's ends.  That adds
 expm1(|delta|) sum|w f|, and weights or products below the normal range
-add at most 2^-1075 (1 + mbound) each.  Adding the block to the running
-total rounds once more, by at most u times the new total.  The
+add at most 2^-1075 (1 + mbound) each.  A lattice block's value is g
+times its sum, and so is its bound: g is a power of two.  Adding the block
+to the running total rounds once more, by at most u times the new total.  The
 quadrature errors are summed by ``np.add.reduce`` too; their terms are
 nonnegative, so scaling the sum by 1 + 2 gamma keeps it an upper bound.
 
 Kernel integrals are cached per (n, c, f) since they depend on neither beta
 nor x; grid and parameter sweeps reuse them heavily.  A table holds E_v[f],
 its error estimate and the a-priori bound on |E_v[f]| in arrays indexed by
-v and answers a whole block of v in one lookup.  The v a block finds
-missing are computed in one call of :func:`kernels.kernel_expectations`,
-together with every other unfilled v >= 1 of the aligned chunks of
+v and answers a whole block of v, consecutive or on a lattice, in one
+lookup.  The v a block finds missing are computed in one call of
+:func:`kernels.kernel_expectations`, together with every other unfilled
+v >= 1 of the block's lattice in the aligned chunks of
 ``kernels._GL_CHUNK`` (32) that hold them: a vectorised Gauss-Legendre rule,
 in s for v = 1..4 and in the logit variable past them, whose reported
 error is its K/2K difference plus a truncation and a rounding bound.  A v
@@ -107,15 +131,18 @@ The series reads mbound as one float per block, at V, before the block's
 terms (and one at the edge in :func:`_left_window`); a block bound that
 is not finite raises DomainError there, before f is evaluated.  The
 per-term bounds of a block are read only by the hybrid provider, as a view
-of its table, for the skip rule: it reads the table by one slice (views)
-from the first v whose bound w(v) mbound(v) is above the skip budget to
-the last; a v skipped inside would be summed,
-which no evaluation seen has needed.  The atom at v = 0 costs no integral:
-it joins a run kept from v = 1, else is a term w(0) f(0) apart.  A warm
-evaluation of a few hundred terms is mostly fixed cost, about 31 us of
-numpy and Python calls against about 25 ns per term (Intel Xeon, 2 cores,
-numpy 2.4; fitted over 256 to 16,384 terms of the hybrid e2 series at
-n = 300, beta = 0.1), so this path makes few calls and takes each log once.
+of its table, for the skip rule: at step 1 it reads the table by one
+slice (views) from the first v whose bound w(v) mbound(v) is above the
+skip budget to the last; a v skipped inside would be summed, which no
+evaluation seen has needed.  A lattice block, whose few points lie inside
+the window, reads every point by one stepped slice and skips none.  The
+atom at v = 0 costs no integral: it joins a run kept from v = 1, else is
+a term w(0) f(0) apart.  A warm evaluation of a few hundred terms is
+mostly fixed cost, about 31 us of numpy and Python calls against about
+25 ns per term (Intel Xeon, 2 cores, numpy 2.4; fitted over 256 to 16,384
+terms of the hybrid e2 series at n = 300, beta = 0.1), so this path makes
+few calls and takes each log once; there a lattice of 83 points took
+27.5 us against 34 to 37 us for the 667 terms at every v.
 """
 
 from __future__ import annotations
@@ -203,21 +230,25 @@ class _IntegralTable:
         return float(self._mag[v])
 
     def get(self, v: slice) -> tuple[np.ndarray, np.ndarray]:
-        """(E_v[f], error estimates) for the consecutive v of the slice ``v``,
-        answered with views (do not write).
+        """(E_v[f], error estimates) for the v of the slice ``v``, consecutive
+        or a lattice of one step, answered with views (do not write).
 
         Entries not yet in the table are computed first, all in one call
         of :func:`kernels.kernel_expectations`, together with every other
-        unfilled v of the _GL_CHUNK-aligned chunks that hold them.  Those
-        others are stored only where the rule's estimate meets the
-        tolerance; QUADPACK runs only for the v asked for.
+        unfilled v of the slice's lattice in the _GL_CHUNK-aligned chunks
+        that hold them.  Those others are stored only where the rule's
+        estimate meets the tolerance; QUADPACK runs only for the v asked
+        for.
         """
         self._reserve(v.stop)
         filled = self._filled[v]
         if np.count_nonzero(filled) < len(filled):
-            missing = np.arange(v.start, v.stop)[~filled]
+            step = v.step or 1
+            missing = np.arange(v.start, v.stop, step)[~filled]
             chunks = np.unique(missing // _GL_CHUNK)
             span = (chunks[:, None] * _GL_CHUNK + np.arange(_GL_CHUNK)).ravel()
+            if step > 1:
+                span = span[(span - v.start) % step == 0]
             self._reserve(int(span[-1]) + 1)
             span = span[~self._filled[span]]
             asked = (span >= v.start) & (span < v.stop)
@@ -274,8 +305,8 @@ DEFAULT_CACHE = KernelIntegralCache()
 # silently truncate a heavy-tail case (beta near 1).
 V_MAX = 10**6
 
-# Every block of a v-series is as long as its first, which runs to about
-# mean + k spread: 256 to 8192 terms.
+# Every block of a step-1 v-series is as long as its first, which runs to
+# about mean + k spread: 256 to 8192 terms.
 _BLOCK_START = 256
 _BLOCK_MAX = 8192
 
@@ -303,6 +334,13 @@ def _sum_gamma(count):
     and two more for forming sum|w f| and the bound in floats."""
     ku = (count + 2) * _EPS / 2.0
     return ku / (1.0 - ku)
+
+
+def _sum_up(a):
+    """An upper bound on the sum of the nonnegative array ``a``: its
+    np.add.reduce times 1 + 2 gamma_k, which undoes the sum's rounding
+    down."""
+    return float(np.add.reduce(a)) * (1.0 + 2.0 * _sum_gamma(len(a)))
 
 
 def _log_weight_rounding(abs_log_nx, v_last, abs_log_m, m, log_fact, d):
@@ -381,12 +419,13 @@ def _left_bound(nx, beta, v_lo, d, mb_lo):
 def _left_window(nx, beta, d, tail_eps, gcf, mag_at):
     """Where a v-series starts, and a certified bound on what lies below.
 
-    Returns (v_lo, block, left_tail): the series sums from v_lo in blocks
-    ``block`` long, and left_tail bounds sum_{u<v_lo} w(u) mbound(u),
-    mbound(v) = mag_at(v), by :func:`_left_bound`.  v_lo is the Gaussian
-    edge floor(mean - k spread); where the edge is below 1, or its bound is
-    not below the skip budget ``tail_eps * 2^-26 * gcf``, v_lo = 0 and
-    left_tail = 0.
+    Returns (v_lo, v_end, spread, left_tail): the series sums from v_lo,
+    left_tail bounds sum_{u<v_lo} w(u) mbound(u), mbound(v) = mag_at(v), by
+    :func:`_left_bound`, v_end = ceil(mean + k spread) is where its first
+    block aims to end and spread = sqrt(nx)/(1-beta)^1.5 sets its stride
+    (:func:`_stride`).  v_lo is the Gaussian edge floor(mean - k spread);
+    where the edge is below 1, or its bound is not below the skip budget
+    ``tail_eps * 2^-26 * gcf``, v_lo = 0 and left_tail = 0.
     """
     mean = nx / (1.0 - beta)
     spread = math.sqrt(nx) / (1.0 - beta) ** 1.5
@@ -397,8 +436,32 @@ def _left_window(nx, beta, d, tail_eps, gcf, mag_at):
     left_tail = _left_bound(nx, beta, v_lo, d, mag_at(v_lo)) if v_lo > 0 else math.inf
     if not left_tail < budget:
         v_lo, left_tail = 0, 0.0
-    block = min(max(math.ceil(mean + k * spread) - v_lo, _BLOCK_START), _BLOCK_MAX)
-    return v_lo, block, left_tail
+    return v_lo, math.ceil(mean + k * spread), spread, left_tail
+
+
+def _stride(spread):
+    """h, the largest power of two <= spread/2 (an int; 1 below 2): the
+    coarser of the two lattice steps a law is summed on."""
+    return 1 << max(math.frexp(0.5 * spread)[1] - 1, 0)
+
+
+def _plans(v_lo, v_end, spread, left_tail):
+    """The ways to sum a law, in order, as (v_first, step, count, skipped):
+    ``count`` points a block on the multiples of ``step`` from v_first, the
+    skipped tail starting at ``skipped``.  An interior law (v_lo > 0) with
+    h = :func:`_stride` >= 4 is summed first on the multiples of g = h/2
+    from the first one >= v_lo, each block running to about v_end; the
+    lattice points below v_lo weigh at most g left_tail, as each is within
+    w(v_lo) mbound(v_lo) q^(v_lo-u), q = 1/r(v_lo - 1).  Every law can be
+    summed at step 1 from v_lo, in blocks of v_end - v_lo clamped to
+    [_BLOCK_START, _BLOCK_MAX]."""
+    unit = (v_lo, 1, min(max(v_end - v_lo, _BLOCK_START), _BLOCK_MAX), left_tail)
+    h = _stride(spread) if v_lo else 1
+    if h < 4:  # at h = 2 the lattice would be every v
+        return (unit,)
+    g = h // 2
+    first = -(-v_lo // g) * g
+    return (first, g, (v_end - first) // g + 1, g * left_tail), unit
 
 
 def _series_eval(params, basis_x, provider, mag_at, f, hybrid, cfg, x_report):
@@ -409,23 +472,29 @@ def _series_eval(params, basis_x, provider, mag_at, f, hybrid, cfg, x_report):
     from v to v + 1, d the growth degree of ``f``.  The series reads it once
     per block, at the block's last index V, before the block's terms; a
     bound there that is not finite raises DomainError, as no later block
-    could then stop the series.  ``provider(v0, w, gcf)``, gcf the
-    threshold scale of :func:`_growth_correction`, returns per-block (terms
-    w f in an array of its own, skipped_tail_increment,
+    could then stop the series.  ``provider(v, w, gcf)``, v the block's
+    slice of indices (its step the law's step g), w their weights and gcf
+    the threshold scale of :func:`_growth_correction`, returns per-block
+    (terms w f in an array of its own, skipped_tail_increment,
     quad_error_increment); a provider that skips terms reads their bounds
-    itself.  Each block adds its rounding bound to ``rounding_est`` (module
-    docstring).  Summation starts at :func:`_left_window`'s v_lo, whose
-    left bound joins the skipped tail, in blocks of its one length.  After
-    each block, terms past V are bounded by :func:`_tail_bound` with q =
-    :func:`_ratio_sup`: every weight ratio past V is at most the larger of
-    rho(V) = (m/(V+1)) exp(V beta/m - beta) and its limit beta e^(1-beta)
-    (log rho is quasi-convex in v; module docstring), so with the growth
-    factor (1 + 1/V)^d the tail is a geometric series.  The series stops at
-    the first block after which the skipped terms, the left bound and this
-    tail add up to at most ``tail_eps * gcf``.  The tail is taken as 0
-    where w(V) mbound(V) underflows to 0 and q < 1, that is past the mode;
-    before the mode the bound is inf, so an underflowed block below the
-    bulk never stops it.
+    itself.  The series scales all three by g, the weight of a lattice
+    point, and each block adds its rounding bound to ``rounding_est``
+    (module docstring).  Summation follows :func:`_plans`: from
+    :func:`_left_window`'s v_lo, or from the first multiple of g above it,
+    whose left bound joins the skipped tail, in blocks of one length.
+    After each block, the points past V are bounded by :func:`_tail_bound`
+    with q^g, q = :func:`_ratio_sup`: every weight ratio past V is at most
+    the larger of rho(V) = (m/(V+1)) exp(V beta/m - beta) and its limit
+    beta e^(1-beta) (log rho is quasi-convex in v; module docstring), so
+    with the growth factor (1 + 1/V)^d the tail is a geometric series.  The
+    series stops at the first block after which the skipped terms, the left
+    bound and this tail add up to at most ``tail_eps * gcf``.  The tail is
+    taken as 0 where w(V) mbound(V) underflows to 0 and q < 1, that is past
+    the mode; before the mode the bound is inf, so an underflowed block
+    below the bulk never stops it.  A lattice sum then checks its step-h
+    sum: where the two differ by more than ``tail_eps * gcf`` the law is
+    summed again at step 1; otherwise the difference joins
+    ``quad_error_est``.
 
     A law whose mean nx/(1 - beta) is not below V_MAX (or is not finite)
     keeps about half its mass past the cap, more than any useful tail_eps
@@ -440,43 +509,60 @@ def _series_eval(params, basis_x, provider, mag_at, f, hybrid, cfg, x_report):
     check_point(nx, "n*x", zero_ok=False)
     gcf = _growth_correction(params, f, basis_x, hybrid)
     d = f.growth_degree
-    v_lo, block, skipped = _left_window(nx, beta, d, cfg.tail_eps, gcf, mag_at)
-    val_run = quad_err = rounding = 0.0
+    budget = cfg.tail_eps * gcf
     abs_log_nx = abs(math.log(nx))
 
-    for v0 in range(v_lo, V_MAX, block):
-        w = _core.jain_weights(nx, beta, v0, block)
-        big_v = v0 + block - 1
-        w_last, mb_last = float(w[-1]), mag_at(big_v)
-        if not math.isfinite(mb_last):
-            raise DomainError(f"v-series term bound not finite at v={big_v}, n={params.n}")
-        terms, sk_inc, qerr_inc = provider(v0, w, gcf)
-        val_run += float(np.add.reduce(terms))
-        quad_err += qerr_inc
-        skipped += sk_inc
+    for v_first, step, count, skipped in _plans(
+            *_left_window(nx, beta, d, cfg.tail_eps, gcf, mag_at)):
+        val_run = quad_err = rounding = coarse = 0.0
+        for v0 in range(v_first, V_MAX, step * count):
+            w = _core.jain_weights(nx, beta, v0, count, step)
+            big_v = v0 + step * (count - 1)
+            w_last, mb_last = float(w[-1]), mag_at(big_v)
+            if not math.isfinite(mb_last):
+                raise DomainError(f"v-series term bound not finite at v={big_v}, n={params.n}")
+            terms, sk_inc, qerr_inc = provider(slice(v0, big_v + 1, step), w, gcf)
+            if step > 1:  # the step-h sum: the multiples of h = 2g
+                coarse += 2 * step * float(np.add.reduce(terms[(v0 // step) & 1 :: 2]))
+            val_run += step * float(np.add.reduce(terms))
+            quad_err += step * qerr_inc
+            skipped += step * sk_inc
 
-        over_block, at_last = _block_roundings(nx, beta, abs_log_nx, v0, big_v, d)
-        factor = _sum_gamma(block) + math.expm1(over_block)
-        rounding += (factor * float(np.add.reduce(np.abs(terms, out=terms)))
-                     + block * 2.0**-1074 * max(1.0, mb_last) + _EPS / 2.0 * abs(val_run))
-        q = _ratio_sup(nx, beta, big_v, d)
-        # a last term that underflows ends the series only past the mode:
-        # before it, the bulk of the law still lies ahead
-        if q < 1.0 and w_last * mb_last == 0.0:
-            tail_geo = 0.0
+            over_block, at_last = _block_roundings(nx, beta, abs_log_nx, v0, big_v, d)
+            factor = _sum_gamma(count) + math.expm1(over_block)
+            rounding += (step * (factor * float(np.add.reduce(np.abs(terms, out=terms)))
+                                 + count * 2.0**-1074 * max(1.0, mb_last))
+                         + _EPS / 2.0 * abs(val_run))
+            q = _ratio_sup(nx, beta, big_v, d)
+            # a last term that underflows ends the series only past the mode:
+            # before it, the bulk of the law still lies ahead
+            if q < 1.0 and w_last * mb_last == 0.0:
+                tail_geo = 0.0
+            else:
+                if step > 1:  # from lattice point to lattice point
+                    q = math.nextafter(q**step, math.inf)
+                tail_geo = step * _tail_bound(w_last, mb_last, q, at_last)
+            tail_est = tail_geo + skipped
+
+            if tail_est <= budget:
+                if step > 1:
+                    # the two sums' roundings, each about rounding_est, stay
+                    # out of the test: a kink or an aliased oscillation
+                    # does not, and is summed again at step 1
+                    stride_err = abs(coarse - val_run)
+                    if not stride_err <= budget + 2.0 * rounding:
+                        break
+                    quad_err += stride_err
+                return EvalResult(
+                    x=x_report,
+                    value=val_run,
+                    v_terms_used=(big_v - v_first) // step + 1,
+                    est_tail_bound=tail_est,
+                    quad_error_est=quad_err,
+                    rounding_est=rounding,
+                )
         else:
-            tail_geo = _tail_bound(w_last, mb_last, q, at_last)
-        tail_est = tail_geo + skipped
-
-        if tail_est <= cfg.tail_eps * gcf:
-            return EvalResult(
-                x=x_report,
-                value=val_run,
-                v_terms_used=v0 + block - v_lo,
-                est_tail_bound=tail_est,
-                quad_error_est=quad_err,
-                rounding_est=rounding,
-            )
+            break  # the cap, which no step gets past
     raise _cap_error(beta, nx)
 
 
@@ -546,8 +632,8 @@ def eval_jain(
 
     n = params.n
 
-    def provider(v0, w, _gcf):
-        t = np.arange(v0, v0 + len(w), dtype=np.float64) / n
+    def provider(v, w, _gcf):
+        t = np.arange(v.start, v.stop, v.step, dtype=np.float64) / n
         return w * np.asarray(f.fn(t), dtype=np.float64), 0.0, 0.0
 
     return _series_eval(params, x, provider, _jain_mag(f, n), f, False, cfg, x_report=x)
@@ -559,7 +645,11 @@ def _eval_hybrid(params, f, x, basis_x, cfg):
         return _atom_result(x, f)
     table = DEFAULT_CACHE.table(params, f, cfg)
 
-    def provider(v0, w, gcf):
+    def provider(v, w, gcf):
+        if v.step > 1:  # a lattice block reads every point
+            values, errors = table.get(v)
+            return w * values, 0.0, _sum_up(w * errors)
+        v0 = v.start
         bound = w * table.mag(v0, len(w))
         keep = bound > cfg.tail_eps * _SKIP_FACTOR * gcf
         if v0 == 0:  # the atom joins a run kept from v = 1, else stands apart
@@ -572,8 +662,7 @@ def _eval_hybrid(params, f, x, basis_x, cfg):
         terms[lo:hi] = w_kept * values
         if atom:
             terms[0] = w[0] * table.atom
-        # a sum of nonnegative terms: 1 + 2 gamma_k undoes its rounding down
-        qerr = float(np.add.reduce(w_kept * errors)) * (1.0 + 2.0 * _sum_gamma(hi - lo))
+        qerr = _sum_up(w_kept * errors)
         # the skipped bounds, in order
         skipped = (bound[hi:] if lo == 0 else bound[atom:lo] if hi == len(w)
                    else np.concatenate((bound[atom:lo], bound[hi:])))

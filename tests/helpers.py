@@ -8,14 +8,17 @@ from jainbaskakov._core import jain_weights
 from jainbaskakov.functions import TestFunction
 
 
-def prefix_sum(nx: float, beta: float, stop: int, values) -> float:
-    """math.fsum of w(v) values(v) over 0 <= v < stop, in one block.
+def prefix_sum(nx: float, beta: float, stop: int, values, step: int = 1) -> float:
+    """step times math.fsum of w(v) values(v) over the multiples v of
+    ``step`` below ``stop``, in one block.
 
-    The reference for the windowed v-series, which leaves out v < v_lo:
-    ``values`` maps an index array to f(v/n) or E_v[f].
+    The reference for the windowed v-series, which leaves out v < v_lo, or
+    for its lattice sum on the multiples of ``step``: ``values`` maps an
+    index array to f(v/n) or E_v[f].
     """
-    w = jain_weights(nx, beta, 0, stop)
-    return math.fsum((w * values(np.arange(stop))).tolist())
+    v = np.arange(0, stop, step)
+    w = jain_weights(nx, beta, 0, len(v), step)
+    return step * math.fsum((w * values(v)).tolist())
 
 
 def combine(

@@ -39,6 +39,7 @@ from jainbaskakov import (
 )
 from jainbaskakov.functions import TestFunction
 
+import reference
 from helpers import combine, prefix_sum
 
 
@@ -385,17 +386,17 @@ class TestCacheAndLimits:
         blocks = []
         real = core.jain_weights
 
-        def counted(nx, beta, v0, count):
-            blocks.append(v0)
-            return real(nx, beta, v0, count)
+        def counted(nx, beta, v0, count, step):
+            blocks.append((v0, step))
+            return real(nx, beta, v0, count, step)
 
         monkeypatch.setattr(core, "jain_weights", counted)
         p, f = OperatorParams(300, 1, 0.95), get_function("e1")
         with pytest.raises(ConvergenceError, match="within v <= 20000"):
             eval_jain(p, f, 2.0, cfg)
         assert _window(OperatorKind.JAIN, p, f, 2.0)[1] == 0
-        assert blocks == [0, 8192, 16384]
-        assert blocks[-1] < 20_000 <= blocks[-1] + 8192
+        assert blocks == [(0, 1), (8192, 1), (16384, 1)]
+        assert blocks[-1][0] < 20_000 <= blocks[-1][0] + 8192
 
     @pytest.mark.parametrize("kind, n, beta, x", [
         ("jain", 10, 0.0, 1e6), ("jain", 10, 0.0, 1e308),  # the second: nx = inf
@@ -432,9 +433,9 @@ class TestCacheAndLimits:
         blocks = []
         real = core.jain_weights
 
-        def counted(nx, beta, v0, count):
+        def counted(nx, beta, v0, count, step):
             blocks.append(v0)
-            return real(nx, beta, v0, count)
+            return real(nx, beta, v0, count, step)
 
         def unevaluated(t):
             raise AssertionError("f was evaluated")
@@ -587,30 +588,38 @@ class TestIntegralTable:
 
     def test_slice_requests_match_one_v_at_a_time(self, cfg, monkeypatch):
         # exp-neg at n = 20, where the rule refuses v = 1..5: slices reaching
-        # unfilled v, short slices past filled ones and a slice over filled
-        # and unfilled v give the bits of one-v-at-a-time requests, and no v
-        # is sent to be computed twice
+        # unfilled v, short slices past filled ones, a slice over filled and
+        # unfilled v, and lattice slices (the chunks of a lattice slice fill
+        # only its lattice) give the bits of one-v-at-a-time requests, and
+        # no v is sent to be computed twice
         p, f = OperatorParams(20, 1, 0.0), get_function("exp-neg")
         requests = [slice(3, 40), slice(0, 3), slice(50, 52), slice(90, 91), slice(30, 100),
-                    slice(7, 7)]
+                    slice(7, 7), slice(136, 296, 8), slice(140, 300, 8), slice(128, 640, 32)]
         real = ops.kernel_expectations
-        asked = []
+        asked, spans = [], []
 
         def spy(params, f_, span, cfg_, needed):
             assert not tab._filled[span].any()
             asked.extend(span[needed].tolist())
+            spans.append(span)
             return real(params, f_, span, cfg_, needed=needed)
 
         monkeypatch.setattr(ops, "kernel_expectations", spy)
         tab = ops._IntegralTable(p, f, cfg)
         got = [tab.get(v) for v in requests]
-        requested = set(np.concatenate([np.arange(100)[v] for v in requests]).tolist())
+        requested = set(np.concatenate([np.arange(640)[v] for v in requests]).tolist())
         assert len(asked) == len(set(asked)) and set(asked) <= requested
         assert tab._filled[sorted(requested)].all()
+        # one call per request that found v missing; a lattice request's
+        # span is its lattice over the chunks that hold them
+        assert len(spans) == 6
+        assert spans[-3].tolist() == list(range(128, 320, 8))
+        assert spans[-2].tolist() == list(range(132, 320, 8))
+        assert spans[-1].tolist() == list(range(320, 640, 32))
         monkeypatch.setattr(ops, "kernel_expectations", real)
         one = ops._IntegralTable(p, f, cfg)
         for v, (values, errors) in zip(requests, got):
-            singles = [one.get(slice(u, u + 1)) for u in np.arange(100)[v].tolist()]
+            singles = [one.get(slice(u, u + 1)) for u in np.arange(640)[v].tolist()]
             np.testing.assert_array_equal(values, np.array([a[0] for a, _ in singles]))
             np.testing.assert_array_equal(errors, np.array([e[0] for _, e in singles]))
         assert isinstance(got[0][0].base, np.ndarray)  # a slice is answered by views
@@ -627,17 +636,18 @@ class TestIntegralTable:
 
 
 def test_each_weight_block_is_computed_once(monkeypatch):
-    # the window [v_lo, mean + k spread) of the Poisson law with mean 3000
-    # holds all of the series in one block, and the stopping rule needs
-    # nothing but the tail bounds, so no block is computed twice; each
-    # block reads its bound mbound once, at its last index (the reads of
-    # the window before the series are dropped)
+    # the Poisson law with mean 3000 (spread 54.8, so h = 16 and g = 8) is
+    # summed on the multiples of 8 in one block from the first one above
+    # its edge v_lo to about mean + k spread, and the stopping rule needs
+    # nothing but the tail bounds, so no block is computed twice; each block
+    # reads its bound mbound once, at its last index (the reads of the
+    # window before the series are dropped)
     blocks, reads = [], []
     real = core.jain_weights
 
-    def counted(nx, beta, v0, count):
-        blocks.append((v0, count))
-        return real(nx, beta, v0, count)
+    def counted(nx, beta, v0, count, step):
+        blocks.append((v0, count, step))
+        return real(nx, beta, v0, count, step)
 
     def reading(mag_at):
         def read(*args):
@@ -657,14 +667,16 @@ def test_each_weight_block_is_computed_once(monkeypatch):
     monkeypatch.setattr(ops, "_left_window", window)
     monkeypatch.setattr(ops, "_jain_mag", lambda f, n: reading(real_jain_mag(f, n)))
     got = ops.basis_mass(OperatorParams(1000.0, 1.0, 0.0), 3.0)
-    v_lo, first, _ = real_window(3000.0, 0.0, 0, EvalConfig().tail_eps, 1.0,
-                                 real_jain_mag(get_function("e0"), 1000.0))
-    assert 2000 < v_lo < 3000 < v_lo + first < 4000
-    assert blocks == [(v_lo, first)]
-    assert reads == [v_lo + first - 1]
-    assert got == float.fromhex("0x1.fffffffffe702p-1")  # as in series_bitwise.json
+    v_lo, v_end, spread, _ = real_window(3000.0, 0.0, 0, EvalConfig().tail_eps, 1.0,
+                                         real_jain_mag(get_function("e0"), 1000.0))
+    assert 2000 < v_lo < 3000 < v_end < 4000 and ops._stride(spread) == 16
+    first = -(-v_lo // 8) * 8
+    assert blocks == [(first, (v_end - first) // 8 + 1, 8)]
+    assert reads == [first + 8 * (blocks[0][1] - 1)]
+    assert got == float.fromhex("0x1.fffffffffdc31p-1")  # as in series_bitwise.json
     # a hybrid series reads the integral table once per block, here over
-    # three blocks (beta = 0.9, x = 3: the window is wider than _BLOCK_MAX)
+    # three blocks (beta = 0.9, x = 3: the window starts at v = 0 and is
+    # wider than _BLOCK_MAX)
     lookups = []
     real_get = ops._IntegralTable.get
 
@@ -678,7 +690,8 @@ def test_each_weight_block_is_computed_once(monkeypatch):
     eval_jain_baskakov(OperatorParams(300.0, 1.0, 0.9), get_function("e2"), 3.0)
     assert len(blocks) == 3 and len(lookups) == 3
     assert all(isinstance(v, slice) for v in lookups)
-    assert reads == [v0 + count - 1 for v0, count in blocks]
+    assert [step for *_, step in blocks] == [1, 1, 1]
+    assert reads == [v0 + count - 1 for v0, count, _ in blocks]
 
 
 def _mask_provider(table, cfg, v0, w, gcf):
@@ -717,54 +730,63 @@ def _block_kind(v0, keep):
     return kind
 
 
-@pytest.mark.parametrize("window", [None, (0, 64, 0.0)])
+@pytest.mark.parametrize("window", [None, ((0, 1, 64, 0.0),)])
 def test_hybrid_blocks_match_the_mask_reference(monkeypatch, cfg, window):
-    # the provider reads the kept v by one slice and sums the atom apart
-    # from a run past skipped low v; both give the bits of the mask
-    # reference.  A window forced to start at 0 keeps the atom apart from
-    # the bulk and has a block with nothing kept; x = 0.013 keeps a run
-    # from the atom
+    # at step 1 the provider reads the kept v by one slice and sums the atom
+    # apart from a run past skipped low v; both give the bits of the mask
+    # reference.  A lattice block reads every point by one stepped slice,
+    # and skips none.  Step-1 blocks of 64 from v = 0 keep the atom apart
+    # from the bulk and have a block with nothing kept; x = 0.013 keeps a
+    # run from the atom; x = 0.5, 1 and 2 are lattices
     p = OperatorParams(300.0, 1.0, 0.1)
     kinds = set()
     real = ops._series_eval
 
     def series(params, basis_x, provider, *args, **kwargs):
-        def checked(v0, w, gcf):
-            got = provider(v0, w, gcf)
+        def checked(v, w, gcf):
+            got = provider(v, w, gcf)
             table = ops.DEFAULT_CACHE.table(p, f, cfg)
-            *want, keep = _mask_provider(table, cfg, v0, w, gcf)
+            if v.step > 1:
+                values, errors = table.get(v)
+                np.testing.assert_array_equal(got[0], w * values)
+                assert got[1:] == (0.0, ops._sum_up(w * errors))
+                kinds.add("lattice")
+                return got
+            *want, keep = _mask_provider(table, cfg, v.start, w, gcf)
             np.testing.assert_array_equal(got[0], want[0])
             assert got[1:] == tuple(want[1:])
-            kinds.add(_block_kind(v0, keep))
+            kinds.add(_block_kind(v.start, keep))
             return got
 
         return real(params, basis_x, checked, *args, **kwargs)
 
     monkeypatch.setattr(ops, "_series_eval", series)
-    if window is not None:
-        monkeypatch.setattr(ops, "_left_window", lambda *args: window)
+    if window is not None:  # the one way the series sums a law
+        monkeypatch.setattr(ops, "_plans", lambda *args: window)
     for f in (get_function("e2"), get_function("exp-neg")):
         for x in (0.013, 0.5, 1.0, 2.0):
             for evaluate in (eval_jain_baskakov, eval_king):
                 evaluate(p, f, x, cfg)
-    assert kinds == ({"run"} if window is None else {"run", "atom", "atom+run", "none"})
+    assert kinds == ({"run", "lattice"} if window is None
+                     else {"run", "atom", "atom+run", "none"})
 
 
 def test_interior_hole_is_summed(monkeypatch, cfg):
-    # a v inside the kept run whose bound is forced below the skip budget
-    # (through its magnitude bound, on a filled table) is read with the run
-    # and summed: every block gives the bits it gave before, so the hole's
-    # bound stays out of est_tail_bound
+    # at step 1, a v inside the kept run whose bound is forced below the
+    # skip budget (through its magnitude bound, on a filled table) is read
+    # with the run and summed: every block gives the bits it gave before,
+    # so the hole's bound stays out of est_tail_bound
     monkeypatch.setattr(ops, "DEFAULT_CACHE", ops.KernelIntegralCache())
+    monkeypatch.setattr(ops, "_stride", lambda spread: 1)
     p, f, x = OperatorParams(300.0, 1.0, 0.1), get_function("e2"), 1.7
     evaluate = lambda: eval_jain_baskakov(p, f, x, cfg)  # noqa: E731
     real = ops._series_eval
     outputs = []
 
     def series(params, basis_x, provider, *args, **kwargs):
-        def recording(v0, w, gcf):
-            terms, skipped, qerr = provider(v0, w, gcf)
-            outputs.append((v0, terms.copy(), skipped, qerr))
+        def recording(v, w, gcf):
+            terms, skipped, qerr = provider(v, w, gcf)
+            outputs.append((v.start, terms.copy(), skipped, qerr))
             return terms, skipped, qerr
 
         return real(params, basis_x, recording, *args, **kwargs)
@@ -852,9 +874,34 @@ _JAIN_XS = (2.0, 9.0, 5000.0 / 300.0)
 _TAIL_FUNCTIONS = ("e1", "e2", "e3", "e4", "exp-neg", "sin")
 
 
+def _summed_path(evaluate):
+    """An evaluation's result and (v_first, v_last, step) of the sum that
+    gave it: the last run of weight blocks that continue one another (a
+    lattice sum its step-h check refuses is followed by the step-1 sum)."""
+    blocks = []
+    real = core.jain_weights
+
+    def counted(nx, beta, v0, count, step):
+        if blocks and v0 != blocks[-1][0] + blocks[-1][2] * blocks[-1][1]:
+            blocks.clear()
+        blocks.append((v0, count, step))
+        return real(nx, beta, v0, count, step)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "jain_weights", counted)
+        res = evaluate()
+    (v0, count, step) = blocks[-1]
+    return res, (blocks[0][0], v0 + step * (count - 1), step)
+
+
 @functools.lru_cache(maxsize=None)
+def _jain_path(beta, x, name):
+    return _summed_path(
+        lambda: eval_jain(OperatorParams(_JAIN_N, 1.0, beta), get_function(name), x))
+
+
 def _jain(beta, x, name):
-    return eval_jain(OperatorParams(_JAIN_N, 1.0, beta), get_function(name), x)
+    return _jain_path(beta, x, name)[0]
 
 
 def _jain_mbound(f, n):
@@ -863,9 +910,9 @@ def _jain_mbound(f, n):
     return lambda v: f.m_bound * (1.0 + (v / n) ** f.growth_degree)
 
 
-def _window(kind, p, f, x, tail_eps=EvalConfig().tail_eps):
-    """(nx at the basis point, v_lo, left_tail) of an evaluation, from the
-    helper the series calls."""
+def _series_window(kind, p, f, x, tail_eps=EvalConfig().tail_eps):
+    """(nx at the basis point, ops._left_window's (v_lo, v_end, spread,
+    left_tail)) of an evaluation, from the helper the series calls."""
     hybrid = kind is not OperatorKind.JAIN
     basis_x = king_transform(p, x) if kind is OperatorKind.KING else x
     if hybrid:
@@ -875,39 +922,51 @@ def _window(kind, p, f, x, tail_eps=EvalConfig().tail_eps):
         mag_at = ops._jain_mag(f, p.n)
     gcf = ops._growth_correction(p, f, basis_x, hybrid)
     nx = p.n * basis_x
-    v_lo, _, left_tail = ops._left_window(nx, p.beta, f.growth_degree, tail_eps, gcf, mag_at)
+    return nx, ops._left_window(nx, p.beta, f.growth_degree, tail_eps, gcf, mag_at)
+
+
+def _window(kind, p, f, x, tail_eps=EvalConfig().tail_eps):
+    """(nx at the basis point, v_lo, left_tail) of an evaluation."""
+    nx, (v_lo, _, _, left_tail) = _series_window(kind, p, f, x, tail_eps)
     return nx, v_lo, left_tail
 
 
-def _summed_tail(nx, beta, v_from, mbound):
-    """fsum of w(v) mbound(v) over v >= v_from, until the weights underflow."""
+def _summed_tail(nx, beta, v_from, mbound, step):
+    """fsum of w(v) mbound(v) over the multiples v of ``step`` from
+    ``v_from`` on (one of them), until the weights underflow."""
     parts = []
-    for v0 in range(v_from, 10 * ops.V_MAX, 8192):
-        w = core.jain_weights(nx, beta, v0, 8192)
+    for v0 in range(v_from, 10 * ops.V_MAX, 8192 * step):
+        w = core.jain_weights(nx, beta, v0, 8192, step)
         if not w.any():
             return math.fsum(parts)
-        parts.append(math.fsum((w * mbound(np.arange(v0, v0 + 8192.0))).tolist()))
+        parts.append(math.fsum((w * mbound(np.arange(v0, v0 + 8192 * step, step,
+                                                     dtype=np.float64))).tolist()))
     raise AssertionError("weights did not underflow")
 
 
-def _summed_head(nx, beta, v_lo, mbound):
-    """fsum of w(v) mbound(v) over v < v_lo."""
-    if v_lo == 0:
+def _summed_head(nx, beta, v_first, mbound, step):
+    """fsum of w(v) mbound(v) over the multiples v of ``step`` below
+    ``v_first``."""
+    if v_first == 0:
         return 0.0
-    w = core.jain_weights(nx, beta, 0, v_lo)
-    return math.fsum((w * mbound(np.arange(float(v_lo)))).tolist())
+    v = np.arange(0, v_first, step, dtype=np.float64)
+    w = core.jain_weights(nx, beta, 0, len(v), step)
+    return math.fsum((w * mbound(v)).tolist())
 
 
-def _left_out(kind, p, f, x, res):
-    """fsum of w(v) mbound(v) over the v an evaluation did not sum, both sides."""
-    nx, v_lo, _ = _window(kind, p, f, x)
+def _left_out(kind, p, f, x, path):
+    """step times the fsum of w(v) mbound(v) over the multiples v of step
+    that a sum along ``path`` = (v_first, v_last, step) did not sum, both
+    sides: what its est_tail_bound covers."""
+    nx, _, _ = _window(kind, p, f, x)
+    first, last, step = path
     if kind is OperatorKind.JAIN:
         mbound = _jain_mbound(f, p.n)
     else:
         def mbound(v):
             return kernels.magnitude_bound(p, f, v)
-    return (_summed_head(nx, p.beta, v_lo, mbound)
-            + _summed_tail(nx, p.beta, v_lo + res.v_terms_used, mbound))
+    return step * (_summed_head(nx, p.beta, first, mbound, step)
+                   + _summed_tail(nx, p.beta, last + step, mbound, step))
 
 
 @pytest.fixture(scope="module")
@@ -964,9 +1023,9 @@ class TestTailCertificate:
         f = get_function(name)
         for beta in _JAIN_BETAS:
             for x in _JAIN_XS:
-                res = _jain(beta, x, name)
+                res, path = _jain_path(beta, x, name)
                 left_out = _left_out(OperatorKind.JAIN, OperatorParams(_JAIN_N, 1.0, beta), f,
-                                     x, res)
+                                     x, path)
                 assert left_out <= res.est_tail_bound < math.inf
 
     @pytest.mark.parametrize("kind", [OperatorKind.JAIN_BASKAKOV, OperatorKind.KING])
@@ -979,8 +1038,8 @@ class TestTailCertificate:
             if name == "sin" and beta > 0.1:
                 continue  # sin at large v goes to QUADPACK and takes seconds
             p = OperatorParams(_JAIN_N, 1.0, beta)
-            res = ops.eval_operator(kind, p, f, x)
-            assert _left_out(kind, p, f, x, res) <= res.est_tail_bound < math.inf
+            res, path = _summed_path(lambda: ops.eval_operator(kind, p, f, x))
+            assert _left_out(kind, p, f, x, path) <= res.est_tail_bound < math.inf
 
     @pytest.mark.parametrize("kind", list(OperatorKind))
     @pytest.mark.parametrize("name", _TAIL_FUNCTIONS)
@@ -1014,21 +1073,21 @@ class TestTailCertificate:
     @pytest.mark.parametrize("name", _TAIL_FUNCTIONS)
     def test_jain_tail_bound_covers_the_exact_majorant(self, name):
         # the geometric majorant from the exact last term w(V) mbound(V) and
-        # the exact q: this is what the rounding inflation of w(V) is for
+        # the exact q, over the lattice of the sum's step g: g w(V)
+        # mbound(V) q^g / (1 - q^g); this is what the rounding inflation of
+        # w(V) is for
         f = get_function(name)
         d = f.growth_degree
         with mpmath.workdps(40):
             for beta in _JAIN_BETAS:
                 for x in _JAIN_XS:
-                    res = _jain(beta, x, name)
-                    _, v_lo, _ = _window(OperatorKind.JAIN, OperatorParams(_JAIN_N, 1.0, beta),
-                                         f, x)
-                    big_v = v_lo + res.v_terms_used - 1
+                    res, (_, big_v, step) = _jain_path(beta, x, name)
                     nx = _JAIN_N * x
                     limit = beta * mpmath.exp(1 - mpmath.mpf(beta))
                     q = max(_mp_rho(nx, beta, big_v), limit) * (1 + mpmath.mpf(1) / big_v) ** d
+                    q = q**step
                     mb = f.m_bound * (1 + (mpmath.mpf(big_v) / _JAIN_N) ** d if d else 1)
-                    exact = _mp_weight(nx, beta, big_v) * mb * q / (1 - q)
+                    exact = step * _mp_weight(nx, beta, big_v) * mb * q / (1 - q)
                     # a last term that underflows reports a tail of 0
                     assert res.est_tail_bound >= exact or exact < mpmath.ldexp(1, -1075)
 
@@ -1153,7 +1212,7 @@ class TestTailCertificate:
             k = math.sqrt(-2.0 * (math.log(tail_eps) + math.log(ops._SKIP_FACTOR)))
             edge = math.floor(nx / (1.0 - beta) - k * math.sqrt(nx) / (1.0 - beta) ** 1.5)
             calls.clear()
-            v_lo, _, left_tail = ops._left_window(nx, beta, d, tail_eps, gcf, lambda v: mb)
+            v_lo, _, _, left_tail = ops._left_window(nx, beta, d, tail_eps, gcf, lambda v: mb)
             bound = real(nx, beta, edge, d, mb) if edge >= 1 else math.inf
             passes = bound < tail_eps * ops._SKIP_FACTOR * gcf
             case = (nx, beta, tail_eps, d, gcf, mb)
@@ -1225,20 +1284,19 @@ class TestTailCertificate:
     @settings(max_examples=25, deadline=None)
     def test_window_matches_the_full_sum(self, kind, n, beta, x, name, tail_eps):
         # the same weights and values summed from v = 0 up to the same last
-        # index differ from the windowed value by the left-out head, the
-        # skipped terms and the rounding of the sums
+        # index, at the sum's step, differ from the windowed value by the
+        # left-out head, the skipped terms and the rounding of the sums
         p, f = OperatorParams(n, 1.0, beta), get_function(name)
         cfg = EvalConfig(tail_eps=tail_eps)
-        res = ops.eval_operator(kind, p, f, x, cfg)
-        nx, v_lo, _ = _window(kind, p, f, x, tail_eps)
-        stop = v_lo + res.v_terms_used
+        res, (_, last, step) = _summed_path(lambda: ops.eval_operator(kind, p, f, x, cfg))
+        nx, _, _ = _window(kind, p, f, x, tail_eps)
         if kind is OperatorKind.JAIN:
             def values(v):
                 return np.asarray(f.fn(v / n), dtype=np.float64)
         else:
             def values(v):
-                return ops.DEFAULT_CACHE.table(p, f, cfg).get(slice(0, len(v)))[0]
-        full = prefix_sum(nx, beta, stop, values)
+                return ops.DEFAULT_CACHE.table(p, f, cfg).get(slice(0, last + 1, step))[0]
+        full = prefix_sum(nx, beta, last + 1, values, step)
         rounding = 8 * _EPS * (1.0 + nx) * math.log(2.0 + nx) * abs(res.value)
         assert abs(res.value - full) <= _reported(res) + rounding
 
@@ -1280,15 +1338,19 @@ def _sequential(a):
 
 
 def _summed_blocks(monkeypatch, evaluate):
-    """An evaluation's result and the terms its series summed, one array per
-    block (copied: the series takes their absolute values in place)."""
+    """An evaluation's result and the blocks of the sum that gave it, each
+    as (its slice of v, the terms it summed) (copied: the series takes
+    their absolute values in place); a lattice sum its step-h check refuses
+    is followed by the step-1 sum, whose blocks are the ones kept."""
     blocks = []
     real = ops._series_eval
 
     def series(params, basis_x, provider, *args, **kwargs):
-        def recording(v0, w, gcf):
-            out = provider(v0, w, gcf)
-            blocks.append(out[0].copy())
+        def recording(v, w, gcf):
+            out = provider(v, w, gcf)
+            if blocks and v.start != blocks[-1][0].stop - 1 + blocks[-1][0].step:
+                blocks.clear()
+            blocks.append((v, out[0].copy()))
             return out
 
         return real(params, basis_x, recording, *args, **kwargs)
@@ -1322,22 +1384,27 @@ class TestRoundingBound:
                 assert abs(float(np.sum(order)) - exact) <= bound
 
     @pytest.mark.parametrize("kind, beta, x, name", [
+        (OperatorKind.JAIN, 0.95, 2.0, "e4"),
         (OperatorKind.JAIN, 0.95, 5000.0 / 300.0, "e4"),
         (OperatorKind.JAIN_BASKAKOV, 0.1, 3.0, "sin"),
         (OperatorKind.KING, 0.1, 2.95, "e2"),
     ])
     def test_bound_covers_the_summation(self, monkeypatch, kind, beta, x, name):
-        # against the exactly rounded sum of the same computed terms
+        # against the exactly rounded sum of the same computed terms, times
+        # the step: step-1 blocks of _BLOCK_MAX from v = 0 (the law at
+        # beta = 0.95, x = 2 starts there), and one lattice block
+        steps = {2.0: [1] * 6, 3.0: [8], 2.95: [8]}.get(x, [1024])
         p = OperatorParams(_JAIN_N, 1.0, beta)
         res, blocks = _summed_blocks(
             monkeypatch, lambda: ops.eval_operator(kind, p, get_function(name), x))
-        terms = np.concatenate(blocks)
+        terms = np.concatenate([t for _, t in blocks])
         assert len(terms) == res.v_terms_used
-        if kind is OperatorKind.JAIN:
-            assert [len(b) for b in blocks] == [ops._BLOCK_MAX] * 15
+        assert [v.step for v, _ in blocks] == steps
+        if steps[0] == 1:
+            assert [len(t) for _, t in blocks] == [ops._BLOCK_MAX] * len(steps)
         if name == "sin":
             assert terms.min() < 0.0 < terms.max()
-        assert abs(res.value - math.fsum(terms.tolist())) <= res.rounding_est
+        assert abs(res.value - steps[0] * math.fsum(terms.tolist())) <= res.rounding_est
 
     def test_atoms_report_no_rounding(self):
         p = OperatorParams(_JAIN_N, 1.0, 0.1)
@@ -1366,3 +1433,185 @@ def test_jain_monomials_within_the_reported_bounds(beta, x):
         with mpmath.workdps(40):
             err = abs(res.value - _mp_jain_moment(beta, m, x))
         assert err <= res.est_tail_bound + res.rounding_est
+
+
+# The strided v-series (operators module docstring): an interior law summed on
+# the multiples of g, checked against its step-h sum, and every law from
+# v = 0 summed at step 1.
+
+def _total(res):
+    """Every bound an evaluation reports."""
+    return res.est_tail_bound + res.quad_error_est + res.rounding_est
+
+
+def _at_step_one(evaluate):
+    """An evaluation with every law summed at step 1."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ops, "_stride", lambda spread: 1)
+        return evaluate()
+
+
+def _mp_jain_abs_shift(beta, x):
+    """P(|t - 1|, x) of the Jain operator at n = _JAIN_N, 40 digits:
+    x/(1 - beta) - 1 + 2 sum_{v < n} w(v) (1 - v/n), as |t - 1| = t - 1 +
+    2 (1 - t)_+."""
+    nx = _JAIN_N * x
+    with mpmath.workdps(40):
+        head = mpmath.fsum(_mp_weight(nx, beta, v) * (1 - mpmath.mpf(v) / _JAIN_N)
+                           for v in range(int(_JAIN_N)))
+        return float(mpmath.mpf(x) / (1 - mpmath.mpf(beta)) - 1 + 2 * head)
+
+
+class TestStridedSum:
+    def test_strided_and_step_one_sums_agree(self):
+        # a seeded sample of interior laws of the three operators on e2,
+        # exp-neg, sin and abs-shift: the value each returns and its step-1
+        # sum lie within the sum of both reported bounds
+        rng = random.Random(28)
+        lattices = 0
+        for _ in range(48):
+            kind = rng.choice(list(OperatorKind))
+            name = rng.choice(("e2", "exp-neg", "sin", "abs-shift"))
+            n = rng.choice((50.0, 120.0, 300.0))
+            # hybrid sin past v of a few thousand goes to QUADPACK, slowly
+            slow = kind is not OperatorKind.JAIN and name == "sin"
+            beta = rng.choice((0.0, 0.1) if slow else (0.0, 0.1, 0.5))
+            nx = 10.0 ** rng.uniform(2.2, 3.0 if slow else 3.3)
+            p, f = OperatorParams(n, 1.0, beta), get_function(name)
+            x = nx / p.n if kind is not OperatorKind.KING else nx / ((p.n - 2.0) * (1.0 - beta))
+            case = (kind, p, name, x)
+            res, (_, _, step) = _summed_path(lambda: ops.eval_operator(kind, p, f, x))
+            one, (_, _, one_step) = _summed_path(
+                lambda: _at_step_one(lambda: ops.eval_operator(kind, p, f, x)))
+            assert one_step == 1, case
+            assert abs(res.value - one.value) <= _total(res) + _total(one), case
+            lattices += step > 1
+        assert lattices >= 36
+
+    def test_lattice_left_bound_covers_the_points_below(self):
+        # a lattice sum starts its skipped tail at g times the left bound:
+        # that covers g w(u) mbound(u) over the multiples u of g below its
+        # first point, which the left bound alone does not always cover
+        below_bound = 0
+        for kind in OperatorKind:
+            for beta in (0.0, 0.5, 0.8):
+                for x in (1.0, 3.0, 9.0):
+                    p, f = OperatorParams(_JAIN_N, 1.0, beta), get_function("e2")
+                    nx, window = _series_window(kind, p, f, x)
+                    left_tail, plans = window[-1], ops._plans(*window)
+                    if len(plans) == 1:
+                        continue
+                    first, step, _, skipped = plans[0]
+                    if kind is OperatorKind.JAIN:
+                        mbound = _jain_mbound(f, p.n)
+                    else:
+                        def mbound(v):
+                            return kernels.magnitude_bound(p, f, v)
+                    points = step * _summed_head(nx, beta, first, mbound, step)
+                    assert skipped == step * left_tail and points <= skipped, (kind, beta, x)
+                    below_bound += left_tail < points
+        assert below_bound >= 1
+
+    @pytest.mark.parametrize("h", [4, 6, 8])
+    def test_aliasing_follows_the_model(self, h):
+        # Poisson (beta = 0) at nx = 41, spread 6.4: the step-h sum
+        # h sum_j w(a + j h) at every offset a against the sum at every v.
+        # Over the h-th roots of unity its error is the sum over k = 1..h-1
+        # of phi(2 pi k/h) e^(-2 pi i k a/h), phi(t) = exp(nx (e^(it) - 1)),
+        # so it is at most sum_k exp(-2 nx sin^2(pi k/h)), which tends to
+        # the model 2 e^(-2 pi^2 (spread/h)^2) as spread/h grows: at h = 4 both
+        # lie below the rounding of the sums, at h = 6 and 8 the error is
+        # within a factor 10 of the model (7.2 and 1.9 times it)
+        nx, top = 41.0, 400
+        spread = math.sqrt(nx)
+        full = math.fsum(core.jain_weights(nx, 0.0, 0, top).tolist())
+        errors = [abs(h * math.fsum(core.jain_weights(nx, 0.0, a, len(range(a, top, h)),
+                                                      h).tolist()) - full)
+                  for a in range(h)]
+        # both sums' rounding: each weight's, as the series bounds it, and
+        # each sum's
+        over, _ = ops._block_roundings(nx, 0.0, math.log(nx), 0, top - 1, 0)
+        rounding = 2.0 * (math.expm1(over) + ops._sum_gamma(top))
+        bound = math.fsum(math.exp(-2.0 * nx * math.sin(math.pi * k / h) ** 2)
+                          for k in range(1, h))
+        model = 2.0 * math.exp(-2.0 * math.pi**2 * (spread / h) ** 2)
+        assert max(errors) <= bound * (1.0 + 1e-6) + rounding
+        if h == 4:
+            assert model < bound < rounding and max(errors) <= rounding
+        else:
+            assert model / 10.0 <= max(errors) <= 10.0 * model
+
+    def test_laws_from_zero_keep_step_one(self):
+        # a law whose window starts at v = 0 is summed at every v from 0,
+        # with the bits of the step-1 sum
+        rng = random.Random(5)
+        checked = 0
+        for _ in range(40):
+            kind = rng.choice(list(OperatorKind))
+            name = rng.choice(("e2", "exp-neg", "sin"))
+            beta = rng.choice((0.0, 0.5, 0.9, 0.95))
+            p, f = OperatorParams(rng.choice((20.0, 300.0)), 1.0, beta), get_function(name)
+            x = rng.choice((0.02, 0.3, 2.0)) * (0.5 if kind is not OperatorKind.JAIN else 1.0)
+            if kind is not OperatorKind.JAIN and name == "sin" and beta > 0.1:
+                continue  # sin at large v goes to QUADPACK and takes seconds
+            nx, v_lo, _ = _window(kind, p, f, x)
+            if v_lo:
+                continue
+            res, (first, _, step) = _summed_path(lambda: ops.eval_operator(kind, p, f, x))
+            assert (first, step) == (0, 1)
+            assert res == _at_step_one(lambda: ops.eval_operator(kind, p, f, x))
+            checked += 1
+        assert checked >= 15
+
+    def test_kinked_abs_shift_within_its_bounds(self, monkeypatch):
+        # |t - 1| has its kink at v = n = 300: Jain sums across x from the
+        # kink in the bulk of the law to the kink in its tail, each within
+        # its bounds of the 40-digit value.  An interior law with the kink
+        # in its bulk is tried on its lattice and summed again at step 1;
+        # a lattice sum returned keeps its stride estimate within the
+        # budget and twice rounding_est.  At beta = 0.5, x = 0.85 (g = 8)
+        # the kink sits halfway between lattice points, where the leading
+        # aliasing terms of the step-g and step-h sums are equal; the terms
+        # after them still set the two apart by more than the budget
+        steps = []
+        real = core.jain_weights
+
+        def counted(nx, beta, v0, count, step):
+            steps.append(step)
+            return real(nx, beta, v0, count, step)
+
+        monkeypatch.setattr(core, "jain_weights", counted)
+        f, tail_eps = get_function("abs-shift"), EvalConfig().tail_eps
+        refused, returned = set(), set()
+        for beta in (0.0, 0.3, 0.5):
+            for x in (0.5, 0.85, 1.1, 1.35, 1.6):
+                p = OperatorParams(_JAIN_N, 1.0, beta)
+                steps.clear()
+                res = eval_jain(p, f, x)
+                assert abs(res.value - _mp_jain_abs_shift(beta, x)) <= _total(res), (beta, x)
+                if steps[-1] > 1:
+                    gcf = ops._growth_correction(p, f, x, False)
+                    assert res.quad_error_est <= tail_eps * gcf + 2.0 * res.rounding_est
+                    returned.add((beta, x))
+                elif steps[0] > 1:
+                    refused.add((beta, x))
+        _, (v_lo, _, spread, _) = _series_window(OperatorKind.JAIN, OperatorParams(
+            _JAIN_N, 1.0, 0.5), f, 0.85)
+        assert v_lo > 0 and ops._stride(spread) == 16 and (300 / 8) % 1 == 0.5
+        assert (0.5, 0.85) in refused and len(returned) >= 5
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5, 0.8, 0.95])
+def test_jain_matches_the_generating_function(beta):
+    # exp-neg and sin against the generating-function references of
+    # tests/reference.py, nx from 3 to 5000 at n = 300: each value within
+    # all its reported bounds, for lattice sums and sums at every v alike
+    p = OperatorParams(_JAIN_N, 1.0, beta)
+    steps = set()
+    for nx in (3.0, 50.0, 600.0, 5000.0):
+        x = nx / _JAIN_N
+        for name, exact in (("exp-neg", reference.jain_exp_neg), ("sin", reference.jain_sin)):
+            res, (_, _, step) = _summed_path(lambda: eval_jain(p, get_function(name), x))
+            assert abs(res.value - exact(_JAIN_N, beta, x)) <= _total(res), (nx, name)
+            steps.add(step > 1)
+    assert steps == {True, False}

@@ -3,11 +3,13 @@
 ``tests/golden/series_bitwise.json`` holds ``float.hex`` of every result
 field (value, v_terms_used, est_tail_bound, quad_error_est, rounding_est)
 for hybrid, King and Jain evaluations and for the adaptive basis mass: the
-grid parameters (300, 1, 0.1) at five points, windows wider than one block
-(beta = 0.9, x = 3), the atom kept beside a skipped tail (n = 16), the grid
-point x = 1.7 at a loose and a tight tail_eps, and the heavy Jain e4 laws
-at beta = 0.5 and 0.95.  Any change to summation order, window, stopping
-rule, quadrature or cache layout that moves a single bit fails here.  The
+grid parameters (300, 1, 0.1) at five points (x = 0.5, 1.7 and 2.95 are
+interior laws, summed on a lattice of v), windows from v = 0 wider than one
+block (beta = 0.9, x = 3), the atom kept beside a skipped tail (n = 16),
+the grid point x = 1.7 at a loose and a tight tail_eps, and the heavy Jain
+e4 laws at beta = 0.5 and 0.95 (from v = 0 at beta = 0.95, x = 2).  Any
+change to summation order, window, stride, stopping rule, quadrature or
+cache layout that moves a single bit fails here.  The
 golden file records the numpy and scipy versions it was made with, and
 numpy's SIMD dispatch targets active on the CPU (the rows hold the bits of
 numpy's ``exp``, ``log`` and power, which take a path by them), and a
