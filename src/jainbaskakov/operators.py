@@ -27,19 +27,31 @@ later block as long as the first.  (Longer blocks measured slower per
 term.)  An interior law (v_lo > 0) is smooth and bell-shaped in v, so a
 trapezoid sum of step h errs by only about e^(-2 pi^2 (spread/h)^2)
 (Poisson summation; Trefethen & Weideman, SIAM Review 56, 2014, sec. 5).
-With h the largest power of two <= spread/2 (:func:`_stride`), the series
-sums g = h/2 times the terms at the multiples of g from the first one >=
-v_lo, so that nearby x share their lattice points (and kernel integrals),
-and forms the step-h sum from every other point, the multiples of h: about
-2k spread/g, 76 to 152, points a law, whatever its width.  The two sums
-differ by about the step-h sum's error, far more than the step-g sum's at
-spread/g >= 4; the difference joins ``quad_error_est`` (an estimate, as
-the kernel rule's K/2K difference is).  Where it exceeds ``tail_eps * gcf``
-plus twice ``rounding_est`` (the two sums' own rounding, for wide laws
-mostly that of the weights) -- a kink or an aliased oscillation of f in
-v -- the law is summed again at every v.  At h = 2 the lattice would be
-every v, so such laws are summed at every v from the start; as every
-interior law has spread above k >= 6, that needs spread below 8.
+With h the largest power of two <= min(spread/2, 2n) (:func:`_stride`),
+the series sums g = h/2 times the terms at the multiples of g from the
+first one >= v_lo, so that nearby x share their lattice points (and kernel
+integrals), and forms the step-h sum from every other point, the multiples
+of h: about 2k spread/g points a law, 76 to 152 where the cap at 2n does
+not bind.  The step-h sum's error is the sum of the summand's Fourier
+transform at the frequencies 2 pi j/h in v, j != 0; at even j these are
+the step-g sum's own aliases, 2 pi j/g, so the difference S_h - S_g holds
+only the odd ones.  For a bell-shaped summand the odd ones, the lowest
+first, far outweigh the even ones at spread/g >= 4, and the difference
+joins ``quad_error_est`` (an estimate, as the kernel rule's K/2K
+difference is).  Where it exceeds ``tail_eps * gcf`` plus its own rounding
+(the two sums share their terms, so the terms' rounding, for wide laws
+mostly the weights', enters once, beside each sum's additions: about
+``rounding_est``) -- a kink, or an oscillation at an odd alias -- the law
+is summed again at every v.  No lattice sum cheaper than
+the sum at every v is free of the step-g sum's aliases, so an oscillation
+of f at one of them is kept out of reach instead: the cap g <= n samples
+f at least once per unit of t = v/n, which puts the first alias at 2 pi/g
+>= 2 pi/n in v, 2 pi n/g >= 2 pi in t.  sin, at frequency 1 in t (1/n in
+v), stays at least 5/g, over 20/spread, from every alias; an f oscillating
+at about 2 pi n/g or faster in t can alias unseen, and no ``TestFunction``
+field declares such a frequency.  At h = 2 the lattice would be every v,
+so such laws are summed at every v from the start; as every interior law
+has spread above k >= 6, that needs spread below 8 (or n below 2).
 
 The right bound is a geometric majorant of sum_{v>V} w(v) mbound(v), V the
 last index of the block and mbound the a-priori bound on |f(v/n)| or
@@ -439,24 +451,25 @@ def _left_window(nx, beta, d, tail_eps, gcf, mag_at):
     return v_lo, math.ceil(mean + k * spread), spread, left_tail
 
 
-def _stride(spread):
-    """h, the largest power of two <= spread/2 (an int; 1 below 2): the
-    coarser of the two lattice steps a law is summed on."""
-    return 1 << max(math.frexp(0.5 * spread)[1] - 1, 0)
+def _stride(spread, n):
+    """h, the largest power of two <= min(spread/2, 2n) (an int; 1 below
+    2): the coarser of the two lattice steps a law is summed on, so that
+    the finer, g = h/2, is at most n, one unit of t = v/n."""
+    return 1 << max(math.frexp(min(0.5 * spread, 2.0 * n))[1] - 1, 0)
 
 
-def _plans(v_lo, v_end, spread, left_tail):
+def _plans(v_lo, v_end, spread, left_tail, n):
     """The ways to sum a law, in order, as (v_first, step, count, skipped):
     ``count`` points a block on the multiples of ``step`` from v_first, the
     skipped tail starting at ``skipped``.  An interior law (v_lo > 0) with
-    h = :func:`_stride` >= 4 is summed first on the multiples of g = h/2
-    from the first one >= v_lo, each block running to about v_end; the
-    lattice points below v_lo weigh at most g left_tail, as each is within
-    w(v_lo) mbound(v_lo) q^(v_lo-u), q = 1/r(v_lo - 1).  Every law can be
-    summed at step 1 from v_lo, in blocks of v_end - v_lo clamped to
-    [_BLOCK_START, _BLOCK_MAX]."""
+    h = :func:`_stride` (of spread and n) >= 4 is summed first on the
+    multiples of g = h/2 from the first one >= v_lo, each block running to
+    about v_end; the lattice points below v_lo weigh at most g left_tail,
+    as each is within w(v_lo) mbound(v_lo) q^(v_lo-u), q = 1/r(v_lo - 1).
+    Every law can be summed at step 1 from v_lo, in blocks of v_end - v_lo
+    clamped to [_BLOCK_START, _BLOCK_MAX]."""
     unit = (v_lo, 1, min(max(v_end - v_lo, _BLOCK_START), _BLOCK_MAX), left_tail)
-    h = _stride(spread) if v_lo else 1
+    h = _stride(spread, n) if v_lo else 1
     if h < 4:  # at h = 2 the lattice would be every v
         return (unit,)
     g = h // 2
@@ -492,9 +505,9 @@ def _series_eval(params, basis_x, provider, mag_at, f, hybrid, cfg, x_report):
     taken as 0 where w(V) mbound(V) underflows to 0 and q < 1, that is past
     the mode; before the mode the bound is inf, so an underflowed block
     below the bulk never stops it.  A lattice sum then checks its step-h
-    sum: where the two differ by more than ``tail_eps * gcf`` the law is
-    summed again at step 1; otherwise the difference joins
-    ``quad_error_est``.
+    sum: where the two differ by more than ``tail_eps * gcf`` and the
+    difference's own rounding the law is summed again at step 1; otherwise
+    the difference joins ``quad_error_est``.
 
     A law whose mean nx/(1 - beta) is not below V_MAX (or is not finite)
     keeps about half its mass past the cap, more than any useful tail_eps
@@ -513,8 +526,8 @@ def _series_eval(params, basis_x, provider, mag_at, f, hybrid, cfg, x_report):
     abs_log_nx = abs(math.log(nx))
 
     for v_first, step, count, skipped in _plans(
-            *_left_window(nx, beta, d, cfg.tail_eps, gcf, mag_at)):
-        val_run = quad_err = rounding = coarse = 0.0
+            *_left_window(nx, beta, d, cfg.tail_eps, gcf, mag_at), params.n):
+        val_run = quad_err = rounding = coarse = coarse_rounding = 0.0
         for v0 in range(v_first, V_MAX, step * count):
             w = _core.jain_weights(nx, beta, v0, count, step)
             big_v = v0 + step * (count - 1)
@@ -530,9 +543,12 @@ def _series_eval(params, basis_x, provider, mag_at, f, hybrid, cfg, x_report):
 
             over_block, at_last = _block_roundings(nx, beta, abs_log_nx, v0, big_v, d)
             factor = _sum_gamma(count) + math.expm1(over_block)
-            rounding += (step * (factor * float(np.add.reduce(np.abs(terms, out=terms)))
-                                 + count * 2.0**-1074 * max(1.0, mb_last))
+            abs_sum = float(np.add.reduce(np.abs(terms, out=terms)))
+            rounding += (step * (factor * abs_sum + count * 2.0**-1074 * max(1.0, mb_last))
                          + _EPS / 2.0 * abs(val_run))
+            # the step-h sum's additions: 2g gamma_(count/2) over at most
+            # every term
+            coarse_rounding += step * _sum_gamma(count) * abs_sum + _EPS / 2.0 * abs(coarse)
             q = _ratio_sup(nx, beta, big_v, d)
             # a last term that underflows ends the series only past the mode:
             # before it, the bulk of the law still lies ahead
@@ -546,11 +562,12 @@ def _series_eval(params, basis_x, provider, mag_at, f, hybrid, cfg, x_report):
 
             if tail_est <= budget:
                 if step > 1:
-                    # the two sums' roundings, each about rounding_est, stay
-                    # out of the test: a kink or an aliased oscillation
-                    # does not, and is summed again at step 1
+                    # the difference's own rounding stays out of the test,
+                    # a kink does not: it is summed again at step 1.  The
+                    # two sums share their terms, so the terms' rounding
+                    # enters once, with each sum's additions
                     stride_err = abs(coarse - val_run)
-                    if not stride_err <= budget + 2.0 * rounding:
+                    if not stride_err <= budget + rounding + coarse_rounding:
                         break
                     quad_err += stride_err
                 return EvalResult(

@@ -669,7 +669,7 @@ def test_each_weight_block_is_computed_once(monkeypatch):
     got = ops.basis_mass(OperatorParams(1000.0, 1.0, 0.0), 3.0)
     v_lo, v_end, spread, _ = real_window(3000.0, 0.0, 0, EvalConfig().tail_eps, 1.0,
                                          real_jain_mag(get_function("e0"), 1000.0))
-    assert 2000 < v_lo < 3000 < v_end < 4000 and ops._stride(spread) == 16
+    assert 2000 < v_lo < 3000 < v_end < 4000 and ops._stride(spread, 1000.0) == 16
     first = -(-v_lo // 8) * 8
     assert blocks == [(first, (v_end - first) // 8 + 1, 8)]
     assert reads == [first + 8 * (blocks[0][1] - 1)]
@@ -777,7 +777,7 @@ def test_interior_hole_is_summed(monkeypatch, cfg):
     # with the run and summed: every block gives the bits it gave before,
     # so the hole's bound stays out of est_tail_bound
     monkeypatch.setattr(ops, "DEFAULT_CACHE", ops.KernelIntegralCache())
-    monkeypatch.setattr(ops, "_stride", lambda spread: 1)
+    monkeypatch.setattr(ops, "_stride", lambda spread, n: 1)
     p, f, x = OperatorParams(300.0, 1.0, 0.1), get_function("e2"), 1.7
     evaluate = lambda: eval_jain_baskakov(p, f, x, cfg)  # noqa: E731
     real = ops._series_eval
@@ -1393,7 +1393,7 @@ class TestRoundingBound:
         # against the exactly rounded sum of the same computed terms, times
         # the step: step-1 blocks of _BLOCK_MAX from v = 0 (the law at
         # beta = 0.95, x = 2 starts there), and one lattice block
-        steps = {2.0: [1] * 6, 3.0: [8], 2.95: [8]}.get(x, [1024])
+        steps = {2.0: [1] * 6, 3.0: [8], 2.95: [8]}.get(x, [256])
         p = OperatorParams(_JAIN_N, 1.0, beta)
         res, blocks = _summed_blocks(
             monkeypatch, lambda: ops.eval_operator(kind, p, get_function(name), x))
@@ -1447,7 +1447,7 @@ def _total(res):
 def _at_step_one(evaluate):
     """An evaluation with every law summed at step 1."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ops, "_stride", lambda spread: 1)
+        mp.setattr(ops, "_stride", lambda spread, n: 1)
         return evaluate()
 
 
@@ -1498,7 +1498,7 @@ class TestStridedSum:
                 for x in (1.0, 3.0, 9.0):
                     p, f = OperatorParams(_JAIN_N, 1.0, beta), get_function("e2")
                     nx, window = _series_window(kind, p, f, x)
-                    left_tail, plans = window[-1], ops._plans(*window)
+                    left_tail, plans = window[-1], ops._plans(*window, p.n)
                     if len(plans) == 1:
                         continue
                     first, step, _, skipped = plans[0]
@@ -1569,10 +1569,12 @@ class TestStridedSum:
         # its bounds of the 40-digit value.  An interior law with the kink
         # in its bulk is tried on its lattice and summed again at step 1;
         # a lattice sum returned keeps its stride estimate within the
-        # budget and twice rounding_est.  At beta = 0.5, x = 0.85 (g = 8)
-        # the kink sits halfway between lattice points, where the leading
-        # aliasing terms of the step-g and step-h sums are equal; the terms
-        # after them still set the two apart by more than the budget
+        # budget and the difference's own rounding: the terms' rounding
+        # once and each sum's additions, under twice rounding_est.  At
+        # beta = 0.5, x = 0.85 (g = 8) the kink sits halfway between
+        # lattice points, where the leading aliasing terms of the step-g
+        # and step-h sums are equal; the terms after them still set the two
+        # apart by more than the budget
         steps = []
         real = core.jain_weights
 
@@ -1597,21 +1599,33 @@ class TestStridedSum:
                     refused.add((beta, x))
         _, (v_lo, _, spread, _) = _series_window(OperatorKind.JAIN, OperatorParams(
             _JAIN_N, 1.0, 0.5), f, 0.85)
-        assert v_lo > 0 and ops._stride(spread) == 16 and (300 / 8) % 1 == 0.5
+        assert v_lo > 0 and ops._stride(spread, _JAIN_N) == 16 and (300 / 8) % 1 == 0.5
         assert (0.5, 0.85) in refused and len(returned) >= 5
+
+
+# wide sin laws whose lattice, were g not capped at n, would have its first
+# alias 2 pi/g within a few 1/spread of sin's frequency 1/n in v, where the
+# step-h sum shares it and the check cannot see it (n = 10, x = 6553.6 gave
+# 0.21 for 6e-143): (n, x) by beta
+_NEAR_ALIAS = {0.0: ((10.0, 6553.6), (2.546, 1689.0)), 0.5: ((10.19, 844.5),),
+               0.8: ((40.74, 216.2),), 0.95: ((80.0, 23.0), (160.0, 11.6))}
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.5, 0.8, 0.95])
 def test_jain_matches_the_generating_function(beta):
     # exp-neg and sin against the generating-function references of
-    # tests/reference.py, nx from 3 to 5000 at n = 300: each value within
-    # all its reported bounds, for lattice sums and sums at every v alike
-    p = OperatorParams(_JAIN_N, 1.0, beta)
+    # tests/reference.py, nx from 3 to 5000 at n = 300 and the near-alias
+    # sin laws: each value within all its reported bounds, for lattice sums
+    # (their step at most n) and sums at every v alike
+    cases = [(_JAIN_N, nx / _JAIN_N, name) for nx in (3.0, 50.0, 600.0, 5000.0)
+             for name in ("exp-neg", "sin")]
+    cases += [(n, x, "sin") for n, x in _NEAR_ALIAS[beta]]
+    exact = {"exp-neg": reference.jain_exp_neg, "sin": reference.jain_sin}
     steps = set()
-    for nx in (3.0, 50.0, 600.0, 5000.0):
-        x = nx / _JAIN_N
-        for name, exact in (("exp-neg", reference.jain_exp_neg), ("sin", reference.jain_sin)):
-            res, (_, _, step) = _summed_path(lambda: eval_jain(p, get_function(name), x))
-            assert abs(res.value - exact(_JAIN_N, beta, x)) <= _total(res), (nx, name)
-            steps.add(step > 1)
+    for n, x, name in cases:
+        p = OperatorParams(n, 1.0, beta)
+        res, (_, _, step) = _summed_path(lambda: eval_jain(p, get_function(name), x))
+        assert abs(res.value - exact[name](n, beta, x)) <= _total(res), (n, x, name)
+        assert step <= n
+        steps.add(step > 1)
     assert steps == {True, False}
