@@ -118,13 +118,16 @@ def expectation_moments(params: OperatorParams, v, j: int) -> np.ndarray:
 def require_integrable(params: OperatorParams, f) -> None:
     """Raise IntegrabilityError unless n > (d+1)c, d the growth degree of
     ``f``: the condition for its kernel integrals (and so for the hybrid and
-    King operators on it) to be finite."""
+    King operators on it) to be finite.  Where n/c overflows, as in
+    :func:`baskakov_kernel_log`, DomainError."""
     d = f.growth_degree
     if not (params.n > (d + 1) * params.c):
         raise IntegrabilityError(
             f"growth-degree-{d} functions need n > {d + 1}c "
             f"(n={params.n}, c={params.c})"
         )
+    if params.n / params.c == math.inf:
+        raise DomainError(f"the kernel's n/c overflows at n={params.n}, c={params.c}")
 
 
 def magnitude_bound(params: OperatorParams, f, v) -> np.ndarray:

@@ -13,13 +13,16 @@ basis in v:
 
 The v-series is summed over a window of v in blocks of one length, each
 block as numpy arrays with one pairwise ``np.add.reduce``.  The window
-starts at v_lo >= 0 (:func:`_left_window`) and its first block runs to
+starts at v_lo >= 0 (:func:`_plans`) and its first block runs to
 about mean + k spread of the law, mean nx/(1-beta) and spread
 sqrt(nx)/(1-beta)^1.5, k = sqrt(-2 log(tail_eps 2^-26)).  Summation stops
 once a certified bound on the terms left out on both sides is at most
 ``tail_eps * gcf``, gcf the threshold scale of :func:`_growth_correction`:
 one budget, on one scale, that does not depend on the value summed so far.
-``v_terms_used`` counts the points summed.
+``v_terms_used`` counts the v of the sum's blocks, from its first point
+to the last block's last, on the law's lattice; at step 1 that includes the
+v the hybrid skip rule leaves out (below), whose bounds join
+``est_tail_bound``.
 
 A law whose window starts at v = 0 is summed at every v, its first block
 never shorter than ``_BLOCK_START`` nor longer than ``_BLOCK_MAX`` and every
@@ -27,7 +30,7 @@ later block as long as the first.  (Longer blocks measured slower per
 term.)  An interior law (v_lo > 0) is smooth and bell-shaped in v, so a
 trapezoid sum of step h errs by only about e^(-2 pi^2 (spread/h)^2)
 (Poisson summation; Trefethen & Weideman, SIAM Review 56, 2014, sec. 5).
-With h the largest power of two <= min(spread/2, 2n) (:func:`_stride`),
+With h the largest power of two <= min(spread/2, 2n) (:func:`_plans`),
 the series sums g = h/2 times the terms at the multiples of g from the
 first one >= v_lo, so that nearby x share their lattice points (and kernel
 integrals), and forms the step-h sum from every other point, the multiples
@@ -140,7 +143,7 @@ stored values are the same bits too.  The cache keeps at most CACHE_TABLES
 tables, dropping the least recently used.
 
 The series reads mbound as one float per block, at V, before the block's
-terms (and one at the edge in :func:`_left_window`); a block bound that
+terms (and one at the edge in :func:`_plans`); a block bound that
 is not finite raises DomainError there, before f is evaluated.  The
 per-term bounds of a block are read only by the hybrid provider, as a view
 of its table, for the skip rule: at step 1 it reads the table by one
@@ -259,8 +262,7 @@ class _IntegralTable:
             missing = np.arange(v.start, v.stop, step)[~filled]
             chunks = np.unique(missing // _GL_CHUNK)
             span = (chunks[:, None] * _GL_CHUNK + np.arange(_GL_CHUNK)).ravel()
-            if step > 1:
-                span = span[(span - v.start) % step == 0]
+            span = span[(span - v.start) % step == 0]
             self._reserve(int(span[-1]) + 1)
             span = span[~self._filled[span]]
             asked = (span >= v.start) & (span < v.stop)
@@ -395,82 +397,53 @@ def _tail_bound(w_v, mb_v, q, rounding):
     return math.nextafter((w_v + 2.0**-1074) * scale, math.inf)
 
 
-def _log_ratio(nx, beta, v):
-    """log r(v) = log(w(v+1)/w(v)) and its leading term log(m/(v+1))."""
-    m = nx + v * beta
-    head = math.log(m / (v + 1.0))
-    return head + v * math.log1p(beta / m) - beta, head
-
-
-def _log_weight(nx, beta, v):
-    """log w(v) = log nx + (v-1) log m - m - log v!, m = nx + v beta, and
-    the terms its rounding reads: (log w(v), log nx, log m, m, log v!)."""
-    log_nx, m = math.log(nx), nx + v * beta
-    log_m, log_fact = math.log(m), math.lgamma(v + 1.0)
-    return log_nx + (v - 1.0) * log_m - m - log_fact, log_nx, log_m, m, log_fact
-
-
 def _left_bound(nx, beta, v_lo, d, mb_lo):
     """A bound on sum_{u<v_lo} w(u) mbound(u), mbound(v_lo) = ``mb_lo``, by
     the module docstring's left certificate; inf outside its domain or past
     the mode."""
     if not 3.0 * beta * beta * v_lo <= 2.0 * nx * (nx - beta) * (1.0 - 16.0 * _EPS):
         return math.inf
-    # log r(v_lo - 1), rounded down: each of its three terms is within 4 eps
-    # of its size, and (v_lo - 1) log1p(beta/m) < 1
-    log_r, head = _log_ratio(nx, beta, v_lo - 1.0)
-    log_r -= 16.0 * _EPS * (2.0 + abs(head))
+    # log r(v_lo - 1) = log(m/v_lo) + (v_lo - 1) log1p(beta/m) - beta,
+    # m = nx + (v_lo - 1) beta, rounded down: each of its three terms is
+    # within 4 eps of its size, and (v_lo - 1) log1p(beta/m) < 1
+    m = nx + (v_lo - 1.0) * beta
+    head = math.log(m / v_lo)
+    log_r = head + (v_lo - 1.0) * math.log1p(beta / m) - beta - 16.0 * _EPS * (2.0 + abs(head))
     if not log_r > 0.0:
         return math.inf
     q = math.nextafter(math.exp(-log_r), math.inf)
-    log_w, log_nx, log_m, m, log_fact = _log_weight(nx, beta, v_lo)
+    # log w(v_lo) = log nx + (v_lo - 1) log m - m - log v_lo!, m = nx + v_lo beta
+    log_nx, m = math.log(nx), nx + v_lo * beta
+    log_m, log_fact = math.log(m), math.lgamma(v_lo + 1.0)
+    log_w = log_nx + (v_lo - 1.0) * log_m - m - log_fact
     rounding = _log_weight_rounding(abs(log_nx), v_lo, abs(log_m), m, log_fact, d)
     return _tail_bound(math.exp(log_w), mb_lo, q, rounding)
 
 
-def _left_window(nx, beta, d, tail_eps, gcf, mag_at):
-    """Where a v-series starts, and a certified bound on what lies below.
-
-    Returns (v_lo, v_end, spread, left_tail): the series sums from v_lo,
-    left_tail bounds sum_{u<v_lo} w(u) mbound(u), mbound(v) = mag_at(v), by
-    :func:`_left_bound`, v_end = ceil(mean + k spread) is where its first
-    block aims to end and spread = sqrt(nx)/(1-beta)^1.5 sets its stride
-    (:func:`_stride`).  v_lo is the Gaussian edge floor(mean - k spread);
-    where the edge is below 1, or its bound is not below the skip budget
-    ``tail_eps * 2^-26 * gcf``, v_lo = 0 and left_tail = 0.
-    """
+def _plans(nx, beta, d, n, tail_eps, skip, mag_at):
+    """The ways to sum a law, in order, as (v_first, step, count, skipped):
+    blocks of ``count`` points on the multiples of ``step`` from v_first,
+    the skipped tail starting at ``skipped``.  Every law can be summed at
+    step 1 from v_lo, the Gaussian edge floor(mean - k spread), with its
+    :func:`_left_bound` (mbound(v) = mag_at(v)) as the skipped tail, or
+    from v_lo = 0 with a tail of 0 where the edge is below 1 or its bound is
+    not below the skip budget ``skip``, in blocks of v_end - v_lo clamped to
+    [_BLOCK_START, _BLOCK_MAX], v_end = ceil(mean + k spread).  An interior
+    law (v_lo > 0) whose h, the largest power of two <= min(spread/2, 2n),
+    is at least 4 is summed first on the multiples of g = h/2 <= n from the
+    first one >= v_lo, each block running to about v_end, with g times the
+    left bound as its skipped tail (module docstring)."""
     mean = nx / (1.0 - beta)
     spread = math.sqrt(nx) / (1.0 - beta) ** 1.5
-    budget = tail_eps * _SKIP_FACTOR * gcf
-    # in logs, as budget may underflow to 0
+    # in logs, as skip may underflow to 0
     k = math.sqrt(-2.0 * (math.log(tail_eps) + math.log(_SKIP_FACTOR)))
-    v_lo = math.floor(mean - k * spread)
+    v_lo, v_end = math.floor(mean - k * spread), math.ceil(mean + k * spread)
     left_tail = _left_bound(nx, beta, v_lo, d, mag_at(v_lo)) if v_lo > 0 else math.inf
-    if not left_tail < budget:
+    if not left_tail < skip:
         v_lo, left_tail = 0, 0.0
-    return v_lo, math.ceil(mean + k * spread), spread, left_tail
-
-
-def _stride(spread, n):
-    """h, the largest power of two <= min(spread/2, 2n) (an int; 1 below
-    2): the coarser of the two lattice steps a law is summed on, so that
-    the finer, g = h/2, is at most n, one unit of t = v/n."""
-    return 1 << max(math.frexp(min(0.5 * spread, 2.0 * n))[1] - 1, 0)
-
-
-def _plans(v_lo, v_end, spread, left_tail, n):
-    """The ways to sum a law, in order, as (v_first, step, count, skipped):
-    ``count`` points a block on the multiples of ``step`` from v_first, the
-    skipped tail starting at ``skipped``.  An interior law (v_lo > 0) with
-    h = :func:`_stride` (of spread and n) >= 4 is summed first on the
-    multiples of g = h/2 from the first one >= v_lo, each block running to
-    about v_end; the lattice points below v_lo weigh at most g left_tail,
-    as each is within w(v_lo) mbound(v_lo) q^(v_lo-u), q = 1/r(v_lo - 1).
-    Every law can be summed at step 1 from v_lo, in blocks of v_end - v_lo
-    clamped to [_BLOCK_START, _BLOCK_MAX]."""
     unit = (v_lo, 1, min(max(v_end - v_lo, _BLOCK_START), _BLOCK_MAX), left_tail)
-    h = _stride(spread, n) if v_lo else 1
-    if h < 4:  # at h = 2 the lattice would be every v
+    h = 1 << max(math.frexp(min(0.5 * spread, 2.0 * n))[1] - 1, 0)
+    if not v_lo or h < 4:  # at h = 2 the lattice would be every v
         return (unit,)
     g = h // 2
     first = -(-v_lo // g) * g
@@ -485,16 +458,17 @@ def _series_eval(params, basis_x, provider, mag_at, f, hybrid, cfg, x_report):
     from v to v + 1, d the growth degree of ``f``.  The series reads it once
     per block, at the block's last index V, before the block's terms; a
     bound there that is not finite raises DomainError, as no later block
-    could then stop the series.  ``provider(v, w, gcf)``, v the block's
-    slice of indices (its step the law's step g), w their weights and gcf
-    the threshold scale of :func:`_growth_correction`, returns per-block
+    could then stop the series.  ``provider(v, w, skip)``, v the block's
+    slice of indices (its step the law's step g), w their weights and skip
+    the skip budget ``tail_eps * 2^-26 * gcf``, gcf the threshold scale of
+    :func:`_growth_correction`, returns per-block
     (terms w f in an array of its own, skipped_tail_increment,
     quad_error_increment); a provider that skips terms reads their bounds
     itself.  The series scales all three by g, the weight of a lattice
     point, and each block adds its rounding bound to ``rounding_est``
-    (module docstring).  Summation follows :func:`_plans`: from
-    :func:`_left_window`'s v_lo, or from the first multiple of g above it,
-    whose left bound joins the skipped tail, in blocks of one length.
+    (module docstring).  Summation follows :func:`_plans`: from its v_lo,
+    or from the first multiple of g above it, whose left bound joins the
+    skipped tail, in blocks of one length.
     After each block, the points past V are bounded by :func:`_tail_bound`
     with q^g, q = :func:`_ratio_sup`: every weight ratio past V is at most
     the larger of rho(V) = (m/(V+1)) exp(V beta/m - beta) and its limit
@@ -523,10 +497,11 @@ def _series_eval(params, basis_x, provider, mag_at, f, hybrid, cfg, x_report):
     gcf = _growth_correction(params, f, basis_x, hybrid)
     d = f.growth_degree
     budget = cfg.tail_eps * gcf
+    skip = cfg.tail_eps * _SKIP_FACTOR * gcf
     abs_log_nx = abs(math.log(nx))
 
-    for v_first, step, count, skipped in _plans(
-            *_left_window(nx, beta, d, cfg.tail_eps, gcf, mag_at), params.n):
+    for v_first, step, count, skipped in _plans(nx, beta, d, params.n, cfg.tail_eps, skip,
+                                                mag_at):
         val_run = quad_err = rounding = coarse = coarse_rounding = 0.0
         for v0 in range(v_first, V_MAX, step * count):
             w = _core.jain_weights(nx, beta, v0, count, step)
@@ -534,7 +509,7 @@ def _series_eval(params, basis_x, provider, mag_at, f, hybrid, cfg, x_report):
             w_last, mb_last = float(w[-1]), mag_at(big_v)
             if not math.isfinite(mb_last):
                 raise DomainError(f"v-series term bound not finite at v={big_v}, n={params.n}")
-            terms, sk_inc, qerr_inc = provider(slice(v0, big_v + 1, step), w, gcf)
+            terms, sk_inc, qerr_inc = provider(slice(v0, big_v + 1, step), w, skip)
             if step > 1:  # the step-h sum: the multiples of h = 2g
                 coarse += 2 * step * float(np.add.reduce(terms[(v0 // step) & 1 :: 2]))
             val_run += step * float(np.add.reduce(terms))
@@ -649,7 +624,7 @@ def eval_jain(
 
     n = params.n
 
-    def provider(v, w, _gcf):
+    def provider(v, w, _skip):
         t = np.arange(v.start, v.stop, v.step, dtype=np.float64) / n
         return w * np.asarray(f.fn(t), dtype=np.float64), 0.0, 0.0
 
@@ -662,13 +637,13 @@ def _eval_hybrid(params, f, x, basis_x, cfg):
         return _atom_result(x, f)
     table = DEFAULT_CACHE.table(params, f, cfg)
 
-    def provider(v, w, gcf):
+    def provider(v, w, skip):
         if v.step > 1:  # a lattice block reads every point
             values, errors = table.get(v)
             return w * values, 0.0, _sum_up(w * errors)
         v0 = v.start
         bound = w * table.mag(v0, len(w))
-        keep = bound > cfg.tail_eps * _SKIP_FACTOR * gcf
+        keep = bound > skip
         if v0 == 0:  # the atom joins a run kept from v = 1, else stands apart
             keep[0] = keep[1]
         atom = v0 == 0 and not keep[0]
@@ -681,8 +656,7 @@ def _eval_hybrid(params, f, x, basis_x, cfg):
             terms[0] = w[0] * table.atom
         qerr = _sum_up(w_kept * errors)
         # the skipped bounds, in order
-        skipped = (bound[hi:] if lo == 0 else bound[atom:lo] if hi == len(w)
-                   else np.concatenate((bound[atom:lo], bound[hi:])))
+        skipped = np.concatenate((bound[atom:lo], bound[hi:]))
         return terms, float(np.add.reduce(skipped)), qerr
 
     return _series_eval(params, basis_x, provider, table.mag_at, f, True, cfg, x_report=x)

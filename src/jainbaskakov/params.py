@@ -102,8 +102,8 @@ class EvalConfig:
     def __post_init__(self):
         if not (0.0 < self.tail_eps < 1.0):
             raise DomainError(f"tail_eps must be in (0,1), got {self.tail_eps}")
-        if not (0 < self.quad_rel_tol < math.inf):
-            raise DomainError(f"quad_rel_tol must be positive and finite, got {self.quad_rel_tol}")
+        if not (0.0 < self.quad_rel_tol < 1.0):
+            raise DomainError(f"quad_rel_tol must be in (0,1), got {self.quad_rel_tol}")
         # np.linspace takes an int count: 33.0 is kept as 33
         object.__setattr__(self, "grid_points", check_integer(self.grid_points, "grid_points", 2))
         if not (0 < self.domain_cap < math.inf):

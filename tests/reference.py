@@ -14,6 +14,16 @@ beta < 1, so the principal branch is the one the series takes.  Hence
 
 to any precision, with no series and no window: an end-to-end check of the
 v-series, its stride, its tails and its rounding alike.
+
+The Jain-Baskakov operator's kernel of order v is Beta-prime: t = s'/c over
+s' ~ BetaPrime(v, n/c - 1), a Gamma(v) law of rate c g mixed over
+g ~ Gamma(n/c - 1).  So E_v[e^(-a t)] = E_g[(1 + a/(c g))^-v] (the atom
+at v = 0 included, as s^0 = 1), and summing over the basis,
+
+    D_n(e^(-a t), x) = E_g[G(1/(1 + a/(c g)))],
+
+one integral over g of the generating function; the King operator is the
+same at the basis point r_n(x) = (n - 2c)(1 - beta) x/n.
 """
 
 import mpmath
@@ -40,3 +50,24 @@ def jain_sin(n, beta, x):
     """P_n(sin t, x) as a float."""
     with mpmath.workdps(DPS):
         return float(mpmath.im(jain_pgf(n, beta, x, mpmath.expj(1 / mpmath.mpf(n)))))
+
+
+def hybrid_exp_neg(n, c, beta, x, a=1):
+    """D_n(e^(-a t), x) of the Jain-Baskakov operator as a float, x the
+    basis point (r_n(x) for the King operator): the integral over
+    g ~ Gamma(B), B = n/c - 1, split at B -+ 12 sqrt(B), where its mass
+    lies."""
+    with mpmath.workdps(DPS):
+        n, c, a = mpmath.mpf(n), mpmath.mpf(c), mpmath.mpf(a)
+        shape = n / c - 1
+        log_norm = mpmath.loggamma(shape)
+
+        def integrand(g):
+            density = mpmath.exp((shape - 1) * mpmath.log(g) - g - log_norm)
+            return density * mpmath.re(jain_pgf(n, beta, x, 1 / (1 + a / (c * g))))
+
+        width = 12 * mpmath.sqrt(shape)
+        points = [0, shape + width, mpmath.inf]
+        if shape > width:
+            points.insert(1, shape - width)
+        return float(mpmath.quad(integrand, points))

@@ -1,7 +1,7 @@
 """The package's public surface: every exported name resolves, no module
 imports a name it never uses, scipy loads only with a QUADPACK fallback, the
-console script names the CLI's entry point, and the README's quick tour
-runs."""
+console script names the CLI's entry point, the README's quick tour
+runs, and a failing Hypothesis test is reported as a failure."""
 
 import ast
 import importlib
@@ -148,3 +148,28 @@ def test_console_script_names_the_cli_main():
     assert scripts == {"jainbaskakov": "jainbaskakov.cli:main"}
     module, attr = scripts["jainbaskakov"].split(":")
     assert callable(getattr(importlib.import_module(module), attr))
+
+
+_FAILING_GIVEN = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(i):
+    assert i < 10
+"""
+
+
+def test_failing_given_test_reports_a_failure(tmp_path):
+    # Hypothesis' failure report imports libcst, which raises a
+    # DeprecationWarning; under the repo's filterwarnings it must not turn
+    # the failure into an INTERNALERROR that ends the whole run
+    pytest.importorskip("libcst")
+    (tmp_path / "test_given.py").write_text(_FAILING_GIVEN)
+    cp = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path), "test_given.py"],
+        capture_output=True, text=True, cwd=tmp_path, timeout=120)
+    assert cp.returncode == 1, cp.stdout + cp.stderr
+    assert "INTERNALERROR" not in cp.stdout + cp.stderr
+    assert "1 failed" in cp.stdout.splitlines()[-1]

@@ -100,6 +100,20 @@ def test_domain_error_exits_3(tmp_path):
     assert err["error"]["type"] == "IntegrabilityError"
 
 
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_quad_rel_tol_past_one_exits_3(tmp_path, source):
+    args = ["eval", "--operator", "jain-baskakov", "--function", "e1", "--n", "16",
+            "--points", "1,2", "--output", str(tmp_path / "q")]
+    if source == "flag":
+        cp = run_cli(*args, "--quad-rel-tol", "1e5")
+    else:
+        cp = run_cli(*args, env_extra={"JAINBASKAKOV_QUAD_REL_TOL": "1e5"})
+    assert cp.returncode == 3, cp.stderr
+    err = json.loads(cp.stderr.strip())
+    assert err["error"]["type"] == "DomainError"
+    assert err["error"]["message"] == "quad_rel_tol must be in (0,1), got 100000.0"
+
+
 def test_beta_guard_exits_3(tmp_path):
     cp = run_cli("eval", "--beta", "0.99", "--output", str(tmp_path / "x"))
     assert cp.returncode == 3

@@ -97,6 +97,13 @@ class TestJainBasis:
         with pytest.raises(DomainError, match=field):
             EvalConfig(**{field: value})
 
+    @pytest.mark.parametrize("value", [1.0, 1e5])
+    def test_eval_config_rejects_quad_rel_tol_of_one_or_more(self, value):
+        # a tolerance past e^10 once reached math.sqrt of a negative number
+        # in the kernel rules' window
+        with pytest.raises(DomainError, match=r"quad_rel_tol must be in \(0,1\)"):
+            EvalConfig(quad_rel_tol=value)
+
     @given(
         beta=st.floats(0.0, 0.6),
         n=st.floats(1.0, 200.0),
@@ -217,6 +224,17 @@ class TestBaskakovKernel:
         # n/c overflows: an error, not a numpy warning and nan
         with pytest.raises(DomainError, match=r"baskakov_kernel_log\(1, 1.0\) overflows"):
             baskakov_kernel_log(OperatorParams(1e300, 1e-300, 0.0), 1, 1.0)
+
+    def test_overflowing_n_over_c_raises_before_any_integral(self):
+        # the operators on the kernel and the kernel integral itself check
+        # n/c where they check integrability: a DomainError, not a numpy
+        # warning, a nan value and a ConvergenceError
+        p, f = OperatorParams(1e300, 1e-10, 0.0), get_function("exp-neg")
+        for evaluate in (lambda: eval_jain_baskakov(p, f, 1e-300),
+                         lambda: eval_king(p, f, 1e-300),
+                         lambda: kernel_integral(p, 3, f)):
+            with pytest.raises(DomainError, match="n/c overflows at n=1e[+]300, c=1e-10"):
+                evaluate()
 
 
 class TestKernelMoments:
