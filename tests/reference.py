@@ -15,10 +15,10 @@ beta < 1, so the principal branch is the one the series takes.  Hence
 to any precision, with no series and no window: an end-to-end check of the
 v-series, its stride, its tails and its rounding alike.
 
-The Jain-Baskakov operator's kernel of order v is Beta-prime: t = s'/c over
-s' ~ BetaPrime(v, n/c - 1), a Gamma(v) law of rate c g mixed over
-g ~ Gamma(n/c - 1).  So E_v[e^(-a t)] = E_g[(1 + a/(c g))^-v] (the atom
-at v = 0 included, as s^0 = 1), and summing over the basis,
+Under the Jain-Baskakov kernel of order v, c t is a BetaPrime(v, n/c - 1)
+variable: given g ~ Gamma(n/c - 1), t is Gamma(v) of rate c g.  So
+E_v[e^(-a t)] = E_g[(1 + a/(c g))^-v] (the atom at v = 0 included, as
+s^0 = 1), and summing over the basis,
 
     D_n(e^(-a t), x) = E_g[G(1/(1 + a/(c g)))],
 
