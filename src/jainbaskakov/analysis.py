@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import DomainError, UnboundedFunctionError
 from .functions import TestFunction
+from .kernels import _EPS
 from .moments import d_central_moment
 from .operators import eval_jain_baskakov, eval_operator
 from .params import EvalConfig, OperatorKind, OperatorParams, check_point
@@ -55,17 +56,23 @@ class WeightedNormEstimate:
     beta: float
 
 
-def _refined_grid(lo: float, hi: float, cfg: EvalConfig) -> np.ndarray:
-    # base grid plus one level of midpoint refinement
-    return np.linspace(lo, hi, 2 * cfg.grid_points - 1)
+def _substep_sup(f: TestFunction, hi: float, bound: float, cfg: EvalConfig, diff) -> float:
+    """Largest ``diff(x, fx, s)`` over s = bound*j/SUBSTEPS, j = 1..SUBSTEPS, with x
+    the grid over [0, hi] refined once at its midpoints and fx = f(x)."""
+    x = np.linspace(0.0, hi, 2 * cfg.grid_points - 1)
+    fx = np.asarray(f.fn(x), dtype=float)
+    best = 0.0
+    for j in range(1, MODULUS_SUBSTEPS + 1):
+        best = max(best, float(diff(x, fx, bound * j / MODULUS_SUBSTEPS).max()))
+    return best
 
 
 def modulus1(f: TestFunction, a: float, delta: float, cfg: Optional[EvalConfig] = None) -> float:
     """Grid sup of |f(t)-f(x)| over t, x in [0, a] with |t-x| <= delta.
 
-    Steps are sampled at delta*j/SUBSTEPS (the bound delta included), so the
-    estimate underestimates the true modulus by at most the grid-resolution
-    Lipschitz slack.
+    Samples t = x + s <= a (up to rounding), x and s as in :func:`_substep_sup`,
+    so the estimate underestimates the true modulus by at most the
+    grid-resolution Lipschitz slack.
     """
     cfg = cfg or EvalConfig()
     check_point(a, "interval endpoint a", zero_ok=False)
@@ -73,16 +80,12 @@ def modulus1(f: TestFunction, a: float, delta: float, cfg: Optional[EvalConfig] 
         raise DomainError(f"delta must lie in [0, a], got delta={delta}, a={a}")
     if delta == 0:
         return 0.0
-    x = _refined_grid(0.0, a, cfg)
-    fx = np.asarray(f.fn(x), dtype=float)
-    best = 0.0
-    for j in range(1, MODULUS_SUBSTEPS + 1):
-        s = delta * j / MODULUS_SUBSTEPS
-        t = x + s
-        m = t <= a + 1e-12
-        diff = np.abs(np.asarray(f.fn(t[m]), dtype=float) - fx[m])
-        best = max(best, float(diff.max()))
-    return best
+
+    def diff(x, fx, s):
+        m = x + s <= a * (1.0 + 4.0 * _EPS)  # a, up to the rounding of x + s
+        return np.abs(np.asarray(f.fn(x[m] + s), dtype=float) - fx[m])
+
+    return _substep_sup(f, a, delta, cfg, diff)
 
 
 def modulus2(f: TestFunction, h0: float, cfg: Optional[EvalConfig] = None) -> float:
@@ -91,8 +94,8 @@ def modulus2(f: TestFunction, h0: float, cfg: Optional[EvalConfig] = None) -> fl
 
     Defined for bounded functions only, growth degree 0 in f's envelope
     (:class:`~jainbaskakov.functions.TestFunction`); the sup over [0, inf)
-    is taken on [0, domain_cap], justified by the registry's
-    decay/periodicity.
+    is sampled at x in [0, domain_cap] and h as in :func:`_substep_sup`
+    (x + 2h may pass the cap), justified by the registry's decay/periodicity.
     """
     cfg = cfg or EvalConfig()
     check_point(h0, "step bound h0")
@@ -103,19 +106,12 @@ def modulus2(f: TestFunction, h0: float, cfg: Optional[EvalConfig] = None) -> fl
         )
     if h0 == 0:
         return 0.0
-    cap = cfg.domain_cap
-    x = _refined_grid(0.0, cap, cfg)
-    fx = np.asarray(f.fn(x), dtype=float)
-    best = 0.0
-    for j in range(1, MODULUS_SUBSTEPS + 1):
-        h = h0 * j / MODULUS_SUBSTEPS
-        d2 = np.abs(
-            np.asarray(f.fn(x + 2 * h), dtype=float)
-            - 2 * np.asarray(f.fn(x + h), dtype=float)
-            + fx
-        )
-        best = max(best, float(d2.max()))
-    return best
+
+    def diff(x, fx, h):
+        f2 = np.asarray(f.fn(x + 2 * h), dtype=float)
+        return np.abs(f2 - 2 * np.asarray(f.fn(x + h), dtype=float) + fx)
+
+    return _substep_sup(f, cfg.domain_cap, h0, cfg, diff)
 
 
 def check_direct_bound(

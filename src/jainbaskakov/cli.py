@@ -61,8 +61,6 @@ class ConfigError(ValueError):
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     if isinstance(value, float):
         return format(value, ".17g")
     return str(value)
@@ -79,10 +77,6 @@ def _write_csv(path, fieldnames, rows):
 def _jsonable(value):
     if isinstance(value, float) and not math.isfinite(value):  # JSON has no nan or inf
         return None
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
     return value
 
 
@@ -343,18 +337,23 @@ def _cmd_moments(cfg):
         values = (order, x, closed, numeric, rel, formula_class, status)
         rows.append(dict(zip(fields, values)))
 
+    # (row label, order, closed form, test function): the raw moments, then the
+    # kind's central ones; each test function is looked up after its closed form
+    steps = [(m, m, raw, lambda m: get_function(f"e{m}")) for m in range(5)]
+    if central is not None:
+        steps += [(f"mu{k}", k, central, lambda k: shifted_power(k, x)) for k in (1, 2, 4)]
     # A threshold (n too small for the moment's order) is a row of the report,
     # and so is a display formula that overflows where the exact moment does
     # not; any other DomainError of an exact row, such as a bad x, fails the run.
-    for m in range(5):
+    for label, m, closed_form, test_fn in steps:
         try:
-            closed = raw(params, m, x)
-            numeric = eval_operator(kind, params, get_function(f"e{m}"), x, ecfg).value
+            closed = closed_form(params, m, x)
+            numeric = eval_operator(kind, params, test_fn(m), x, ecfg).value
         except ThresholdError as exc:
-            add_row(m, None, None, "exact", f"threshold: {exc}")
+            add_row(label, None, None, "exact", f"threshold: {exc}")
             continue
-        add_row(m, closed, numeric, "exact")
-        if m in (3, 4):
+        add_row(label, closed, numeric, "exact")
+        if label in (3, 4):  # the raw t^3 and t^4 rows: their displayed formulas
             try:
                 disp = display(params, m, x)
             except ThresholdError as exc:
@@ -363,16 +362,6 @@ def _cmd_moments(cfg):
                 add_row(m, None, numeric, "asymptotic", f"overflow: {exc}")
             else:
                 add_row(m, disp, numeric, "asymptotic")
-
-    if central is not None:
-        for k in (1, 2, 4):
-            try:
-                closed = central(params, k, x)
-                res = eval_operator(kind, params, shifted_power(k, x), x, ecfg)
-            except ThresholdError as exc:
-                add_row(f"mu{k}", None, None, "exact", f"threshold: {exc}")
-                continue
-            add_row(f"mu{k}", closed, res.value, "exact")
 
     plot = [
         (i, r["rel_error"])

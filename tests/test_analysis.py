@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from jainbaskakov import analysis
@@ -27,6 +28,7 @@ from jainbaskakov.analysis import (
     sweep_orders,
     weighted_majorant_e1,
 )
+from jainbaskakov.functions import TestFunction
 
 from helpers import combine
 
@@ -60,6 +62,13 @@ class TestModulus1:
             for lam in (1.5, 2.0, 3.7):
                 lhs = modulus1(f, 3.0, min(lam * delta, 3.0), cfg)
                 assert lhs <= (1 + math.ceil(lam)) * base + 1e-12
+
+    def test_never_samples_past_a(self, cfg):
+        # 0 on [0, a] and 1 beyond: a sample past a reads 1.  An absolute
+        # slack of 1e-12 on t <= a took in every t up to 2a at a = 1e-13
+        a = 1e-13
+        f = TestFunction("step", fn=lambda t: (np.asarray(t, dtype=float) > a).astype(float))
+        assert modulus1(f, a, a, cfg) == 0.0
 
     def test_domain_checks(self, cfg):
         with pytest.raises(DomainError):

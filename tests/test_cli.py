@@ -4,6 +4,7 @@ Golden files live in tests/golden/; tables carry 17 significant digits, so
 comparisons are bit-exact.
 """
 
+import ast
 import contextlib
 import csv
 import io
@@ -330,6 +331,16 @@ def test_golden_files_bit_exact(command, tmp_path):
         got = (tmp_path / (command + suffix)).read_bytes()
         want = (GOLDEN / (command + suffix)).read_bytes()
         assert got == want, f"{command}{suffix} deviates from the golden file"
+
+
+def test_benchmark_golden_args_have_not_drifted():
+    # perfbench/workloads.py keeps its own copy of the golden configurations,
+    # read here as source so that the test imports nothing of the benchmark
+    source = (Path(__file__).parents[1] / "perfbench" / "workloads.py").read_text()
+    copies = [node.value for node in ast.parse(source).body if isinstance(node, ast.Assign)
+              and any(getattr(t, "id", None) == "GOLDEN_ARGS" for t in node.targets)]
+    assert len(copies) == 1
+    assert ast.literal_eval(copies[0]) == GOLDEN_ARGS
 
 
 def test_golden_runs_send_the_same_v_to_quadpack(tmp_path, monkeypatch):

@@ -1679,3 +1679,14 @@ def test_hybrid_matches_the_generating_function(kind, n, c, beta, x):
     # the grid parameters hold a step-1 law and two lattice ones
     if (n, beta) == (300.0, 0.1):
         assert (step > 1) == (x > 1.0)
+
+
+@pytest.mark.xfail(raises=ConvergenceError, strict=True,
+                   reason="the QUADPACK fallback cannot resolve E_v[sin] at v = 67472")
+def test_hybrid_sin_near_a_lattice_alias():
+    # the hybrid half of the near-alias sin check above (n = 10.19 as in
+    # _NEAR_ALIAS, nx = 70000): a value within sin's range, with finite bounds
+    res = ops.eval_jain_baskakov(OperatorParams(10.19, 1.0, 0.0), get_function("sin"),
+                                 70000 / 10.19)
+    assert abs(res.value) <= 1.0
+    assert all(map(math.isfinite, (res.est_tail_bound, res.quad_error_est, res.rounding_est)))
